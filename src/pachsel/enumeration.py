@@ -10,9 +10,12 @@ the d+1-point tuples that actually occur:
   those per omitted color.
 
 Containment of the candidate in a given simplex is then a pure sign
-combination, vectorized with numpy over the whole n^{d+1} tensor.  All signs
-come from integer determinants of common-denominator-scaled coordinates, so
-the counts are exact.
+combination, vectorized with numpy over the whole n^{d+1} tensor.  Every sign
+comes from ``geometry.orientation_signs`` on common-denominator-scaled integer
+coordinates: an exact cofactor expansion in int64 when the coordinate
+magnitude proves it cannot overflow, and on Python ints otherwise.  The full
+tensor is evaluated one color-0 index at a time, so no call holds more than
+n^d tuples.
 """
 
 from __future__ import annotations
@@ -23,76 +26,19 @@ import numpy as np
 
 from . import lp
 from .errors import PreconditionError
-from .rational import common_denominator, det_int, point_to_fractions
+from .geometry import int_array, orientation_signs
+from .rational import common_denominator, point_to_fractions
 
 
-def _sign(v: int) -> int:
-    return (v > 0) - (v < 0)
-
-
-def _sign_tensor_generic(tuples_of_colors, out, prefix_point=None):
-    """Fill ``out`` with orientation signs over the product of the color lists.
-
-    With ``prefix_point`` given, each tuple is (prefix_point, x_1, ..., x_d).
-    """
-    sizes = out.shape
-    flat = out.reshape(-1)
-    pos = 0
-    for idx in np.ndindex(*sizes):
-        pts = [tuples_of_colors[k][idx[k]] for k in range(len(sizes))]
-        if prefix_point is not None:
-            pts = [prefix_point] + pts
-        base = pts[0]
-        rows = [tuple(a - b for a, b in zip(p, base)) for p in pts[1:]]
-        flat[pos] = _sign(det_int(rows))
-        pos += 1
-
-
-def _sign_tensor_1d(colors, out, prefix_point=None):
-    if prefix_point is None:
-        a_list, b_list = colors
-        for i, (xa,) in enumerate(a_list):
-            row = out[i]
-            for j, (xb,) in enumerate(b_list):
-                row[j] = _sign(xb - xa)
-    else:
-        (xp,) = prefix_point
-        (a_list,) = colors
-        for i, (xa,) in enumerate(a_list):
-            out[i] = _sign(xa - xp)
-
-
-def _sign_tensor_2d(colors, out, prefix_point=None):
-    if prefix_point is None:
-        a_list, b_list, c_list = colors
-        for i, (xa, ya) in enumerate(a_list):
-            for j, (xb, yb) in enumerate(b_list):
-                dx, dy = xb - xa, yb - ya
-                row = out[i, j]
-                for k, (xc, yc) in enumerate(c_list):
-                    row[k] = _sign(dx * (yc - ya) - dy * (xc - xa))
-    else:
-        xp, yp = prefix_point
-        a_list, b_list = colors
-        for i, (xa, ya) in enumerate(a_list):
-            dx, dy = xa - xp, ya - yp
-            row = out[i]
-            for j, (xb, yb) in enumerate(b_list):
-                row[j] = _sign(dx * (yb - yp) - dy * (xb - xp))
-
-
-def _fill_sign_tensor(colors, out, prefix_point=None):
-    ambient = len(colors[0][0]) if colors else 0
-    if ambient == 1 and prefix_point is None and len(colors) == 2:
-        _sign_tensor_1d(colors, out)
-    elif ambient == 1 and prefix_point is not None and len(colors) == 1:
-        _sign_tensor_1d(colors, out, prefix_point)
-    elif ambient == 2 and prefix_point is None and len(colors) == 3:
-        _sign_tensor_2d(colors, out)
-    elif ambient == 2 and prefix_point is not None and len(colors) == 2:
-        _sign_tensor_2d(colors, out, prefix_point)
-    else:
-        _sign_tensor_generic(colors, out, prefix_point)
+def tuple_grid(point_arrays):
+    """Every tuple with one point from each (n_j, d) array, in one array of
+    shape (n_0, ..., n_m, m+1, d)."""
+    m = len(point_arrays)
+    axes = [
+        a.reshape((1,) * j + (len(a),) + (1,) * (m - 1 - j) + a.shape[-1:])
+        for j, a in enumerate(point_arrays)
+    ]
+    return np.stack(np.broadcast_arrays(*axes), axis=-2)
 
 
 def combine_containment(full, faces):
@@ -130,20 +76,18 @@ class RainbowEnumerator:
         self._base_int_colors = [
             tuple(tuple(int(x * self._den) for x in p) for p in c) for c in self.colors
         ]
+        self._scaled_cache = {}
+        first, *rest = self._colors_at_scale(1)
         self.full_signs = np.empty(self.sizes, dtype=np.int8)
-        _fill_sign_tensor(self._base_int_colors, self.full_signs)
+        for i in range(self.sizes[0]):
+            self.full_signs[i] = orientation_signs(tuple_grid([first[i : i + 1], *rest]))[0]
         self._degenerate = [tuple(int(x) for x in idx) for idx in np.argwhere(self.full_signs == 0)]
-        self._scaled_cache = {1: self._base_int_colors}
-
-    @property
-    def degenerate_count(self) -> int:
-        return len(self._degenerate)
 
     def _colors_at_scale(self, mult: int):
         cached = self._scaled_cache.get(mult)
         if cached is None:
             cached = [
-                tuple(tuple(x * mult for x in p) for p in c) for c in self._base_int_colors
+                int_array([[x * mult for x in p] for p in c]) for c in self._base_int_colors
             ]
             if len(self._scaled_cache) < 64:
                 self._scaled_cache[mult] = cached
@@ -160,14 +104,11 @@ class RainbowEnumerator:
         mult = pden // gcd(self._den, pden)
         den = self._den * mult
         int_colors = self._colors_at_scale(mult)
-        int_p = tuple(int(c * den) for c in p)
-        faces = []
-        for i in range(self.dim + 1):
-            others = [int_colors[j] for j in range(self.dim + 1) if j != i]
-            shape = tuple(self.sizes[j] for j in range(self.dim + 1) if j != i)
-            face = np.empty(shape, dtype=np.int8)
-            _fill_sign_tensor(others, face, prefix_point=int_p)
-            faces.append(face)
+        int_p = int_array([[int(c * den) for c in p]])
+        faces = [
+            orientation_signs(tuple_grid([int_p, *int_colors[:i], *int_colors[i + 1 :]]))[0]
+            for i in range(self.dim + 1)
+        ]
         closed, open_ = combine_containment(self.full_signs, faces)
         for idx in self._degenerate:
             verts = [self.colors[k][idx[k]] for k in range(self.dim + 1)]

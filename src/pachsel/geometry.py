@@ -12,13 +12,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 
 from . import lp
 from .errors import DimensionMismatchError, PreconditionError
 from .rational import (
-    det_fraction,
     det_int,
     dot,
     is_exact,
@@ -26,28 +26,78 @@ from .rational import (
     point_to_fractions,
     scale_points_to_ints,
     to_fraction,
-    vec_sub,
 )
 
-# Scaled integer coordinates below this bound keep d=2 cross products inside
-# int64, enabling the vectorized general-position check.
-_NUMPY_SAFE_BOUND = 1 << 30
+# Combinations per orientation_signs call in the exhaustive scans; bounds their
+# memory independently of the number of combinations.
+COMBINATION_BLOCK = 1 << 12
 
 
 def _is_exact_point(point) -> bool:
     return all(is_exact(c) for c in point)
 
 
-def _det_float(rows) -> float:
-    a = np.asarray(rows, dtype=float)
-    return float(np.linalg.det(a))
+def int_array(values) -> np.ndarray:
+    """Nested Python ints as an int64 array, or an object array if one does not fit."""
+    arr = np.array(values, dtype=object)
+    try:
+        return arr.astype(np.int64)
+    except OverflowError:
+        return arr
+
+
+def orientation_signs(tuples) -> np.ndarray:
+    """Exact orientation signs of integer point tuples, batched.
+
+    ``tuples`` has shape (..., k+1, k): each tuple is k+1 points of Z^k, given
+    as an integer or object (Python int) array or as nested Python ints.  The
+    int8 result of shape (...) holds the sign of det[p_1 - p_0, ..., p_k - p_0],
+    the cofactor expansion of the k x k difference matrix.  With
+    B = 2 max|coordinate| no minor or partial sum exceeds k! B^k, so the
+    expansion runs in int64 when k! B^k < 2^63 and on Python ints otherwise.
+    """
+    a = tuples if isinstance(tuples, np.ndarray) else int_array(tuples)
+    k = a.shape[-1]
+    if a.ndim < 2 or a.shape[-2] != k + 1:
+        raise DimensionMismatchError(f"orientation tuples need shape (..., k+1, k), got {a.shape}")
+    if k == 0:
+        return np.ones(a.shape[:-2], dtype=np.int8)
+    bound = 2 * max(int(a.max()), -int(a.min())) if a.size else 0
+    a = a.astype(np.int64 if factorial(k) * bound**k < 1 << 63 else object, copy=False)
+    m = a[..., 1:, :] - a[..., :1, :]
+    # Minors of the bottom r rows keyed by their columns, expanded along the
+    # row above; the single k x k minor is the determinant.
+    minors = {(c,): m[..., k - 1, c] for c in range(k)}
+    for r in range(2, k + 1):
+        row = m[..., k - r, :]
+        expanded = {}
+        for cols in itertools.combinations(range(k), r):
+            det = row[..., cols[0]] * minors[cols[1:]]
+            for pos in range(1, r):
+                term = row[..., cols[pos]] * minors[cols[:pos] + cols[pos + 1 :]]
+                det = det + term if pos % 2 == 0 else det - term
+            expanded[cols] = det
+        minors = expanded
+    det = minors[tuple(range(k))]  # a bare Python int for a single object tuple
+    return np.greater(det, 0).astype(np.int8) - np.less(det, 0)
+
+
+def combination_blocks(n, r):
+    """Index arrays of at most COMBINATION_BLOCK rows that together list
+    ``itertools.combinations(range(n), r)`` in order; the last may be empty."""
+    combos = itertools.chain.from_iterable(itertools.combinations(range(n), r))
+    while True:
+        block = np.fromiter(itertools.islice(combos, COMBINATION_BLOCK * r), dtype=np.int64)
+        yield block.reshape(-1, r)
+        if len(block) < COMBINATION_BLOCK * r:
+            return
 
 
 def orientation(points) -> int:
     """Sign of the orientation determinant of d+1 points in R^d.
 
-    Exact (via rational arithmetic) whenever the inputs are exact; float
-    inputs get the float determinant's sign, reliable off degeneracies.
+    Exact for integer, rational and float inputs alike: the points are scaled
+    to integers by their common denominator, which keeps the sign.
     """
     k = len(points)
     d = k - 1
@@ -56,21 +106,8 @@ def orientation(points) -> int:
             raise DimensionMismatchError(
                 f"orientation of {k} points needs dimension {d}, got point of dimension {len(p)}"
             )
-    base = points[0]
-    rows = [vec_sub(p, base) for p in points[1:]]
-    if all(_is_exact_point(p) for p in points):
-        det = det_fraction(rows)
-        return (det > 0) - (det < 0)
-    det = _det_float(rows)
-    return (det > 0) - (det < 0)
-
-
-def orientation_int(int_points) -> int:
-    """orientation() for pre-scaled integer points (fast path)."""
-    base = int_points[0]
-    rows = [tuple(a - b for a, b in zip(p, base)) for p in int_points[1:]]
-    det = det_int(rows)
-    return (det > 0) - (det < 0)
+    int_pts, _ = scale_points_to_ints(points)
+    return int(orientation_signs(int_pts))
 
 
 @dataclass(frozen=True)
@@ -102,25 +139,39 @@ class OrientedHyperplane:
         return OrientedHyperplane(point_to_fractions(self.normal), to_fraction(self.offset))
 
 
+def hyperplane_cofactors(int_points):
+    """Integer (normal, offset) of the hyperplane through d points of Z^d.
+
+    The normal holds the signed (d-1)-minors of the difference matrix, so
+    normal.x - offset is, up to a sign fixed by d, the orientation determinant
+    of (points, x); it is zero when the points are affinely dependent.
+    """
+    d = len(int_points)
+    if d == 1:
+        return (1,), int_points[0][0]
+    base = int_points[0]
+    diffs = [tuple(a - b for a, b in zip(p, base)) for p in int_points[1:]]
+    normal = tuple(
+        (-1) ** k * det_int([row[:k] + row[k + 1 :] for row in diffs]) for k in range(d)
+    )
+    return normal, dot(normal, base)
+
+
 def hyperplane_through_points(points) -> OrientedHyperplane:
     """The hyperplane spanned by d affinely independent points in R^d."""
     d = len(points)
     for p in points:
         if len(p) != d:
             raise DimensionMismatchError("need d points of dimension d")
-    pts = [point_to_fractions(p) for p in points]
-    if d == 1:
-        return OrientedHyperplane((Fraction(1),), pts[0][0])
-    base = pts[0]
-    diffs = [vec_sub(p, base) for p in pts[1:]]  # (d-1) x d
-    normal = []
-    for k in range(d):
-        minor = [[row[c] for c in range(d) if c != k] for row in diffs]
-        normal.append((-1) ** k * det_fraction(minor))
+    int_pts, den = scale_points_to_ints(points)
+    normal, offset = hyperplane_cofactors(int_pts)
     if all(c == 0 for c in normal):
         raise PreconditionError("points are affinely dependent; no unique hyperplane")
-    normal = tuple(normal)
-    return OrientedHyperplane(normal, dot(normal, base))
+    # Undo the scaling: each (d-1)-minor carries den^(d-1), the offset den^d.
+    scale = den ** (d - 1)
+    return OrientedHyperplane(
+        tuple(Fraction(c, scale) for c in normal), Fraction(offset, scale * den)
+    )
 
 
 @dataclass(frozen=True)
@@ -185,44 +236,22 @@ def find_general_position_violation(obj):
     """First affinely dependent (<= d+1)-tuple of the given points, or None.
 
     Affine dependence is monotone under supersets, so scanning all
-    (d+1)-subsets suffices once the collection has more than d+1 points.
+    (d+1)-subsets in lexicographic order suffices once the collection has
+    more than d+1 points.
     """
     d, pts = _point_list(obj)
     n = len(pts)
+    int_pts, _ = scale_points_to_ints(pts)
     if n <= d + 1:
-        rows = [vec_sub(p, pts[0]) for p in pts[1:]]
-        if not rows:
-            return None
-        if all(_is_exact_point(p) for p in pts):
-            rank = matrix_rank_fraction(rows)
-        else:
-            rank = int(np.linalg.matrix_rank(np.asarray(rows, dtype=float)))
-        if rank < n - 1:
+        rows = [[a - b for a, b in zip(p, int_pts[0])] for p in int_pts[1:]]
+        if rows and matrix_rank_fraction(rows) < n - 1:
             return tuple(range(n))
         return None
-    if all(_is_exact_point(p) for p in pts):
-        int_pts, _ = scale_points_to_ints(pts)
-        if d == 2 and max(abs(c) for p in int_pts for c in p) < _NUMPY_SAFE_BOUND:
-            arr = np.asarray(int_pts, dtype=np.int64)
-            idx = np.fromiter(
-                itertools.chain.from_iterable(itertools.combinations(range(n), 3)),
-                dtype=np.int64,
-            ).reshape(-1, 3)
-            a, b, c = arr[idx[:, 0]], arr[idx[:, 1]], arr[idx[:, 2]]
-            cross = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
-                c[:, 0] - a[:, 0]
-            )
-            bad = np.nonzero(cross == 0)[0]
-            if bad.size:
-                return tuple(int(x) for x in idx[bad[0]])
-            return None
-        for combo in itertools.combinations(range(n), d + 1):
-            if orientation_int([int_pts[i] for i in combo]) == 0:
-                return combo
-        return None
-    for combo in itertools.combinations(range(n), d + 1):
-        if orientation([pts[i] for i in combo]) == 0:
-            return combo
+    arr = int_array(int_pts)
+    for idx in combination_blocks(n, d + 1):
+        bad = np.flatnonzero(orientation_signs(arr[idx]) == 0)
+        if bad.size:
+            return tuple(int(i) for i in idx[bad[0]])
     return None
 
 
@@ -474,23 +503,20 @@ def point_in_simplex(point, vertices, mode: str = "closed") -> bool:
     d = len(point)
     if len(vertices) != d + 1:
         raise DimensionMismatchError("simplex needs d+1 vertices")
-    verts = tuple(vertices)
-    s_full = orientation(list(verts))
+    if any(len(v) != d for v in vertices):
+        raise DimensionMismatchError("simplex vertices must have the point's dimension")
+    int_pts, _ = scale_points_to_ints([point, *vertices])
+    p, verts = int_pts[0], int_pts[1:]
+    # The full simplex, then the simplex with vertex i replaced by the point.
+    tuples = [verts] + [verts[:i] + [p] + verts[i + 1 :] for i in range(d + 1)]
+    s_full, *signs = orientation_signs(tuples).tolist()
     if s_full == 0:
         if mode == "open":
             return False
-        return lp.convex_combination(point, verts) is not None
-    for i in range(d + 1):
-        repl = list(verts)
-        repl[i] = point
-        s = orientation(repl)
-        if mode == "open":
-            if s != s_full:
-                return False
-        else:
-            if s * s_full < 0:
-                return False
-    return True
+        return lp.convex_combination(point, tuple(vertices)) is not None
+    if mode == "open":
+        return all(s == s_full for s in signs)
+    return all(s * s_full >= 0 for s in signs)
 
 
 def strict_separation(point, points):

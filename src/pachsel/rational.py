@@ -4,6 +4,10 @@ Combinatorial predicates in this package run on exact rational arithmetic.
 Python floats are admitted as inputs but are converted *losslessly* to
 Fraction (every float64 is a dyadic rational), so a float input never
 degrades a predicate to approximate arithmetic.
+
+Orientation signs come from one kernel, ``geometry.orientation_signs``, on
+points scaled by ``scale_points_to_ints``: int64 when the magnitude proves it
+exact, Python ints otherwise.  ``det_int`` gives exact hyperplane cofactors.
 """
 
 from __future__ import annotations
@@ -110,32 +114,6 @@ def det_int(rows) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def det_fraction(rows) -> Fraction:
-    """Exact determinant over Fractions (Gaussian elimination)."""
-    n = len(rows)
-    m = [[to_fraction(x) for x in r] for r in rows]
-    det = Fraction(1)
-    for k in range(n):
-        pivot_row = None
-        for r in range(k, n):
-            if m[r][k] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            det = -det
-        pivot = m[k][k]
-        det *= pivot
-        for r in range(k + 1, n):
-            factor = m[r][k] / pivot
-            if factor != 0:
-                for c in range(k, n):
-                    m[r][c] -= factor * m[k][c]
-    return det
-
-
 def matrix_rank_fraction(rows) -> int:
     """Exact rank of a rational matrix."""
     if not rows:
@@ -207,14 +185,6 @@ def dot(u, v):
 
 def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_scale(u, s):
-    return tuple(a * s for a in u)
 
 
 def squared_norm(u):

@@ -16,7 +16,7 @@ from math import ceil, comb, prod
 import numpy as np
 
 from .arrangements import HyperplaneArrangement, build_arrangement, separation_dichotomy
-from .enumeration import RainbowEnumerator
+from .enumeration import RainbowEnumerator, tuple_grid
 from .errors import (
     BudgetExceededError,
     GeneralPositionError,
@@ -27,11 +27,15 @@ from .errors import (
 from .geometry import (
     LabeledPointSet,
     OrientedHyperplane,
+    combination_blocks,
     find_general_position_violation,
+    hyperplane_cofactors,
+    int_array,
+    orientation_signs,
     satisfies_condition_G,
     strict_separation,
 )
-from .rational import det_int, point_to_fractions, scale_points_to_ints, to_fraction
+from .rational import point_to_fractions, scale_points_to_ints, to_fraction
 
 _BRANCH_ALL = "all-contain"
 _BRANCH_NONE = "none-contain"
@@ -179,16 +183,16 @@ def deep_rainbow_point(
 # Spanned-hyperplane sign machinery and anchor perturbation
 
 
-def _spanned_sign_vector(int_points, int_anchor, d):
-    """Signs of the anchor against every hyperplane spanned by d points."""
-    signs = []
-    for combo in itertools.combinations(range(len(int_points)), d):
-        pts = [int_points[i] for i in combo] + [int_anchor]
-        base = pts[0]
-        rows = [tuple(a - b for a, b in zip(p, base)) for p in pts[1:]]
-        v = det_int(rows)
-        signs.append((v > 0) - (v < 0))
-    return signs
+def _spanned_signs(int_points, int_anchor):
+    """Signs of the anchor against every hyperplane spanned by d points, in
+    ``itertools.combinations`` order."""
+    n, d = len(int_points), len(int_anchor)
+    arr = int_array([*int_points, int_anchor])
+    blocks = [
+        orientation_signs(arr[np.column_stack([idx, np.full(len(idx), n)])])
+        for idx in combination_blocks(n, d)
+    ]
+    return np.concatenate(blocks)
 
 
 def _random_rational_vector(rng, d, den=1 << 20):
@@ -207,8 +211,8 @@ def _nudge_off_hyperplanes(anchor, points, seed, retries, scale):
     all_pts = [point_to_fractions(p) for p in points]
     int_all, den = scale_points_to_ints(all_pts + [anchor_fr])
     int_points, int_anchor = int_all[:-1], int_all[-1]
-    base_signs = _spanned_sign_vector(int_points, int_anchor, d)
-    if all(s != 0 for s in base_signs):
+    base_signs = _spanned_signs(int_points, int_anchor)
+    if base_signs.all():
         return anchor_fr
     rng = random.Random(seed)
     magnitude = to_fraction(scale)
@@ -216,12 +220,8 @@ def _nudge_off_hyperplanes(anchor, points, seed, retries, scale):
         direction = _random_rational_vector(rng, d)
         cand = tuple(a + magnitude * u for a, u in zip(anchor_fr, direction))
         int_all2, _ = scale_points_to_ints(all_pts + [cand])
-        cand_signs = _spanned_sign_vector(int_all2[:-1], int_all2[-1], d)
-        ok = all(
-            (b == 0 and c != 0) or (b != 0 and c == b)
-            for b, c in zip(base_signs, cand_signs)
-        )
-        if ok:
+        cand_signs = _spanned_signs(int_all2[:-1], int_all2[-1])
+        if np.where(base_signs == 0, cand_signs != 0, cand_signs == base_signs).all():
             return cand
         magnitude /= 2
     raise BudgetExceededError(f"anchor perturbation failed after {retries} attempts")
@@ -467,21 +467,6 @@ def weak_regularity(
 # Ham-sandwich bisection
 
 
-def _int_hyperplane_through(int_points):
-    """(normal, offset) integer data of the hyperplane spanned by d points."""
-    d = len(int_points)
-    if d == 1:
-        return (1,), int_points[0][0]
-    base = int_points[0]
-    diffs = [tuple(a - b for a, b in zip(p, base)) for p in int_points[1:]]
-    normal = []
-    for kk in range(d):
-        minor = [[row[c] for c in range(d) if c != kk] for row in diffs]
-        normal.append((-1) ** kk * det_int(minor))
-    offset = sum(n * x for n, x in zip(normal, base))
-    return tuple(normal), offset
-
-
 def ham_sandwich_bisect(sets) -> OrientedHyperplane:
     """A hyperplane simultaneously bisecting d point sets in R^d.
 
@@ -502,33 +487,27 @@ def ham_sandwich_bisect(sets) -> OrientedHyperplane:
     if violation is not None:
         raise GeneralPositionError("sets are not in general position", violation)
     int_points, den = scale_points_to_ints(all_points)
-    offsets = []
-    pos = 0
-    for s in sets:
-        offsets.append(pos)
-        pos += len(s)
-    set_slices = [int_points[offsets[i] : offsets[i] + len(sets[i])] for i in range(d)]
-    for combo in itertools.product(*[range(len(s)) for s in sets]):
-        span = [set_slices[i][combo[i]] for i in range(d)]
-        normal, offset = _int_hyperplane_through(span)
-        if all(n == 0 for n in normal):
-            continue
-        ok = True
-        for i in range(d):
-            neg = pos_count = on = 0
-            for q in set_slices[i]:
-                v = sum(n * x for n, x in zip(normal, q)) - offset
-                if v > 0:
-                    pos_count += 1
-                elif v < 0:
-                    neg += 1
-                else:
-                    on += 1
-            need = (len(set_slices[i]) - on) // 2
-            if pos_count < need or neg < need:
-                ok = False
-                break
-        if ok:
+    points = int_array(int_points)
+    bounds = np.cumsum([0] + [len(s) for s in sets])
+    firsts, *others = (points[bounds[i] : bounds[i + 1]] for i in range(d))
+    for i0 in range(len(firsts)):
+        # signs[c, q]: side of point q against the c-th spanned hyperplane
+        # through firsts[i0], spans in itertools.product order.  General
+        # position makes every span affinely independent.
+        grid = tuple_grid([firsts[i0 : i0 + 1], *others, points])
+        signs = orientation_signs(grid).reshape(-1, len(points))
+        ok = np.ones(len(signs), dtype=bool)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            pos = (signs[:, lo:hi] > 0).sum(axis=1)
+            neg = (signs[:, lo:hi] < 0).sum(axis=1)
+            need = (pos + neg) // 2
+            ok &= (pos >= need) & (neg >= need)
+        hits = np.flatnonzero(ok)
+        if hits.size:
+            rest = np.unravel_index(hits[0], [len(o) for o in others])
+            span = [int_points[bounds[0] + i0]]
+            span += [int_points[bounds[i] + int(j)] for i, j in enumerate(rest, start=1)]
+            normal, offset = hyperplane_cofactors(span)
             return OrientedHyperplane(
                 tuple(Fraction(n) for n in normal), Fraction(offset, den)
             )

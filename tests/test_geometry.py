@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from pachsel import lp
 from pachsel.errors import DimensionMismatchError, PreconditionError
 from pachsel.geometry import (
+    COMBINATION_BLOCK,
     LabeledPointSet,
     OrientedHyperplane,
     affine_hulls_intersect,
@@ -16,11 +18,12 @@ from pachsel.geometry import (
     hyperplane_through_points,
     in_general_position,
     orientation,
+    orientation_signs,
     point_in_simplex,
     satisfies_condition_G,
     strict_separation,
 )
-from pachsel.rational import matrix_rank_fraction, vec_sub
+from pachsel.rational import det_int, matrix_rank_fraction, scale_points_to_ints, vec_sub
 
 from conftest import general_position_points, random_points
 
@@ -65,6 +68,66 @@ def test_orientation_float_sign_agrees_on_generic_input():
     assert orientation(pts) == orientation(exact)
 
 
+def test_float_inputs_decided_exactly():
+    # 0.5000000000000001 is 1/2 + 2^-53: the three points are not collinear,
+    # although a float64 determinant rounds their orientation to zero.
+    tri = [(0.5, 0.5000000000000001), (12.0, 12.0), (24.0, 24.0)]
+    assert orientation(tri) == 1
+    assert in_general_position(tri + [(0.0, 5.0)])
+
+
+def _det_sign(tup):
+    det = det_int([[a - b for a, b in zip(p, tup[0])] for p in tup[1:]])
+    return (det > 0) - (det < 0)
+
+
+@st.composite
+def orientation_batches(draw):
+    """Tuples of k+1 integer points in Z^k, some planted degenerate."""
+    k = draw(st.integers(1, 4))
+    hi = 1 << draw(st.sampled_from([4, 20, 31, 62, 80]))
+    coord = st.one_of(st.sampled_from([-hi, 0, hi]), st.integers(-hi, hi))
+    batch = []
+    for _ in range(draw(st.integers(1, 6))):
+        tup = [draw(st.tuples(*[coord] * k)) for _ in range(k + 1)]
+        kind = draw(st.sampled_from(["generic", "repeat", "affine"]))
+        j = draw(st.integers(0, k))
+        others = [i for i in range(k + 1) if i != j]
+        if kind == "repeat":
+            tup[j] = tup[draw(st.sampled_from(others))]
+        elif kind == "affine":  # integer weights summing to one
+            w = [draw(st.integers(-2, 2)) for _ in others[1:]]
+            w = [1 - sum(w)] + w
+            tup[j] = tuple(sum(c * tup[i][x] for c, i in zip(w, others)) for x in range(k))
+        batch.append(tup)
+    return batch
+
+
+@settings(max_examples=200, deadline=None)
+@given(orientation_batches())
+def test_orientation_signs_match_det_int(batch):
+    signs = orientation_signs(batch)
+    assert signs.dtype == np.int8 and signs.shape == (len(batch),)
+    assert signs.tolist() == [_det_sign(t) for t in batch]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("bits", [20, 31, 62, 80])
+def test_orientation_signs_at_extreme_coordinates(k, bits):
+    # Corner simplices reach |det| = (2 * 2^bits)^k, which wraps in int64 for
+    # all but the smallest cases; the kernel must switch to Python ints there.
+    hi = 1 << bits
+    corner = [(-hi,) * k] + [
+        tuple(hi if x == i else -hi for x in range(k)) for i in range(k)
+    ]
+    swapped = [corner[1], corner[0]] + corner[2:]
+    flat = corner[:-1] + [corner[-2]]
+    batch = [corner, swapped, flat]
+    assert orientation_signs(batch).tolist() == [1, -1, 0]
+    assert orientation_signs(np.array(batch, dtype=object)).tolist() == [1, -1, 0]
+    assert [_det_sign(t) for t in batch] == [1, -1, 0]
+
+
 # ---------------------------------------------------------------------------
 # general position
 
@@ -106,6 +169,23 @@ def test_general_position_agrees_with_naive_on_random_instances():
         for _ in range(10):
             pts = random_points(rng, d + 4, d, den=8, box=1)  # coarse: collisions likely
             assert in_general_position(pts) == _naive_general_position(pts, d)
+
+
+def test_general_position_scan_crosses_block_boundary():
+    rng = random.Random(11)
+    pts = general_position_points(rng, 75, 2)
+    pts[74] = tuple((a + b) / 2 for a, b in zip(pts[30], pts[50]))  # (30, 50, 74) collinear
+    combos = list(itertools.combinations(range(75), 3))
+    assert combos.index((30, 50, 74)) >= COMBINATION_BLOCK
+    ints, _ = scale_points_to_ints(pts)
+
+    def cross(i, j, k):
+        (ax, ay), (bx, by), (cx, cy) = ints[i], ints[j], ints[k]
+        return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+    naive = next(c for c in combos if cross(*c) == 0)
+    assert naive == (30, 50, 74)
+    assert find_general_position_violation(pts) == naive
 
 
 def test_general_position_small_sets():
@@ -285,6 +365,29 @@ def test_hyperplane_through_points():
     assert h.side((0, 0)) != 0
     with pytest.raises(PreconditionError):
         hyperplane_through_points([(0, 0), (0, 0)])
+
+
+def _det_laplace(rows):
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * rows[0][j] * _det_laplace([r[:j] + r[j + 1 :] for r in rows[1:]])
+        for j in range(len(rows))
+    )
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_hyperplane_through_rational_points_is_the_fraction_cofactor_plane(rng, d):
+    # Reference: signed minors of the rational difference matrix, offset n.p_0.
+    for _ in range(5):
+        pts = general_position_points(rng, d, d, den=97 * 64)
+        diffs = [vec_sub(p, pts[0]) for p in pts[1:]]
+        normal = tuple(
+            (-1) ** k * _det_laplace([r[:k] + r[k + 1 :] for r in diffs]) for k in range(d)
+        )
+        h = hyperplane_through_points(pts)
+        assert h.normal == normal
+        assert h.offset == sum(n * x for n, x in zip(normal, pts[0]))
 
 
 def test_oriented_hyperplane_flip_consistency():
