@@ -65,9 +65,6 @@ class HyperplaneArrangement:
             return all(h.side(point) < 0 for h in self.hyperplanes)
         return all(h.side(point) <= 0 for h in self.hyperplanes)
 
-    def point_on_some_hyperplane(self, point) -> bool:
-        return any(h.side(point) == 0 for h in self.hyperplanes)
-
 
 def build_arrangement(hyperplanes) -> HyperplaneArrangement:
     """Compute vertices, verify general position, and fix side orientations.

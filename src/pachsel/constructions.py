@@ -34,8 +34,9 @@ from .selection import (
 _PERTURB_DEN = 1 << 20
 
 # Generators snap coordinates to a lattice with this target denominator; keeps
-# common-denominator integer scalings small enough for the vectorized planar
-# condition-(G) check while leaving plenty of perturbation granularity.
+# common-denominator integer scalings of points in the unit ball below 2^20,
+# where the planar condition-(G) check runs in int64 rather than on Python
+# ints, while leaving plenty of perturbation granularity.
 _LATTICE_TARGET = 600_000
 
 
@@ -49,16 +50,15 @@ def _lattice_denominator(base_den: int) -> int:
 def _points_admissible(dim: int, points) -> bool:
     """General position always; condition (G) whenever it is decidable here.
 
-    For d >= 3 the exhaustive condition-(G) check is out of reach (the
-    enumeration cap makes it indeterminate); generation then relies on the
-    random rational perturbations, and downstream consumers verify the
-    consequence they actually need (boundary families of size <= d).
+    For d <= 2 the exhaustive condition-(G) check includes general position.
+    For d >= 3 it is out of reach (the enumeration cap makes it
+    indeterminate); generation then relies on the random rational
+    perturbations, and downstream consumers verify the consequence they
+    actually need (boundary families of size <= d).
     """
-    if not in_general_position(points):
-        return False
     if dim <= 2:
         return satisfies_condition_G(points).is_true
-    return True
+    return in_general_position(points)
 
 
 # ---------------------------------------------------------------------------

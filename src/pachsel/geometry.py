@@ -210,9 +210,6 @@ class LabeledPointSet:
     def union_points(self):
         return [p for pts in self.colors for p in pts]
 
-    def union_with_ids(self):
-        return [((ci, pi), p) for ci, pts in enumerate(self.colors) for pi, p in enumerate(pts)]
-
     def point(self, color, index):
         return self.colors[color][index]
 
@@ -318,113 +315,66 @@ def affine_hulls_intersect(point_groups) -> bool:
     return rank_a == rank_ab
 
 
-# Integer coordinates up to this bound keep the worst line-pair intermediate
-# (8 * M^3) inside int64 for the vectorized planar condition-(G) check.
-_PLANE_INT64_BOUND = 900_000
+def _condition_g_plane(points) -> ConditionGResult:
+    """Exact planar condition (G), one spanned line at a time.
 
+    Assumes general position already verified.  Then the only possible
+    violations are three pairwise disjoint point pairs whose spanned lines are
+    concurrent, and such a triple exists iff its lowest-indexed line i meets
+    two later lines disjoint from it at one point (two distinct lines through
+    that point can share no input point).  Every point of line i is named by
+    one reduced rational t/w, its x coordinate (y when line i is vertical), so
+    one lexsort of the (t, w) keys per line finds the equal pairs in O(N^2)
+    memory.  Lines are the pairs of ``combinations(range(n), 2)`` in order.
 
-def _condition_g_plane_vectorized(int_pts) -> ConditionGResult:
+    The integer scaling runs in int64 when the worst intermediate, 8 M^3 for
+    M = max|coordinate|, stays below 2^63, and on Python ints otherwise.  The
+    witness is line i, the lowest-indexed line in any concurrency, then the
+    two lowest-indexed later lines meeting it at one point; of several such
+    points, the one met by the lowest-indexed later line.  It depends only on
+    which lines are concurrent, so both dtypes and any scaling give the same
+    witness.  ``checked`` counts the intersections up to line i.
+    """
+    int_pts, _ = scale_points_to_ints(points)
     n = len(int_pts)
-    arr = np.asarray(int_pts, dtype=np.int64)
+    bound = max(abs(c) for p in int_pts for c in p)
+    arr = np.array(int_pts, dtype=np.int64 if 8 * bound**3 < 1 << 63 else object)
     supports = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(n), 2)), dtype=np.int64
     ).reshape(-1, 2)
+    # Lines (p, q) with p > s1 start at first[s1 + 1]; the later lines before
+    # that share the point s1 with line (s1, s2).
+    first = np.searchsorted(supports[:, 0], np.arange(n + 1))
     pa, pb = arr[supports[:, 0]], arr[supports[:, 1]]
     la = pa[:, 1] - pb[:, 1]
     lb = pb[:, 0] - pa[:, 0]
     lc = pa[:, 0] * pb[:, 1] - pa[:, 1] * pb[:, 0]
-    nlines = len(supports)
     checked = 0
-    collected = []
-    for i in range(nlines - 1):
-        a1, b1, c1 = int(la[i]), int(lb[i]), int(lc[i])
-        s1, s2 = int(supports[i, 0]), int(supports[i, 1])
-        disjoint = (
-            (supports[i + 1 :, 0] != s1)
-            & (supports[i + 1 :, 0] != s2)
-            & (supports[i + 1 :, 1] != s1)
-            & (supports[i + 1 :, 1] != s2)
-        )
-        w = a1 * lb[i + 1 :] - la[i + 1 :] * b1
-        valid = disjoint & (w != 0)
-        if not valid.any():
-            continue
-        w = w[valid]
-        x = b1 * lc[i + 1 :][valid] - lb[i + 1 :][valid] * c1
-        y = c1 * la[i + 1 :][valid] - lc[i + 1 :][valid] * a1
-        neg = w < 0
-        w = np.where(neg, -w, w)
-        x = np.where(neg, -x, x)
-        y = np.where(neg, -y, y)
-        g = np.gcd(np.gcd(np.abs(x), np.abs(y)), w)
-        collected.append(np.stack([x // g, y // g, w // g], axis=1))
-        checked += int(valid.sum())
-    if not collected:
-        return ConditionGResult("true", None, checked)
-    keys = np.concatenate(collected)
-    uniq, counts = np.unique(keys, axis=0, return_counts=True)
-    bad = np.nonzero(counts >= 3)[0]
-    if bad.size == 0:
-        return ConditionGResult("true", None, checked)
-    # Exact hit: >= 3 concurrent pairwise-disjoint spanned lines.  Recover
-    # the support pairs for the witness.
-    x0, y0, w0 = (int(v) for v in uniq[bad[0]])
-    witness = []
-    for k in range(nlines):
-        if int(la[k]) * x0 + int(lb[k]) * y0 + int(lc[k]) * w0 == 0:
-            witness.append((int(supports[k, 0]), int(supports[k, 1])))
-        if len(witness) == 3:
-            break
-    return ConditionGResult("false", tuple(witness), checked)
-
-
-def _condition_g_plane(points) -> ConditionGResult:
-    """Exact planar condition (G) via spanned-line intersection hashing.
-
-    Assumes general position already verified.  Under general position the
-    only possible violations are three pairwise-disjoint point pairs whose
-    spanned lines are concurrent, and any two distinct spanned lines through
-    a common non-input point automatically have disjoint supports, so it
-    suffices to find a point hit by three distinct lines.
-    """
-    int_pts, _ = scale_points_to_ints(points)
-    if max(abs(c) for p in int_pts for c in p) <= _PLANE_INT64_BOUND:
-        return _condition_g_plane_vectorized(int_pts)
-    n = len(int_pts)
-    lines = []
-    for a in range(n):
-        xa, ya = int_pts[a]
-        for b in range(a + 1, n):
-            xb, yb = int_pts[b]
-            lines.append((ya - yb, xb - xa, xa * yb - ya * xb, a, b))
-    buckets: dict = {}
-    checked = 0
-    nlines = len(lines)
-    for i in range(nlines):
-        a1, b1, c1, pa1, pb1 = lines[i]
-        for j in range(i + 1, nlines):
-            a2, b2, c2, pa2, pb2 = lines[j]
-            if pa1 == pa2 or pa1 == pb2 or pb1 == pa2 or pb1 == pb2:
-                continue
-            w = a1 * b2 - a2 * b1
-            if w == 0:
-                continue
-            checked += 1
-            x = b1 * c2 - b2 * c1
-            y = c1 * a2 - c2 * a1
-            if w < 0:
-                x, y, w = -x, -y, -w
-            key = (Fraction(x, w), Fraction(y, w))
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = {i, j}
-            else:
-                bucket.add(i)
-                bucket.add(j)
-                if len(bucket) >= 3:
-                    ids = sorted(bucket)[:3]
-                    witness = tuple((lines[k][3], lines[k][4]) for k in ids)
-                    return ConditionGResult("false", witness, checked)
+    for i, (s1, s2) in enumerate(supports.tolist()):
+        later = supports[first[s1 + 1] :]
+        js = first[s1 + 1] + np.flatnonzero((later[:, 0] != s2) & (later[:, 1] != s2))
+        a1, b1, c1 = la[i], lb[i], lc[i]
+        w = a1 * lb[js] - la[js] * b1
+        keep = w != 0
+        js, w = js[keep], w[keep]
+        if b1 != 0:
+            t = b1 * lc[js] - lb[js] * c1
+        else:
+            t = c1 * la[js] - lc[js] * a1
+        t, w = np.where(w < 0, -t, t), np.abs(w)
+        g = np.gcd(t, w)
+        t, w = t // g, w // g
+        checked += len(js)
+        order = np.lexsort((w, t))
+        t, w = t[order], w[order]
+        dup = np.flatnonzero((t[1:] == t[:-1]) & (w[1:] == w[:-1]))
+        if dup.size:
+            # Stable sort: in each run of equal keys the lines keep their order.
+            at = dup[np.argmin(order[dup])]
+            witness = tuple(
+                tuple(supports[k].tolist()) for k in (i, js[order[at]], js[order[at + 1]])
+            )
+            return ConditionGResult("false", witness, checked)
     return ConditionGResult("true", None, checked)
 
 
@@ -458,9 +408,14 @@ def satisfies_condition_G(obj, parts=None, cap: int = DEFAULT_CONDITION_G_CAP) -
     affine hulls of any d+1 pairwise disjoint subsets of size <= d.
 
     With ``parts`` given, checks only that tuple of index subsets.  Without
-    it, the check is exhaustive: closed form for d=1, exact line-intersection
-    hashing for d=2, and capped enumeration for d >= 3 (result 'indeterminate'
-    once ``cap`` tuples were examined).
+    it, the check is exhaustive: closed form for d=1, and capped enumeration
+    for d >= 3 (result 'indeterminate' once ``cap`` tuples were examined).
+    For d=2 it sorts, for one spanned line at a time, the exact points where
+    the later disjoint lines meet it (see ``_condition_g_plane``): in int64
+    when 8 M^3 < 2^63 for M = max|scaled coordinate|, on Python ints
+    otherwise.  A planar 'false' names three support pairs, the lowest-indexed
+    line in any concurrency first, and ``checked`` counts the intersections
+    examined up to that line; a 'true' counts all of them.
     """
     d, pts = _point_list(obj)
     if parts is not None:

@@ -140,23 +140,6 @@ def arrangement_from_json_dict(data: dict) -> HyperplaneArrangement:
 # Weighted point measures
 
 
-def measure_to_json_dict(dim: int, colors) -> dict:
-    """colors: per color, list of (point, weight) with rational weights."""
-    return {
-        "dim": dim,
-        "colors": [
-            [
-                {
-                    "point": [format_scalar(c) for c in p],
-                    "weight": format_scalar(w),
-                }
-                for p, w in pts
-            ]
-            for pts in colors
-        ],
-    }
-
-
 def measure_from_json_dict(data: dict):
     try:
         dim = int(data["dim"])

@@ -1,10 +1,11 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pachsel import lp
@@ -276,6 +277,107 @@ def test_condition_g_cap_yields_indeterminate():
     res = satisfies_condition_G(pts, cap=10)
     assert res.status == "indeterminate"
     assert res.checked == 10
+
+
+def _planted_concurrency(center, directions, steps):
+    """Three disjoint pairs, pair k on the line through center along directions[k]."""
+    return [
+        tuple(c + s * v for c, v in zip(center, d))
+        for d, pair in zip(directions, steps)
+        for s in pair
+    ]
+
+
+def _assert_planar_witness(pts, res):
+    """A planar 'false' under general position names three concurrent disjoint pairs."""
+    assert len(res.witness) == 3
+    assert all(len(pair) == 2 for pair in res.witness)
+    assert len({i for pair in res.witness for i in pair}) == 6
+    assert satisfies_condition_G(pts, parts=res.witness).is_false
+
+
+small_coord = st.integers(-30, 30)
+small_point = st.tuples(small_coord, small_coord)
+
+
+@st.composite
+def planar_sets(draw):
+    """3 to 7 integer points, or one of them plus a planted concurrency (three
+    disjoint pairs on lines through a rational point) in a drawn order."""
+    pts = draw(st.lists(small_point, min_size=3, max_size=7))
+    if draw(st.booleans()):
+        center = (Fraction(draw(small_coord), draw(st.integers(1, 5))), Fraction(draw(small_coord)))
+        direction = st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(lambda v: v != (0, 0))
+        step_pair = st.lists(st.integers(-3, 3).filter(bool), min_size=2, max_size=2, unique=True)
+        planted = _planted_concurrency(
+            center,
+            draw(st.lists(direction, min_size=3, max_size=3)),
+            draw(st.lists(step_pair, min_size=3, max_size=3)),
+        )
+        pts = draw(st.permutations(pts[:1] + planted))
+    return pts
+
+
+@settings(max_examples=60, deadline=None)
+@given(planar_sets())
+def test_planar_condition_g_matches_naive(pts):
+    assume(in_general_position(pts))
+    res = satisfies_condition_G(pts)
+    assert res.is_true == _naive_condition_g(pts, 2)
+    if res.is_false:
+        _assert_planar_witness(pts, res)
+
+
+def _condition_g_true_prefix(n, seed):
+    pts = general_position_points(random.Random(seed), n, 2)
+    assert satisfies_condition_G(pts).is_true
+    return pts
+
+
+def test_planar_condition_g_late_violation():
+    prefix = _condition_g_true_prefix(40, 23)
+    directions = [(1, 0), (1, 3), (-2, 5)]
+    planted = _planted_concurrency((Fraction(1, 7), Fraction(-2, 7)), directions, [(-1, 1)] * 3)
+    pts = prefix + planted
+    assert in_general_position(pts)
+    res = satisfies_condition_G(pts)
+    assert res.is_false
+    assert res.witness == ((40, 41), (42, 43), (44, 45))
+    _assert_planar_witness(pts, res)
+    # Every line before (40, 41) was intersected with all later disjoint lines.
+    assert res.checked > satisfies_condition_G(prefix).checked
+
+
+def test_planar_condition_g_large_coordinates_keep_verdict_and_witness():
+    """Scaling by 2^30 pushes 8 M^3 past 2^63, onto Python ints."""
+    violation = _condition_g_true_prefix(12, 29) + _planted_concurrency(
+        (Fraction(3, 5), Fraction(1, 3)), [(2, 1), (0, 1), (-1, 4)], [(-1, 2), (1, 2), (-2, 1)]
+    )
+    for pts in (_condition_g_true_prefix(20, 31), violation):
+        scaled = [tuple(c * (1 << 30) for c in p) for p in pts]
+        int_scaled, _ = scale_points_to_ints(scaled)
+        assert 8 * max(abs(c) for p in int_scaled for c in p) ** 3 >= 1 << 63
+        small, large = satisfies_condition_G(pts), satisfies_condition_G(scaled)
+        assert (large.status, large.witness, large.checked) == (
+            small.status,
+            small.witness,
+            small.checked,
+        )
+    assert small.is_false
+    _assert_planar_witness(scaled, large)
+
+
+def test_planar_condition_g_memory_is_quadratic():
+    pts = general_position_points(random.Random(37), 45, 2, den=1 << 17, box=1)
+    tracemalloc.start()
+    try:
+        satisfies_condition_G(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # numpy reports its buffers to tracemalloc; stacking all O(N^4)
+    # intersection keys peaks near 48 MiB here.
+    assert peak < 8 * 2**20
 
 
 # ---------------------------------------------------------------------------
