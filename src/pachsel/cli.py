@@ -18,7 +18,7 @@ import io as _stdio
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
 from . import io as pio
@@ -172,14 +172,11 @@ def _select_unequal(ps, params, input_hash, seed):
             tuple(sorted({origin[ci][i] for i in idxs}))
             for ci, idxs in enumerate(cert.index_sets)
         )
-        candidate = PachCertificate(
-            input_sha256=input_hash,
-            point=cert.point,
+        candidate = replace(
+            cert,
             index_sets=dedup,
-            arrangement=cert.arrangement,
             fractions=tuple(Fraction(len(dedup[ci]), sizes[ci]) for ci in range(len(sizes))),
             verified="exhaustive",
-            seed=cert.seed,
             stages=cert.stages
             + (
                 {
@@ -321,15 +318,7 @@ class ExperimentRecord:
     timestamp: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "seed": self.seed,
-            "input_sha256": self.input_sha256,
-            "outputs": self.outputs,
-            "wall_time_s": self.wall_time_s,
-            "timestamp": self.timestamp,
-        }
+        return asdict(self)
 
     def content_hash(self) -> str:
         data = self.to_json_dict()

@@ -12,7 +12,7 @@ normalized solid angle, so no epsilon-ball is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import exp, gamma, log, pi, sqrt
 
 import numpy as np
@@ -53,12 +53,7 @@ class McEstimate:
     seed: int
 
     def as_dict(self):
-        return {
-            "mean": self.mean,
-            "std_error": self.std_error,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -459,13 +454,7 @@ class DeviationReport:
     seed: int
 
     def as_dict(self):
-        return {
-            "delta": self.delta,
-            "bound": self.bound,
-            "observed_max": self.observed_max,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def acute_cone_admissible_deviation(

@@ -9,7 +9,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd, sqrt
+from math import ceil, lcm, sqrt
 
 import numpy as np
 
@@ -458,11 +458,7 @@ class WeightedPointMeasure:
 
     @property
     def common_denominator(self) -> int:
-        s = 1
-        for pts in self.colors:
-            for _, w in pts:
-                s = s * w.denominator // gcd(s, w.denominator)
-        return s
+        return lcm(*(w.denominator for pts in self.colors for _, w in pts))
 
 
 def discretize_measure(dim: int, weighted_colors, spread, seed: int = 0, retries: int = 50) -> LabeledPointSet:

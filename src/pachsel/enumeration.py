@@ -20,7 +20,7 @@ n^d tuples.
 
 from __future__ import annotations
 
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -98,9 +98,7 @@ class RainbowEnumerator:
         p = point_to_fractions(point)
         if len(p) != self.dim:
             raise PreconditionError("candidate dimension mismatch")
-        pden = 1
-        for c in p:
-            pden = pden // gcd(pden, c.denominator) * c.denominator
+        pden = lcm(*(c.denominator for c in p))
         mult = pden // gcd(self._den, pden)
         den = self._den * mult
         int_colors = self._colors_at_scale(mult)

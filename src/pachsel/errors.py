@@ -19,10 +19,10 @@ class PreconditionError(PachselError):
 
 
 class GeneralPositionError(PreconditionError):
-    """A required general-position assumption fails; carries a witness tuple."""
+    """A required general-position assumption fails; names its witness tuple."""
 
     def __init__(self, message, witness=None):
-        super().__init__(message)
+        super().__init__(message if witness is None else f"{message}: witness {witness}")
         self.witness = witness
 
 

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import factorial
 
 import numpy as np
 
 from . import lp
-from .errors import DimensionMismatchError, PreconditionError
+from .errors import DimensionMismatchError, GeneralPositionError, PreconditionError
 from .rational import (
     det_int,
     dot,
@@ -213,6 +214,21 @@ class LabeledPointSet:
     def point(self, color, index):
         return self.colors[color][index]
 
+    @cached_property
+    def general_position_violation(self):
+        """First dependent tuple of ``union_points()`` indices, or None: one
+        O(N^{d+1}) scan per instance, kept for every stage handed this set
+        (not a field: equality and hashing ignore it).  A point added later is
+        checked in O(N^d) with ``spanned_signs``."""
+        return find_general_position_violation(self)
+
+    def require_general_position(self) -> None:
+        """Raise GeneralPositionError naming the recorded violation, if any."""
+        if self.general_position_violation is not None:
+            raise GeneralPositionError(
+                "input set is not in general position", self.general_position_violation
+            )
+
     def subset(self, index_sets) -> "LabeledPointSet":
         colors = tuple(
             tuple(self.colors[ci][i] for i in sorted(index_sets[ci])) for ci in range(len(self.colors))
@@ -250,6 +266,32 @@ def find_general_position_violation(obj):
         if bad.size:
             return tuple(int(i) for i in idx[bad[0]])
     return None
+
+
+def spanned_signs(points, point):
+    """Signs of ``point`` against the hyperplanes spanned by d of ``points``.
+
+    Returns (signs, witness): one int8 orientation sign per d-tuple of
+    ``combinations(range(len(points)), d)`` in that order, O(N^d) work, and
+    the first d-tuple whose hyperplane contains the point, or None.  With
+    ``points`` in general position (at least d of them) every dependent tuple
+    of ``points + [point]`` contains the point, so ``witness + (len(points),)``
+    is what ``find_general_position_violation(points + [point])`` returns.
+    """
+    n, d = len(points), len(point)
+    if n < d:
+        raise PreconditionError(f"{n} points span no hyperplane in dimension {d}")
+    arr = int_array(scale_points_to_ints([*points, point])[0])
+    signs = np.concatenate(
+        [
+            orientation_signs(arr[np.column_stack([idx, np.full(len(idx), n)])])
+            for idx in combination_blocks(n, d)
+        ]
+    )
+    zeros = np.flatnonzero(signs == 0)
+    if not zeros.size:
+        return signs, None
+    return signs, next(itertools.islice(itertools.combinations(range(n), d), int(zeros[0]), None))
 
 
 def in_general_position(obj) -> bool:

@@ -13,7 +13,7 @@ exact, Python ints otherwise.  ``det_int`` gives exact hyperplane cofactors.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 Scalar = int | Fraction | float
 
@@ -52,17 +52,9 @@ def parse_scalar(v) -> Fraction:
     raise ValueError(f"not a scalar: {v!r}")
 
 
-def lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
-
-
 def common_denominator(points) -> int:
     """Least common denominator over all coordinates of an iterable of points."""
-    den = 1
-    for p in points:
-        for c in p:
-            den = lcm(den, to_fraction(c).denominator)
-    return den
+    return lcm(*(to_fraction(c).denominator for p in points for c in p))
 
 
 def scale_points_to_ints(points, den: int | None = None):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import ceil, comb, prod
 
@@ -27,12 +27,12 @@ from .errors import (
 from .geometry import (
     LabeledPointSet,
     OrientedHyperplane,
-    combination_blocks,
     find_general_position_violation,
     hyperplane_cofactors,
     int_array,
     orientation_signs,
     satisfies_condition_G,
+    spanned_signs,
     strict_separation,
 )
 from .rational import point_to_fractions, scale_points_to_ints, to_fraction
@@ -137,14 +137,15 @@ def deep_rainbow_point(
     the centroid, the coordinate-wise median, seeded random rainbow-simplex
     centroids, and any user-supplied points.  The winner's depth/total ratio
     is reported so callers can compare against the first-selection constant.
+
+    Precondition: the set is in general position, decided here once per
+    ``LabeledPointSet`` and reused by later stages handed the same instance.
     """
     strategy = strategy or DeepPointStrategy()
     sizes = point_set.sizes()
     if prod(sizes) > budget:
         raise BudgetExceededError(f"{prod(sizes)} rainbow simplices exceed budget {budget}")
-    violation = find_general_position_violation(point_set)
-    if violation is not None:
-        raise GeneralPositionError("input set is not in general position", violation)
+    point_set.require_general_position()
     union = [point_to_fractions(p) for p in point_set.union_points()]
     candidates = []
     if strategy.use_centroid:
@@ -180,47 +181,34 @@ def deep_rainbow_point(
 
 
 # ---------------------------------------------------------------------------
-# Spanned-hyperplane sign machinery and anchor perturbation
-
-
-def _spanned_signs(int_points, int_anchor):
-    """Signs of the anchor against every hyperplane spanned by d points, in
-    ``itertools.combinations`` order."""
-    n, d = len(int_points), len(int_anchor)
-    arr = int_array([*int_points, int_anchor])
-    blocks = [
-        orientation_signs(arr[np.column_stack([idx, np.full(len(idx), n)])])
-        for idx in combination_blocks(n, d)
-    ]
-    return np.concatenate(blocks)
+# Anchor perturbation
 
 
 def _random_rational_vector(rng, d, den=1 << 20):
     return tuple(Fraction(rng.randint(-den, den), den) for _ in range(d))
 
 
-def _nudge_off_hyperplanes(anchor, points, seed, retries, scale):
+def _nudge_off_hyperplanes(anchor, points, seed, retries):
     """Shift the anchor off every spanned hyperplane while crossing none.
 
     Preserving the nonzero spanned-hyperplane signs preserves, in particular,
-    open containment in every simplex spanned by the points.  Returns the
-    original anchor unchanged when it is already off all hyperplanes.
+    open containment in every simplex spanned by the points.  Steps start at
+    (max |coordinate| + 1) / 2^20 and halve.  Returns the anchor unchanged
+    when it is already off all hyperplanes; either way every spanned sign of
+    the returned point is nonzero.
     """
     d = len(anchor)
     anchor_fr = point_to_fractions(anchor)
     all_pts = [point_to_fractions(p) for p in points]
-    int_all, den = scale_points_to_ints(all_pts + [anchor_fr])
-    int_points, int_anchor = int_all[:-1], int_all[-1]
-    base_signs = _spanned_signs(int_points, int_anchor)
+    base_signs, _ = spanned_signs(all_pts, anchor_fr)
     if base_signs.all():
         return anchor_fr
     rng = random.Random(seed)
-    magnitude = to_fraction(scale)
+    magnitude = (max((abs(c) for p in all_pts for c in p), default=Fraction(1)) + 1) / (1 << 20)
     for attempt in range(retries):
         direction = _random_rational_vector(rng, d)
         cand = tuple(a + magnitude * u for a, u in zip(anchor_fr, direction))
-        int_all2, _ = scale_points_to_ints(all_pts + [cand])
-        cand_signs = _spanned_signs(int_all2[:-1], int_all2[-1])
+        cand_signs, _ = spanned_signs(all_pts, cand)
         if np.where(base_signs == 0, cand_signs != 0, cand_signs == base_signs).all():
             return cand
         magnitude /= 2
@@ -233,32 +221,23 @@ def perturb_anchor(
     """Move the anchor into general position with the set without leaving the
     interior of any rainbow simplex that contained it.
 
-    Precondition: the anchor is interior to at least one rainbow simplex.
-    The open-containment bit-vector is re-verified exhaustively afterwards.
+    Preconditions: the anchor is interior to at least one rainbow simplex;
+    the set is in general position (its recorded verdict, free after
+    ``deep_rainbow_point``).  Open containment is re-verified afterwards.
     """
     enum = RainbowEnumerator([list(c) for c in point_set.colors])
     _, before_open = enum.containment_masks(anchor)
     if not before_open.any():
         raise PreconditionError("anchor has no open-interior margin")
-    union = point_set.union_points()
-    violation = find_general_position_violation(union)
-    if violation is not None:
-        raise GeneralPositionError("input set is not in general position", violation)
-    # Magnitude scale: small relative to the coordinate spread of the set.
-    spread = max(
-        (abs(to_fraction(c)) for p in union for c in p),
-        default=Fraction(1),
-    )
-    scale = (spread + 1) / (1 << 20)
-    moved = _nudge_off_hyperplanes(anchor, union, seed, retries, scale)
+    point_set.require_general_position()
+    moved = _nudge_off_hyperplanes(anchor, point_set.union_points(), seed, retries)
     _, after_open = enum.containment_masks(moved)
     # every simplex that held the anchor in its interior must still hold it;
     # boundary simplices may open up, which only increases the depth
     if not np.array_equal(before_open, before_open & after_open):
         raise InternalInvariantError("perturbation lost an open containment")
-    violation = find_general_position_violation(union + [moved])
-    if violation is not None:
-        raise InternalInvariantError("perturbed anchor still in degenerate position")
+    # moved lies on no hyperplane spanned by the union, which is in general
+    # position, so the union plus moved is in general position too.
     return moved
 
 
@@ -590,6 +569,10 @@ def few_separations(
     """d+1 rounds of ham-sandwich halving, then one arrangement classifying
     the anchor: it lies in all rainbow simplices of the kept subsets or in
     none of them; each kept subset retains at least a 1/2^d fraction.
+
+    Precondition: the set is in general position (its recorded verdict) and
+    the anchor lies on no hyperplane spanned by the selected union, an O(N^d)
+    check whose witness ends with the anchor's index, ``len(union)``.
     """
     d = point_set.dim
     anchor = point_to_fractions(anchor)
@@ -598,10 +581,11 @@ def few_separations(
         for ci, idxs in enumerate(index_sets)
     ]
     union = [p for part in current for _, p in part]
-    violation = find_general_position_violation(union + [anchor])
+    point_set.require_general_position()
+    _, violation = spanned_signs(union, anchor)
     if violation is not None:
         raise GeneralPositionError(
-            "subsets and anchor are not in general position", violation
+            "subsets and anchor are not in general position", violation + (len(union),)
         )
     separators: list = []
     for j in range(d + 1):
@@ -741,8 +725,7 @@ def shrink_to_generic(
             "anchor not interior to all simplices after removing the boundary family"
         )
     new_union = [p for c in new_colors for p in c]
-    spread = max((abs(c) for p in new_union for c in p), default=Fraction(1))
-    moved = _nudge_off_hyperplanes(anchor, new_union, seed, retries, (spread + 1) / (1 << 20))
+    moved = _nudge_off_hyperplanes(anchor, new_union, seed, retries)
     cfg = GenericPachConfiguration(point_set, new_index_sets, moved)
     cfg.validate()
     return cfg
@@ -767,10 +750,11 @@ def separating_arrangement(cfg: GenericPachConfiguration, seed: int = 0) -> Hype
     configuration, in general position, with the point inside the central
     simplex and each subset interior to its corner region."""
     colors = cfg.selected_colors()
-    d = cfg.point_set.dim
+    protected = [
+        [p for j, c in enumerate(colors) if j != i for p in c] for i in range(len(colors))
+    ]
     planes = []
-    for i in range(d + 1):
-        rest = [p for j, c in enumerate(colors) if j != i for p in c]
+    for i, rest in enumerate(protected):
         h = strict_separation(cfg.point, rest)
         if h is None:
             raise InputValidationError(
@@ -778,9 +762,6 @@ def separating_arrangement(cfg: GenericPachConfiguration, seed: int = 0) -> Hype
                 "not a generic configuration"
             )
         planes.append(h)
-    protected = [
-        [p for j, c in enumerate(colors) if j != i for p in c] for i in range(d + 1)
-    ]
     arrangement, _ = _perturb_hyperplanes_general_position(planes, cfg.point, protected, seed)
     outcome = separation_dichotomy(cfg.point, arrangement, colors)
     if not outcome.inside:
@@ -890,11 +871,35 @@ class VerificationReport:
         }
 
 
+def _certificate_mismatch(point_set: LabeledPointSet, cert: PachCertificate) -> str:
+    """Why the certificate's shape or claimed fractions disagree with the set, or "".
+    Out-of-range indices raise instead; a vacuous certificate (some Y_i empty) claims
+    no containment, so its fractions are not compared."""
+    d, sizes = point_set.dim, point_set.sizes()
+    if len(cert.point) != d:
+        return f"point has dimension {len(cert.point)}, expected {d}"
+    if len(cert.index_sets) != d + 1:
+        return f"{len(cert.index_sets)} index sets, expected {d + 1}"
+    for ci, idxs in enumerate(cert.index_sets):
+        for i in idxs:
+            if not 0 <= i < sizes[ci]:
+                raise InputValidationError(f"certificate index {i} out of range for color {ci}")
+        if len(set(idxs)) != len(idxs):
+            return f"index set {ci} repeats an index"
+    claimed = tuple(Fraction(len(idxs), n) for idxs, n in zip(cert.index_sets, sizes))
+    if all(cert.index_sets) and tuple(cert.fractions) != claimed:
+        claims, actual = [str(f) for f in cert.fractions], [str(f) for f in claimed]
+        return f"fractions {claims} are not |Y_i|/n_i = {actual}"
+    return ""
+
+
 def verify_certificate(
     point_set: LabeledPointSet, cert: PachCertificate, mode: str = "exhaustive"
 ) -> VerificationReport:
     """Independent certificate check.
 
+    Both modes first reject (ok False) a certificate whose shape or fractions
+    disagree with the set (``_certificate_mismatch``).
     exhaustive: exact closed containment of the certified point in every
     rainbow simplex of the selected subsets (fraction must be 1).
     arrangement: re-checks the separation preconditions and the inside
@@ -902,15 +907,12 @@ def verify_certificate(
     """
     if mode not in ("exhaustive", "arrangement"):
         raise ValueError(f"unknown verification mode {mode!r}")
-    sizes = point_set.sizes()
-    for ci, idxs in enumerate(cert.index_sets):
-        for i in idxs:
-            if not 0 <= i < sizes[ci]:
-                raise InputValidationError(f"certificate index {i} out of range for color {ci}")
-    warnings = []
+    mismatch = _certificate_mismatch(point_set, cert)
+    if mismatch:
+        return VerificationReport(mode, False, Fraction(0), None, mismatch)
     if any(len(idxs) == 0 for idxs in cert.index_sets):
-        warnings.append("some selected subsets are empty; containment is vacuous")
-        return VerificationReport(mode, True, Fraction(1), None, "vacuous", tuple(warnings))
+        warning = "some selected subsets are empty; containment is vacuous"
+        return VerificationReport(mode, True, Fraction(1), None, "vacuous", (warning,))
     colors = [
         [point_set.point(ci, i) for i in idxs] for ci, idxs in enumerate(cert.index_sets)
     ]
@@ -931,21 +933,18 @@ def verify_certificate(
             fraction,
             witness,
             f"{count} of {enum.total} rainbow simplices contain the point",
-            tuple(warnings),
         )
     arr = cert.arrangement
     point = cert.point
     try:
         outcome = separation_dichotomy(point, arr, colors)
     except PreconditionError as exc:
-        return VerificationReport(mode, False, Fraction(0), None, str(exc), tuple(warnings))
+        return VerificationReport(mode, False, Fraction(0), None, str(exc))
     if not outcome.inside:
         return VerificationReport(
-            mode, False, Fraction(0), None, "point is outside the central simplex", tuple(warnings)
+            mode, False, Fraction(0), None, "point is outside the central simplex"
         )
-    return VerificationReport(
-        mode, True, Fraction(1), None, "arrangement certifies containment", tuple(warnings)
-    )
+    return VerificationReport(mode, True, Fraction(1), None, "arrangement certifies containment")
 
 
 # ---------------------------------------------------------------------------
@@ -1112,14 +1111,9 @@ def run_pipeline(
             raise InternalInvariantError(
                 f"exhaustive verification failed: {report.detail} (witness {report.witness})"
             )
-        cert = PachCertificate(
-            input_sha256=cert.input_sha256,
-            point=cert.point,
-            index_sets=cert.index_sets,
-            arrangement=cert.arrangement,
-            fractions=cert.fractions,
+        cert = replace(
+            cert,
             verified="exhaustive",
-            seed=cert.seed,
             stages=cert.stages + ({"stage": "verify", "mode": "exhaustive", "fraction": "1/1"},),
         )
     return cert

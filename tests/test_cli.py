@@ -118,6 +118,80 @@ def test_verify_detects_mutation(workdir):
     assert run(["verify", "--in", pts, "--cert", bad]) == 5
 
 
+@pytest.fixture(scope="module")
+def planar_certificate(tmp_path_factory):
+    """A d=2, n=10 point set and the certificate ``select`` writes for it."""
+    root = tmp_path_factory.mktemp("planar")
+    pts, cert = root / "pts.json", root / "cert.json"
+    assert run(["gen", "--dim", 2, "--shape", "uniform-ball", "--n", 10, "--seed", 4, "--out", pts]) == 0
+    assert run(["select", "--in", pts, "--out", cert, "--seed", 2]) == 0
+    return pts, pio.load_json(cert)
+
+
+def _write_mutated(workdir, data, mutate):
+    data = json.loads(json.dumps(data))
+    if mutate is not None:
+        mutate(data)
+    path = workdir / "mutated.json"
+    pio.dump_json(data, path)
+    return path
+
+
+def _false_fractions(data):
+    data["fractions"] = ["1/1"] * len(data["Y"])
+
+
+def _repeated_index(data):
+    data["Y"][0] = data["Y"][0] * 2
+
+
+def _missing_index_set(data):
+    data["Y"] = data["Y"][:-1]
+
+
+def _short_point(data):
+    data["p"] = data["p"][:-1]
+
+
+@pytest.mark.parametrize("mode", ["--exhaustive", "--arrangement"])
+@pytest.mark.parametrize(
+    "mutate, detail",
+    [
+        (_false_fractions, "fractions"),
+        (_repeated_index, "repeats an index"),
+        (_missing_index_set, "2 index sets, expected 3"),
+        (_short_point, "point has dimension 1, expected 2"),
+    ],
+)
+def test_verify_rejects_false_claims(workdir, capsys, planar_certificate, mode, mutate, detail):
+    pts, data = planar_certificate
+    assert run(["verify", "--in", pts, "--cert", _write_mutated(workdir, data, None), mode]) == 0
+    capsys.readouterr()
+    bad = _write_mutated(workdir, data, mutate)
+    assert run(["verify", "--in", pts, "--cert", bad, mode]) == 5
+    verdict = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert not verdict["ok"] and detail in verdict["detail"]
+
+
+@pytest.mark.parametrize("command", ["select", "deep"])
+@pytest.mark.parametrize(
+    "colors, witness",
+    [
+        # (0,0), (1,1), (3,3) lie on one line, one point of each color
+        ([[["0", "0"], ["7", "3"]], [["1", "1"], ["2", "9"]], [["3", "3"], ["8", "1"]]], "(0, 2, 4)"),
+        # (0,0) appears in colors 0 and 1
+        ([[["0", "0"], ["7", "3"]], [["0", "0"], ["2", "9"]], [["5", "1"], ["8", "6"]]], "(0, 1, 2)"),
+    ],
+)
+def test_degenerate_input_names_its_witness(workdir, capsys, command, colors, witness):
+    pts = workdir / "degenerate.json"
+    pio.dump_json({"dim": 2, "exact": True, "colors": colors}, pts)
+    extra = ["--out", workdir / "cert.json"] if command == "select" else []
+    assert run([command, "--in", pts, "--seed", 1, *extra]) == 3
+    err = capsys.readouterr().err
+    assert "not in general position" in err and witness in err
+
+
 def test_exit_codes(workdir):
     garbage = workdir / "garbage.json"
     garbage.write_text("{oops")

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pachsel import lp
-from pachsel.errors import DimensionMismatchError, PreconditionError
+from pachsel.errors import DimensionMismatchError, GeneralPositionError, PreconditionError
 from pachsel.geometry import (
     COMBINATION_BLOCK,
     LabeledPointSet,
@@ -22,6 +22,7 @@ from pachsel.geometry import (
     orientation_signs,
     point_in_simplex,
     satisfies_condition_G,
+    spanned_signs,
     strict_separation,
 )
 from pachsel.rational import det_int, matrix_rank_fraction, scale_points_to_ints, vec_sub
@@ -193,6 +194,61 @@ def test_general_position_small_sets():
     assert in_general_position([(0, 0, 0), (1, 0, 0)])
     assert not in_general_position([(0, 0, 0), (0, 0, 0)])
     assert in_general_position([(0, 0), (1, 0), (0, 1)])
+
+
+@st.composite
+def new_point_instances(draw):
+    """A union in general position in d = 1..3 and a query point that is
+    random, planted on a spanned hyperplane or equal to an input point, on the
+    int64 path or scaled by 2^62 onto the object path."""
+    d = draw(st.integers(1, 3))
+    coord = st.integers(-1 << 10, 1 << 10)
+    union = draw(st.lists(st.tuples(*[coord] * d), min_size=d, max_size=d + 5, unique=True))
+    assume(find_general_position_violation(union) is None)
+    kind = draw(st.sampled_from(["random", "planted", "input"]))
+    if kind == "random":
+        q = draw(st.tuples(*[coord] * d))
+    elif kind == "input":
+        q = draw(st.sampled_from(union))
+    else:  # an integer affine combination of d input points
+        span = draw(st.lists(st.sampled_from(union), min_size=d, max_size=d, unique=True))
+        w = [draw(st.integers(-2, 2)) for _ in span[1:]]
+        w = [1 - sum(w)] + w
+        q = tuple(sum(c * p[x] for c, p in zip(w, span)) for x in range(d))
+    scale = draw(st.sampled_from([1, 1 << 62]))
+    return [tuple(scale * c for c in p) for p in union], tuple(scale * c for c in q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(new_point_instances())
+def test_spanned_violation_matches_full_scan(instance):
+    union, q = instance
+    signs, witness = spanned_signs(union, q)
+    full = find_general_position_violation(union + [q])
+    assert (None if witness is None else witness + (len(union),)) == full
+    assert len(signs) == len(list(itertools.combinations(union, len(q))))
+    assert bool(signs.all()) == (full is None)
+
+
+def test_labeled_point_set_records_general_position_once(monkeypatch):
+    from pachsel import geometry
+
+    ps = LabeledPointSet.create(2, [[(0, 0), (4, 1)], [(1, 1), (2, 9)], [(3, 3), (8, 1)]])
+    twin = LabeledPointSet.create(2, ps.colors)
+    calls = []
+    scan = geometry.find_general_position_violation
+
+    def counted(obj):
+        calls.append(obj)
+        return scan(obj)
+
+    monkeypatch.setattr(geometry, "find_general_position_violation", counted)
+    assert ps.general_position_violation == (0, 2, 4)  # (0,0), (1,1), (3,3)
+    assert ps.general_position_violation == (0, 2, 4)
+    with pytest.raises(GeneralPositionError, match=r"\(0, 2, 4\)"):
+        ps.require_general_position()
+    assert len(calls) == 1
+    assert ps == twin and hash(ps) == hash(twin)
 
 
 # ---------------------------------------------------------------------------

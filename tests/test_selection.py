@@ -461,6 +461,46 @@ def test_few_separations_requires_general_position():
 
 
 # ---------------------------------------------------------------------------
+# general position is decided once per point set
+
+
+@pytest.fixture
+def scan_sizes(monkeypatch):
+    """Point counts of every find_general_position_violation call."""
+    from pachsel import geometry, selection
+
+    sizes = []
+    scan = geometry.find_general_position_violation
+
+    def counted(obj):
+        sizes.append(len(obj.union_points() if isinstance(obj, LabeledPointSet) else obj))
+        return scan(obj)
+
+    for module in (geometry, selection):
+        monkeypatch.setattr(module, "find_general_position_violation", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("d, n, seed", [(2, 8, 3), (3, 5, 4)])
+def test_pipeline_scans_the_whole_union_once(scan_sizes, d, n, seed):
+    ps = random_labeled_set(d, n, seed=seed)
+    scan_sizes.clear()
+    run_pipeline(ps, PipelineParams(seed=seed, grow=False))
+    union = (d + 1) * n
+    assert sum(size >= union for size in scan_sizes) == 1, scan_sizes
+
+
+def test_perturb_anchor_reuses_the_deep_point_verdict(scan_sizes):
+    ps = random_labeled_set(2, 6, seed=8)
+    scan_sizes.clear()
+    res = deep_rainbow_point(ps, seed=2)
+    assert scan_sizes == [18]
+    scan_sizes.clear()
+    perturb_anchor(res.point, ps, seed=3)
+    assert scan_sizes == []
+
+
+# ---------------------------------------------------------------------------
 # pipeline
 
 
