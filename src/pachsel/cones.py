@@ -40,6 +40,17 @@ def _chunk_rngs(seed, samples):
         chunk_index += 1
 
 
+def _ball_chunks(seed, samples, d):
+    """Uniform points of the unit d-ball, chunk by chunk of ``_chunk_rngs``:
+    a Gaussian direction scaled to radius U^(1/d)."""
+    for rng, m in _chunk_rngs(seed, samples):
+        u = rng.standard_normal((m, d))
+        norms = np.linalg.norm(u, axis=1)
+        norms[norms == 0] = 1.0
+        radii = rng.random(m) ** (1.0 / d)
+        yield u * (radii / norms)[:, None]
+
+
 def unit_ball_volume(d: int) -> float:
     """Volume of the unit d-ball, pi^{d/2} / Gamma(d/2 + 1)."""
     return pi ** (d / 2) / gamma(d / 2 + 1)
@@ -176,6 +187,10 @@ def msa_mc(simplex: Simplex, samples_per_vertex: int, seed: int) -> MsaEstimate:
     return MsaEstimate(e.mean, best, e.std_error, tuple(estimates))
 
 
+def _msa_raw_bound(d: int) -> float:
+    return (2.0 * log(d + 1) / d) ** ((d - 1) / 2.0) * d / (2.0 * pi)
+
+
 def msa_upper_bound(d: int) -> float:
     """Explicit upper bound for the minimum solid angle of a d-simplex.
 
@@ -185,13 +200,11 @@ def msa_upper_bound(d: int) -> float:
     """
     if d < 1:
         raise PreconditionError("dimension must be >= 1")
-    raw = (2.0 * log(d + 1) / d) ** ((d - 1) / 2.0) * d / (2.0 * pi)
-    return min(raw, 0.5)
+    return min(_msa_raw_bound(d), 0.5)
 
 
 def msa_upper_bound_is_clamped(d: int) -> bool:
-    raw = (2.0 * log(d + 1) / d) ** ((d - 1) / 2.0) * d / (2.0 * pi)
-    return raw > 0.5
+    return _msa_raw_bound(d) > 0.5
 
 
 def rho_d_asymptotic(d: int) -> float:
@@ -266,12 +279,7 @@ def restricted_volume_mc(cone: SimplicialCone, samples: int, seed: int) -> McEst
     beta = unit_ball_volume(d)
     inv = np.linalg.inv(cone.generators.T)
     hits = 0
-    for rng, m in _chunk_rngs(seed, samples):
-        u = rng.standard_normal((m, d))
-        norms = np.linalg.norm(u, axis=1)
-        norms[norms == 0] = 1.0
-        radii = rng.random(m) ** (1.0 / d)
-        x = u * (radii / norms)[:, None]
+    for x in _ball_chunks(seed, samples, d):
         coeffs = x @ inv.T
         hits += int(np.all(coeffs >= 0, axis=1).sum())
     p = hits / samples

@@ -13,7 +13,7 @@ from math import ceil, lcm, sqrt
 
 import numpy as np
 
-from .cones import Simplex, _chunk_rngs, msa_mc, unit_ball_volume
+from .cones import Simplex, _ball_chunks, msa_mc, unit_ball_volume
 from .errors import (
     BudgetExceededError,
     InputValidationError,
@@ -269,15 +269,10 @@ def corner_volumes_mc(arrangement, samples: int, seed: int):
     offsets = np.array([float(h.offset) for h in arrangement.hyperplanes], dtype=float)
     beta = unit_ball_volume(d)
     hits = np.zeros(d + 1, dtype=np.int64)
-    for rng, m in _chunk_rngs(seed, samples):
-        u = rng.standard_normal((m, d))
-        norms = np.linalg.norm(u, axis=1)
-        norms[norms == 0] = 1.0
-        radii = rng.random(m) ** (1.0 / d)
-        x = u * (radii / norms)[:, None]
+    for x in _ball_chunks(seed, samples, d):
         positive = (x @ normals.T) >= offsets  # positive closed side per plane
         for i in range(d + 1):
-            mask = np.ones(m, dtype=bool)
+            mask = np.ones(len(x), dtype=bool)
             for j in range(d + 1):
                 if j != i:
                     mask &= positive[:, j]

@@ -158,23 +158,6 @@ def hyperplane_cofactors(int_points):
     return normal, dot(normal, base)
 
 
-def hyperplane_through_points(points) -> OrientedHyperplane:
-    """The hyperplane spanned by d affinely independent points in R^d."""
-    d = len(points)
-    for p in points:
-        if len(p) != d:
-            raise DimensionMismatchError("need d points of dimension d")
-    int_pts, den = scale_points_to_ints(points)
-    normal, offset = hyperplane_cofactors(int_pts)
-    if all(c == 0 for c in normal):
-        raise PreconditionError("points are affinely dependent; no unique hyperplane")
-    # Undo the scaling: each (d-1)-minor carries den^(d-1), the offset den^d.
-    scale = den ** (d - 1)
-    return OrientedHyperplane(
-        tuple(Fraction(c, scale) for c in normal), Fraction(offset, scale * den)
-    )
-
-
 @dataclass(frozen=True)
 class LabeledPointSet:
     """d+1 colored finite point sets in R^d with stable within-color indices."""
@@ -228,12 +211,6 @@ class LabeledPointSet:
             raise GeneralPositionError(
                 "input set is not in general position", self.general_position_violation
             )
-
-    def subset(self, index_sets) -> "LabeledPointSet":
-        colors = tuple(
-            tuple(self.colors[ci][i] for i in sorted(index_sets[ci])) for ci in range(len(self.colors))
-        )
-        return LabeledPointSet(self.dim, colors, self.exact)
 
 
 def _point_list(obj):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import statistics
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import ceil, comb, prod
@@ -39,6 +40,10 @@ from .rational import point_to_fractions, scale_points_to_ints, to_fraction
 
 _BRANCH_ALL = "all-contain"
 _BRANCH_NONE = "none-contain"
+# zero-edge witness search is exhaustive up to this many candidate tuples
+_EXHAUSTIVE_WITNESS_CAP = 1_000_000
+# none-contain outcomes fed back into regularity before giving up
+_MAX_RESTRICT_LOOPS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -49,41 +54,32 @@ _BRANCH_NONE = "none-contain"
 class RainbowHypergraph:
     """(d+1)-partite incidence structure of rainbow simplices containing p.
 
-    ``edges[local indices]`` is True when the rainbow simplex with one vertex
-    per part (closed hull, exact arithmetic) contains the anchor.
+    ``edges[i_0, ..., i_d]`` is True when the rainbow simplex with point
+    ``i_c`` of color ``c`` as vertices (closed hull, exact arithmetic)
+    contains the anchor.  Indices are the within-color indices of the set.
     """
 
     point_set: LabeledPointSet
-    parts: tuple  # original indices per color
     anchor: tuple
     edges: np.ndarray
 
     @property
     def sizes(self):
-        return tuple(len(p) for p in self.parts)
-
-    @property
-    def edge_count(self) -> int:
-        return int(self.edges.sum())
+        return self.edges.shape
 
     @property
     def density(self) -> Fraction:
-        return Fraction(self.edge_count, prod(self.sizes))
+        return Fraction(int(self.edges.sum()), prod(self.sizes))
 
-    def sub_edge_count(self, local_subsets) -> int:
-        return int(self.edges[np.ix_(*local_subsets)].sum())
+    def sub_edge_count(self, subsets) -> int:
+        return int(self.edges[np.ix_(*subsets)].sum())
 
 
-def rainbow_hypergraph(point_set: LabeledPointSet, anchor, parts=None) -> RainbowHypergraph:
-    """Build the containment hypergraph of an anchor over the given parts."""
-    if parts is None:
-        parts = tuple(tuple(range(n)) for n in point_set.sizes())
-    else:
-        parts = tuple(tuple(p) for p in parts)
-    colors = [[point_set.point(ci, i) for i in idxs] for ci, idxs in enumerate(parts)]
-    enum = RainbowEnumerator(colors)
+def rainbow_hypergraph(point_set: LabeledPointSet, anchor) -> RainbowHypergraph:
+    """Build the containment hypergraph of an anchor over the whole set."""
+    enum = RainbowEnumerator([list(c) for c in point_set.colors])
     closed, _ = enum.containment_masks(anchor)
-    return RainbowHypergraph(point_set, parts, point_to_fractions(anchor), closed)
+    return RainbowHypergraph(point_set, point_to_fractions(anchor), closed)
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +88,6 @@ def rainbow_hypergraph(point_set: LabeledPointSet, anchor, parts=None) -> Rainbo
 
 @dataclass(frozen=True)
 class DeepPointStrategy:
-    use_centroid: bool = True
-    use_coordinate_median: bool = True
     random_candidates: int = 200
     extra_points: tuple = ()
 
@@ -110,19 +104,6 @@ class DeepPointResult:
     @property
     def ratio(self) -> Fraction:
         return Fraction(self.depth, self.total)
-
-
-def _coordinate_median(points):
-    d = len(points[0])
-    coords = []
-    for k in range(d):
-        vals = sorted(p[k] for p in points)
-        n = len(vals)
-        if n % 2 == 1:
-            coords.append(vals[n // 2])
-        else:
-            coords.append((vals[n // 2 - 1] + vals[n // 2]) / 2)
-    return tuple(coords)
 
 
 def deep_rainbow_point(
@@ -147,13 +128,9 @@ def deep_rainbow_point(
         raise BudgetExceededError(f"{prod(sizes)} rainbow simplices exceed budget {budget}")
     point_set.require_general_position()
     union = [point_to_fractions(p) for p in point_set.union_points()]
-    candidates = []
-    if strategy.use_centroid:
-        n = len(union)
-        centroid = tuple(sum(p[k] for p in union) / n for k in range(point_set.dim))
-        candidates.append(("centroid", centroid))
-    if strategy.use_coordinate_median:
-        candidates.append(("coordinate-median", _coordinate_median(union)))
+    centroid = tuple(sum(p[k] for p in union) / len(union) for k in range(point_set.dim))
+    median = tuple(statistics.median(p[k] for p in union) for k in range(point_set.dim))
+    candidates = [("centroid", centroid), ("coordinate-median", median)]
     rng = random.Random(seed)
     k = point_set.dim + 1
     for t in range(strategy.random_candidates):
@@ -164,8 +141,6 @@ def deep_rainbow_point(
         candidates.append((f"simplex-centroid-{t}", centroid))
     for i, p in enumerate(strategy.extra_points):
         candidates.append((f"user-{i}", point_to_fractions(p)))
-    if not candidates:
-        raise PreconditionError("no candidate points to evaluate")
     seen = set()
     enum = RainbowEnumerator([list(c) for c in point_set.colors])
     best = None
@@ -250,7 +225,6 @@ class RegularityParams:
     epsilon: Fraction
     beta: Fraction
     witness_budget: int = 2000
-    exhaustive_cap: int = 1_000_000
     seed: int = 0
 
     def __post_init__(self):
@@ -272,8 +246,7 @@ class RegularityStep:
 
 @dataclass(frozen=True)
 class RegularityResult:
-    parts: tuple  # original indices per color, equal sizes
-    local_parts: tuple  # indices into the hypergraph parts
+    parts: tuple  # point indices per color, equal sizes
     size: int
     density: Fraction
     status: str  # "exhaustive-clean" | "sampled-clean"
@@ -311,12 +284,12 @@ def _greedy_trim(h, block, target):
     return tuple(tuple(b) for b in block)
 
 
-def _restrict(h, local_parts, witness, source):
+def _restrict(h, parts, witness, source):
     """One restriction step: pick the densest non-witness block, equalize sizes."""
-    k = len(local_parts)
-    density_before = _block_density(h, local_parts)
+    k = len(parts)
+    density_before = _block_density(h, parts)
     complements = [
-        tuple(i for i in part if i not in set(w)) for part, w in zip(local_parts, witness)
+        tuple(i for i in part if i not in set(w)) for part, w in zip(parts, witness)
     ]
     best = None
     for choice in itertools.product((0, 1), repeat=k):
@@ -339,7 +312,7 @@ def _restrict(h, local_parts, witness, source):
     if density_after < density_before:
         raise InternalInvariantError("restriction decreased density")
     step = RegularityStep(
-        size_before=len(local_parts[0]),
+        size_before=len(parts[0]),
         size_after=target,
         density_before=density_before,
         density_after=density_after,
@@ -348,24 +321,25 @@ def _restrict(h, local_parts, witness, source):
     return trimmed, step
 
 
-def _find_zero_edge_witness(h, local_parts, t, cap, budget, rng):
+def _find_zero_edge_witness(h, parts, t, budget, rng):
     """Zero-edge tuple of size-t subsets, with the guarantee actually used.
 
     Returns (witness or None, source string, trials).  Exhaustive only when
-    the tuple count is within ``cap``; otherwise ``budget`` random samples.
+    the tuple count is within ``_EXHAUSTIVE_WITNESS_CAP``; otherwise
+    ``budget`` random samples.
     """
-    s = len(local_parts[0])
-    k = len(local_parts)
+    s = len(parts[0])
+    k = len(parts)
     n_tuples = comb(s, t) ** k
-    if n_tuples <= cap:
+    if n_tuples <= _EXHAUSTIVE_WITNESS_CAP:
         for combo in itertools.product(
-            *[itertools.combinations(part, t) for part in local_parts]
+            *[itertools.combinations(part, t) for part in parts]
         ):
             if h.sub_edge_count(combo) == 0:
                 return tuple(combo), "exhaustive", n_tuples
         return None, "exhaustive", n_tuples
     for trial in range(budget):
-        combo = tuple(tuple(sorted(rng.sample(part, t))) for part in local_parts)
+        combo = tuple(tuple(sorted(rng.sample(part, t))) for part in parts)
         if h.sub_edge_count(combo) == 0:
             return combo, "sampled", trial + 1
     return None, "sampled", budget
@@ -384,58 +358,53 @@ def weak_regularity(
     densest block (density gain >= 1/(1 - eps^k)) and the search repeats; the
     returned report says whether the final clean witness search was
     exhaustive or sampled, which is the guarantee actually established.
+    Parts are point indices per color, the hypergraph's own index space:
+    ``initial_parts`` (default: every point) sets the start, and
     ``forced_witness`` lets a caller inject an externally discovered
-    zero-edge tuple (local indices) before searching.
+    zero-edge tuple before searching.
     """
-    k = len(h.parts)
     eps = to_fraction(params.epsilon)
     if initial_parts is None:
-        local_parts = tuple(tuple(range(n)) for n in h.sizes)
+        parts = tuple(tuple(range(n)) for n in h.sizes)
     else:
-        local_parts = tuple(tuple(p) for p in initial_parts)
-    sizes = {len(p) for p in local_parts}
+        parts = tuple(tuple(p) for p in initial_parts)
+    sizes = {len(p) for p in parts}
     if len(sizes) != 1:
         raise PreconditionError("parts must have equal sizes")
-    density = _block_density(h, local_parts)
+    density = _block_density(h, parts)
     if density < to_fraction(params.beta):
         raise PreconditionError(f"density {density} below the floor {params.beta}")
     rng = random.Random(params.seed)
     steps = []
     if forced_witness is not None:
-        t = max(1, ceil(eps * len(local_parts[0])))
+        t = max(1, ceil(eps * len(parts[0])))
         trimmed_witness = tuple(tuple(sorted(w)[:t]) for w in forced_witness)
         if any(len(w) != t for w in trimmed_witness):
             raise PreconditionError("forced witness parts are smaller than eps * s")
         if h.sub_edge_count(trimmed_witness) != 0:
             raise PreconditionError("forced witness spans an edge")
-        local_parts, step = _restrict(h, local_parts, trimmed_witness, "forced")
+        parts, step = _restrict(h, parts, trimmed_witness, "forced")
         steps.append(step)
-    status = None
-    trials = 0
     while True:
-        s = len(local_parts[0])
+        s = len(parts[0])
         t = max(1, ceil(eps * s))
         if t >= s:
             # A witness would be the whole tuple, which has positive density.
             status, trials = "exhaustive-clean", 0
             break
         witness, source, count = _find_zero_edge_witness(
-            h, local_parts, t, params.exhaustive_cap, params.witness_budget, rng
+            h, parts, t, params.witness_budget, rng
         )
         if witness is None:
             status = "exhaustive-clean" if source == "exhaustive" else "sampled-clean"
             trials = count
             break
-        local_parts, step = _restrict(h, local_parts, witness, source)
+        parts, step = _restrict(h, parts, witness, source)
         steps.append(step)
-    parts = tuple(
-        tuple(h.parts[ci][i] for i in local) for ci, local in enumerate(local_parts)
-    )
     return RegularityResult(
         parts=parts,
-        local_parts=local_parts,
-        size=len(local_parts[0]),
-        density=_block_density(h, local_parts),
+        size=len(parts[0]),
+        density=_block_density(h, parts),
         status=status,
         trials=trials,
         steps=tuple(steps),
@@ -499,10 +468,9 @@ def ham_sandwich_bisect(sets) -> OrientedHyperplane:
 
 @dataclass(frozen=True)
 class FewSeparationsResult:
-    index_sets: tuple  # original indices per color
+    index_sets: tuple  # point indices per color
     arrangement: HyperplaneArrangement
     branch: str  # "all-contain" | "none-contain"
-    separators: tuple  # the d+1 pre-perturbation separating hyperplanes
 
     @property
     def all_contain(self) -> bool:
@@ -518,23 +486,29 @@ def _shift_toward(cut: OrientedHyperplane, anchor, keep_points):
     return OrientedHyperplane(cut.normal, cut.offset + sigma * margin / 2)
 
 
-def _perturb_hyperplanes_general_position(planes, anchor, protected, seed, retries=50):
-    """Rational perturbation of hyperplanes into general position.
+def _arrangement_in_general_position(planes, point, colors, seed, retries=50):
+    """The arrangement of d+1 separating hyperplanes, in general position.
 
-    Preserves the strict sign of the anchor and of every protected point
-    against its plane by keeping each coefficient change below the slack.
+    Plane i strictly separates ``point`` from every color but i.  The planes
+    are used as they are when they already form an arrangement; otherwise
+    each is jittered by a rational amount below its slack, which keeps the
+    strict side of ``point`` and of every color but i against plane i.
     """
     try:
-        return build_arrangement(planes), planes
+        return build_arrangement(planes)
     except (PreconditionError, InternalInvariantError):
         pass
     d = planes[0].dim
+    protected = [
+        [q for j, c in enumerate(colors) if j != i for q in c] + [point]
+        for i in range(len(planes))
+    ]
     rng = random.Random(seed)
     slacks = []
     for h, pts in zip(planes, protected):
-        slack = min(abs(h.value(q)) for q in list(pts) + [anchor])
+        slack = min(abs(h.value(q)) for q in pts)
         reach = max(
-            sum(abs(to_fraction(c)) for c in q) + 1 for q in list(pts) + [anchor]
+            sum(abs(to_fraction(c)) for c in q) + 1 for q in pts
         )
         slacks.append(slack / (2 * reach))
     eta = min(slacks)
@@ -550,14 +524,14 @@ def _perturb_hyperplanes_general_position(planes, anchor, protected, seed, retri
                 )
             )
         sides_ok = all(
-            all(hj.side(q) == h.side(q) for q in list(pts) + [anchor])
+            all(hj.side(q) == h.side(q) for q in pts)
             for h, hj, pts in zip(planes, jittered, protected)
         )
         if not sides_ok:
             eta /= 2
             continue
         try:
-            return build_arrangement(jittered), jittered
+            return build_arrangement(jittered)
         except (PreconditionError, InternalInvariantError):
             eta /= 2
     raise BudgetExceededError("could not perturb hyperplanes into general position")
@@ -587,7 +561,7 @@ def few_separations(
         raise GeneralPositionError(
             "subsets and anchor are not in general position", violation + (len(union),)
         )
-    separators: list = []
+    separators = []
     for j in range(d + 1):
         others = [i for i in range(d + 1) if i != j]
         cut = ham_sandwich_bisect([[p for _, p in current[i]] for i in others])
@@ -608,18 +582,11 @@ def few_separations(
             raise InternalInvariantError("round modified its own set")
         separators.append(shifted)
     index_result = tuple(tuple(sorted(idx for idx, _ in part)) for part in current)
-    protected = []
-    for j in range(d + 1):
-        protected.append(
-            [p for i in range(d + 1) if i != j for _, p in current[i]]
-        )
-    arrangement, _ = _perturb_hyperplanes_general_position(
-        separators, anchor, protected, seed
-    )
     subsets = [[p for _, p in part] for part in current]
+    arrangement = _arrangement_in_general_position(separators, anchor, subsets, seed)
     outcome = separation_dichotomy(anchor, arrangement, subsets)
     branch = _BRANCH_ALL if outcome.inside else _BRANCH_NONE
-    return FewSeparationsResult(index_result, arrangement, branch, tuple(separators))
+    return FewSeparationsResult(index_result, arrangement, branch)
 
 
 # ---------------------------------------------------------------------------
@@ -750,19 +717,16 @@ def separating_arrangement(cfg: GenericPachConfiguration, seed: int = 0) -> Hype
     configuration, in general position, with the point inside the central
     simplex and each subset interior to its corner region."""
     colors = cfg.selected_colors()
-    protected = [
-        [p for j, c in enumerate(colors) if j != i for p in c] for i in range(len(colors))
-    ]
     planes = []
-    for i, rest in enumerate(protected):
-        h = strict_separation(cfg.point, rest)
+    for i in range(len(colors)):
+        h = strict_separation(cfg.point, [p for j, c in enumerate(colors) if j != i for p in c])
         if h is None:
             raise InputValidationError(
                 f"point is inside the hull of the other colors (i = {i}); "
                 "not a generic configuration"
             )
         planes.append(h)
-    arrangement, _ = _perturb_hyperplanes_general_position(planes, cfg.point, protected, seed)
+    arrangement = _arrangement_in_general_position(planes, cfg.point, colors, seed)
     outcome = separation_dichotomy(cfg.point, arrangement, colors)
     if not outcome.inside:
         raise InternalInvariantError(
@@ -780,10 +744,7 @@ def grow_selection(h: RainbowHypergraph, index_sets):
     of the containment hypergraph, reached deterministically by scanning
     colors and vertices in index order.
     """
-    part_pos = [
-        {orig: pos for pos, orig in enumerate(h.parts[ci])} for ci in range(len(h.parts))
-    ]
-    current = [sorted(part_pos[ci][i] for i in idxs) for ci, idxs in enumerate(index_sets)]
+    current = [sorted(idxs) for idxs in index_sets]
     if not h.edges[np.ix_(*current)].all():
         raise PreconditionError("anchor is not in every rainbow simplex of the given subsets")
     changed = True
@@ -792,7 +753,7 @@ def grow_selection(h: RainbowHypergraph, index_sets):
         for ci in range(len(current)):
             members = set(current[ci])
             probe = list(current)
-            for v in range(len(h.parts[ci])):
+            for v in range(h.sizes[ci]):
                 if v in members:
                     continue
                 probe[ci] = [v]
@@ -801,9 +762,7 @@ def grow_selection(h: RainbowHypergraph, index_sets):
                     changed = True
             current[ci] = sorted(members)
             probe[ci] = current[ci]
-    return tuple(
-        tuple(h.parts[ci][pos] for pos in current[ci]) for ci in range(len(current))
-    )
+    return tuple(tuple(c) for c in current)
 
 
 # ---------------------------------------------------------------------------
@@ -873,8 +832,8 @@ class VerificationReport:
 
 def _certificate_mismatch(point_set: LabeledPointSet, cert: PachCertificate) -> str:
     """Why the certificate's shape or claimed fractions disagree with the set, or "".
-    Out-of-range indices raise instead; a vacuous certificate (some Y_i empty) claims
-    no containment, so its fractions are not compared."""
+    Out-of-range indices raise instead.  Fractions are compared also when some
+    Y_i is empty: a vacuous certificate still claims |Y_i|/n_i."""
     d, sizes = point_set.dim, point_set.sizes()
     if len(cert.point) != d:
         return f"point has dimension {len(cert.point)}, expected {d}"
@@ -887,7 +846,7 @@ def _certificate_mismatch(point_set: LabeledPointSet, cert: PachCertificate) -> 
         if len(set(idxs)) != len(idxs):
             return f"index set {ci} repeats an index"
     claimed = tuple(Fraction(len(idxs), n) for idxs, n in zip(cert.index_sets, sizes))
-    if all(cert.index_sets) and tuple(cert.fractions) != claimed:
+    if tuple(cert.fractions) != claimed:
         claims, actual = [str(f) for f in cert.fractions], [str(f) for f in claimed]
         return f"fractions {claims} are not |Y_i|/n_i = {actual}"
     return ""
@@ -958,9 +917,7 @@ class PipelineParams:
     beta: Fraction | None = None
     witness_budget: int = 2000
     deep: DeepPointStrategy = field(default_factory=DeepPointStrategy)
-    max_restrict_loops: int = 64
     verify: str = "exhaustive"  # "exhaustive" | "arrangement"
-    deep_budget: int = 5_000_000
     grow: bool = True  # extend the selection to a maximal complete box
 
 
@@ -995,7 +952,7 @@ def run_pipeline(
             "colors must have equal sizes; replicate/discretize unequal inputs first"
         )
     stages = []
-    deep = deep_rainbow_point(point_set, params.deep, seed=params.seed, budget=params.deep_budget)
+    deep = deep_rainbow_point(point_set, params.deep, seed=params.seed)
     stages.append(
         {
             "stage": "deep-point",
@@ -1027,7 +984,6 @@ def run_pipeline(
         seed=params.seed + 2,
     )
     reg = weak_regularity(h, reg_params)
-    few = None
     loops = 0
     while True:
         stages.append(
@@ -1059,30 +1015,27 @@ def run_pipeline(
                 "none-contain outcome despite an exhaustively clean regular tuple"
             )
         loops += 1
-        if loops > params.max_restrict_loops:
+        if loops > _MAX_RESTRICT_LOOPS:
             raise BudgetExceededError(
                 "regularity-witness failure: restrict loop budget exhausted"
             )
         # The kept subsets span no edge; they are a concrete witness.  Feed
-        # them back (in local coordinates of the hypergraph parts).
-        part_pos = [
-            {orig: pos for pos, orig in enumerate(h.parts[ci])} for ci in range(d + 1)
-        ]
-        forced = tuple(
-            tuple(part_pos[ci][i] for i in few.index_sets[ci]) for ci in range(d + 1)
-        )
+        # them back.
         reg = weak_regularity(
-            h, reg_params, initial_parts=reg.local_parts, forced_witness=forced
+            h, reg_params, initial_parts=reg.parts, forced_witness=few.index_sets
         )
     index_sets = few.index_sets
     arrangement = few.arrangement
     if params.grow:
         grown = grow_selection(h, index_sets)
         if grown != index_sets:
-            # the arrangement certifies only the original subsets; rebuild it
-            # around the enlarged configuration
+            # The arrangement certifies only the original subsets; rebuild it
+            # around the enlarged configuration.  No cfg.validate() rescan is
+            # needed: every grown tuple is an edge of h, and perturb_anchor put
+            # the anchor off every hyperplane spanned by the whole set, so
+            # closed containment there is open containment.  A non-generic
+            # configuration still raises in separating_arrangement.
             cfg = GenericPachConfiguration(point_set, grown, anchor)
-            cfg.validate()
             arrangement = separating_arrangement(cfg, seed=params.seed + 4)
             stages.append(
                 {

@@ -141,6 +141,13 @@ def _false_fractions(data):
     data["fractions"] = ["1/1"] * len(data["Y"])
 
 
+def _vacuous_false_fractions(data):
+    # an empty Y_0 makes containment vacuous, but the fractions still claim 1/1
+    data["Y"][0] = []
+    data["p"] = ["100", "100"]
+    data["fractions"] = ["1/1"] * len(data["Y"])
+
+
 def _repeated_index(data):
     data["Y"][0] = data["Y"][0] * 2
 
@@ -158,6 +165,7 @@ def _short_point(data):
     "mutate, detail",
     [
         (_false_fractions, "fractions"),
+        (_vacuous_false_fractions, "fractions"),
         (_repeated_index, "repeats an index"),
         (_missing_index_set, "2 index sets, expected 3"),
         (_short_point, "point has dimension 1, expected 2"),

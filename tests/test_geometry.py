@@ -16,7 +16,7 @@ from pachsel.geometry import (
     OrientedHyperplane,
     affine_hulls_intersect,
     find_general_position_violation,
-    hyperplane_through_points,
+    hyperplane_cofactors,
     in_general_position,
     orientation,
     orientation_signs,
@@ -518,11 +518,11 @@ def test_separation_farkas_duality_small(rng):
 
 
 def test_hyperplane_through_points():
-    h = hyperplane_through_points([(1, 0), (0, 1)])
+    h = OrientedHyperplane(*hyperplane_cofactors([(1, 0), (0, 1)]))
     assert h.side((1, 0)) == 0 and h.side((0, 1)) == 0
     assert h.side((0, 0)) != 0
-    with pytest.raises(PreconditionError):
-        hyperplane_through_points([(0, 0), (0, 0)])
+    # a repeated point spans no hyperplane: the normal is zero
+    assert hyperplane_cofactors([(0, 0), (0, 0)])[0] == (0, 0)
 
 
 def _det_laplace(rows):
@@ -537,15 +537,18 @@ def _det_laplace(rows):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_hyperplane_through_rational_points_is_the_fraction_cofactor_plane(rng, d):
     # Reference: signed minors of the rational difference matrix, offset n.p_0.
+    # The cofactors of the points scaled by den to integers carry den^(d-1)
+    # in the normal and den^d in the offset.
     for _ in range(5):
         pts = general_position_points(rng, d, d, den=97 * 64)
         diffs = [vec_sub(p, pts[0]) for p in pts[1:]]
         normal = tuple(
             (-1) ** k * _det_laplace([r[:k] + r[k + 1 :] for r in diffs]) for k in range(d)
         )
-        h = hyperplane_through_points(pts)
-        assert h.normal == normal
-        assert h.offset == sum(n * x for n, x in zip(normal, pts[0]))
+        int_pts, den = scale_points_to_ints(pts)
+        int_normal, int_offset = hyperplane_cofactors(int_pts)
+        assert int_normal == tuple(n * den ** (d - 1) for n in normal)
+        assert int_offset == sum(n * x for n, x in zip(normal, pts[0])) * den**d
 
 
 def test_oriented_hyperplane_flip_consistency():

@@ -197,7 +197,7 @@ def test_weak_regularity_complete_hypergraph_single_pass():
     assert h.density == 1
     res = weak_regularity(h, RegularityParams(Fraction(1, 4), Fraction(1, 2)))
     assert res.status == "exhaustive-clean"
-    assert res.parts == h.parts
+    assert res.parts == ((0, 1), (0, 1))
     assert res.size == 2
     assert not res.steps
 
@@ -212,9 +212,7 @@ def _hand_built_hypergraph(edge_fn, sizes):
         edges[idx] = edge_fn(*idx)
     from pachsel.selection import RainbowHypergraph
 
-    return RainbowHypergraph(
-        ps, tuple(tuple(range(n)) for n in sizes), (Fraction(0),), edges
-    )
+    return RainbowHypergraph(ps, (Fraction(0),), edges)
 
 
 def test_weak_regularity_dense_quadrant_example():
@@ -224,7 +222,7 @@ def test_weak_regularity_dense_quadrant_example():
     assert h.density == Fraction(1, 4)
     res = weak_regularity(h, RegularityParams(Fraction(1, 3), Fraction(1, 8)))
     assert res.density == 1
-    assert res.local_parts == ((0, 1), (2, 3))
+    assert res.parts == ((0, 1), (2, 3))
     for step in res.steps:
         assert step.density_after >= step.density_before
         assert step.size_after >= step.size_before * Fraction(1, 3) - 1
@@ -257,7 +255,7 @@ def test_weak_regularity_forced_witness():
         ],
     )
     h = rainbow_hypergraph(ps, (Fraction(5),))
-    forced = ((2, 3), (0, 1))  # local indices {20,21} x {10,11}: zero edges
+    forced = ((2, 3), (0, 1))  # point indices {20,21} x {10,11}: zero edges
     res = weak_regularity(
         h, RegularityParams(Fraction(1, 3), Fraction(1, 8)), forced_witness=forced
     )
@@ -490,6 +488,18 @@ def test_pipeline_scans_the_whole_union_once(scan_sizes, d, n, seed):
     assert sum(size >= union for size in scan_sizes) == 1, scan_sizes
 
 
+def test_grow_adds_no_general_position_scan(scan_sizes):
+    counts, index_sets = [], []
+    for grow in (False, True):
+        ps = random_labeled_set(2, 8, seed=3)  # a fresh set records no verdict yet
+        scan_sizes.clear()
+        cert = run_pipeline(ps, PipelineParams(seed=3, grow=grow))
+        counts.append(len(scan_sizes))
+        index_sets.append(cert.index_sets)
+    assert index_sets[0] != index_sets[1]  # growth changed the sets
+    assert counts[0] == counts[1], counts
+
+
 def test_perturb_anchor_reuses_the_deep_point_verdict(scan_sizes):
     ps = random_labeled_set(2, 6, seed=8)
     scan_sizes.clear()
@@ -616,6 +626,7 @@ def test_verify_certificate_empty_subset_is_vacuous():
     cert = run_pipeline(ps, PipelineParams(seed=4))
     jd = cert.to_json_dict()
     jd["Y"][0] = []
+    jd["fractions"][0] = "0"
     vac = PachCertificate.from_json_dict(jd)
     report = verify_certificate(ps, vac, mode="exhaustive")
     assert report.ok and report.fraction == 1
@@ -644,13 +655,11 @@ def test_grow_selection_reaches_a_maximal_complete_box():
     # every simplex of the grown box contains the anchor ...
     assert naive_closed_containment_fraction(ps, grown, cert.point) == 1
     # ... and no single vertex can be added to any color
-    part_pos = [{orig: pos for pos, orig in enumerate(h.parts[ci])} for ci in range(3)]
-    local = [[part_pos[ci][i] for i in grown[ci]] for ci in range(3)]
     for ci in range(3):
         for v in range(10):
-            if v in local[ci]:
+            if v in grown[ci]:
                 continue
-            probe = list(local)
+            probe = list(grown)
             probe[ci] = [v]
             assert not bool(h.edges[np.ix_(*probe)].all())
 
