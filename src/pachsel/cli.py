@@ -6,8 +6,8 @@ Identical command + seed produces byte-identical files (timestamps appear
 only inside bench experiment records and are excluded from their content
 hash).
 
-Exit codes: 0 ok, 2 parse error, 3 precondition violation, 4 budget
-exhausted, 5 verification failed.
+Exit codes: 0 ok, 1 internal invariant failed (a bug), 2 parse error,
+3 precondition violation, 4 budget exhausted, 5 verification failed.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ EXIT_VERIFICATION = 5
 
 _EPILOG = """exit codes:
   0  success
+  1  internal invariant failed (a bug)
   2  parse error (flags or input files)
   3  precondition violation (invalid geometry, inconsistent inputs)
   4  retry/enumeration budget exhausted

@@ -32,6 +32,9 @@ from .selection import (
 )
 
 _PERTURB_DEN = 1 << 20
+# Uniform-ball and gaussian coordinate lattice; sets drawn before giving up.
+_SAMPLE_DEN = 1 << 17
+_GENERATION_RETRIES = 50
 
 # Generators snap coordinates to a lattice with this target denominator; keeps
 # common-denominator integer scalings of points in the unit ball below 2^20,
@@ -70,18 +73,10 @@ class GridBallConfig:
     dim: int
     eps: Fraction
     seed: int = 0
-    perturbation: Fraction | None = None
-    retries: int = 50
 
     def __post_init__(self):
         if to_fraction(self.eps) <= 0:
             raise PreconditionError("cube side must be positive")
-
-    @property
-    def perturbation_magnitude(self) -> Fraction:
-        if self.perturbation is not None:
-            return to_fraction(self.perturbation)
-        return to_fraction(self.eps) / 1000
 
 
 def grid_cubes_meeting_ball(dim: int, eps) -> list:
@@ -141,8 +136,8 @@ def generate_grid_ball(cfg: GridBallConfig) -> LabeledPointSet:
     rng = random.Random(cfg.seed)
     lattice_den = _lattice_denominator(eps.denominator)
     step = Fraction(1, lattice_den)
-    max_steps = max(1, int(cfg.perturbation_magnitude * lattice_den))
-    for _attempt in range(cfg.retries):
+    max_steps = max(1, int(eps / 1000 * lattice_den))  # perturbations up to eps/1000
+    for _attempt in range(_GENERATION_RETRIES):
         colors = [[] for _ in range(d + 1)]
         ok = True
         for corner in cubes:
@@ -171,7 +166,7 @@ def generate_grid_ball(cfg: GridBallConfig) -> LabeledPointSet:
         if _points_admissible(d, union):
             return LabeledPointSet.create(d, colors)
     raise BudgetExceededError(
-        f"grid-ball generation failed to reach an admissible set in {cfg.retries} tries"
+        f"grid-ball generation failed to reach an admissible set in {_GENERATION_RETRIES} tries"
     )
 
 
@@ -189,12 +184,11 @@ def grid_ball_count_bounds(dim: int, eps, n: int):
 # Other shapes (uniform ball, gaussian)
 
 
-def uniform_ball_set(
-    dim: int, n: int, seed: int = 0, den: int = 1 << 17, retries: int = 50
-) -> LabeledPointSet:
+def uniform_ball_set(dim: int, n: int, seed: int = 0) -> LabeledPointSet:
     """n exact-rational points per color, uniform in the unit ball interior."""
     rng = random.Random(seed)
-    for _attempt in range(retries):
+    den = _SAMPLE_DEN
+    for _attempt in range(_GENERATION_RETRIES):
         colors = []
         for _ci in range(dim + 1):
             pts = []
@@ -206,15 +200,14 @@ def uniform_ball_set(
         union = [p for c in colors for p in c]
         if _points_admissible(dim, union):
             return LabeledPointSet.create(dim, colors)
-    raise BudgetExceededError(f"uniform-ball generation failed in {retries} tries")
+    raise BudgetExceededError(f"uniform-ball generation failed in {_GENERATION_RETRIES} tries")
 
 
-def gaussian_set(
-    dim: int, n: int, seed: int = 0, den: int = 1 << 17, retries: int = 50
-) -> LabeledPointSet:
+def gaussian_set(dim: int, n: int, seed: int = 0) -> LabeledPointSet:
     """n exact-rational points per color with snapped standard-normal coordinates."""
     rng = random.Random(seed)
-    for _attempt in range(retries):
+    den = _SAMPLE_DEN
+    for _attempt in range(_GENERATION_RETRIES):
         colors = [
             [
                 tuple(Fraction(round(rng.gauss(0.0, 1.0) * den), den) for _ in range(dim))
@@ -225,7 +218,7 @@ def gaussian_set(
         union = [p for c in colors for p in c]
         if _points_admissible(dim, union):
             return LabeledPointSet.create(dim, colors)
-    raise BudgetExceededError(f"gaussian generation failed in {retries} tries")
+    raise BudgetExceededError(f"gaussian generation failed in {_GENERATION_RETRIES} tries")
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +449,7 @@ class WeightedPointMeasure:
         return lcm(*(w.denominator for pts in self.colors for _, w in pts))
 
 
-def discretize_measure(dim: int, weighted_colors, spread, seed: int = 0, retries: int = 50) -> LabeledPointSet:
+def discretize_measure(dim: int, weighted_colors, spread, seed: int = 0) -> LabeledPointSet:
     """Replace weighted points by unit-weight nearby copies, per color.
 
     Each color is a list of (point, weight) with positive rational weights
@@ -478,7 +471,7 @@ def discretize_measure(dim: int, weighted_colors, spread, seed: int = 0, retries
     s = measure.common_denominator
     rng = random.Random(seed)
     spread_sq = spread * spread
-    for _attempt in range(retries):
+    for _attempt in range(_GENERATION_RETRIES):
         colors = []
         for pts in weighted_colors:
             out = []
@@ -500,4 +493,4 @@ def discretize_measure(dim: int, weighted_colors, spread, seed: int = 0, retries
         union = [p for c in colors for p in c]
         if in_general_position(union):
             return LabeledPointSet.create(dim, colors)
-    raise BudgetExceededError(f"measure discretization failed in {retries} tries")
+    raise BudgetExceededError(f"measure discretization failed in {_GENERATION_RETRIES} tries")

@@ -205,6 +205,12 @@ class LabeledPointSet:
         checked in O(N^d) with ``spanned_signs``."""
         return find_general_position_violation(self)
 
+    @cached_property
+    def rainbow_enumerator(self):
+        """The whole set's ``RainbowEnumerator``, built once per instance as above."""
+        from .enumeration import RainbowEnumerator  # enumeration imports geometry
+        return RainbowEnumerator([list(c) for c in self.colors])
+
     def require_general_position(self) -> None:
         """Raise GeneralPositionError naming the recorded violation, if any."""
         if self.general_position_violation is not None:

@@ -18,12 +18,21 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 from .arrangements import HyperplaneArrangement, build_arrangement
 from .errors import ParseError
 from .geometry import LabeledPointSet, OrientedHyperplane
 from .rational import format_scalar, is_exact, parse_scalar
+
+
+def _finite_float(v) -> float:
+    """``float(v)``, refusing NaN and the infinities with ValueError."""
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite number {v!r}")
+    return x
 
 
 def scalar_to_json(x):
@@ -43,6 +52,13 @@ def scalar_from_json(v):
     return v if isinstance(v, float) else Fraction(v)
 
 
+def index_from_json(v) -> int:
+    """A JSON integer index; bools, floats and strings are refused, not truncated."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ParseError(f"index {v!r} is not an integer")
+    return v
+
+
 def canonical_json_bytes(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
@@ -58,10 +74,11 @@ def dump_json(obj, path) -> None:
 
 
 def load_json(path):
+    """Parse a UTF-8 JSON file whose numbers are all finite."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
+            return json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
+    except ValueError as exc:  # also JSONDecodeError and UnicodeDecodeError
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
 
 
@@ -81,23 +98,14 @@ def pointset_from_json_dict(data: dict) -> LabeledPointSet:
     try:
         dim = int(data["dim"])
         exact = bool(data["exact"])
-        raw_colors = data["colors"]
-    except (KeyError, TypeError, ValueError) as exc:
+        coordinate = parse_scalar if exact else _finite_float
+        colors = tuple(
+            tuple(tuple(coordinate(c) for c in p) for p in pts) for pts in data["colors"]
+        )
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed point-set JSON: {exc}") from exc
-    colors = []
-    for pts in raw_colors:
-        parsed = []
-        for p in pts:
-            if exact:
-                try:
-                    parsed.append(tuple(parse_scalar(c) for c in p))
-                except ValueError as exc:
-                    raise ParseError(f"bad exact coordinate in {p!r}") from exc
-            else:
-                parsed.append(tuple(float(c) for c in p))
-        colors.append(tuple(parsed))
     try:
-        return LabeledPointSet(dim, tuple(colors), exact)
+        return LabeledPointSet(dim, colors, exact)
     except Exception as exc:
         raise ParseError(f"inconsistent point set: {exc}") from exc
 
@@ -165,6 +173,9 @@ def simplex_to_json_dict(vertices) -> dict:
 
 def simplex_from_json_dict(data: dict):
     try:
-        return [tuple(float(c) for c in v) for v in data["vertices"]]
+        vertices = [tuple(_finite_float(c) for c in v) for v in data["vertices"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed simplex JSON: {exc}") from exc
+    if len({len(v) for v in vertices}) > 1:
+        raise ParseError("simplex vertices have different dimensions")
+    return vertices

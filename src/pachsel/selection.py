@@ -44,6 +44,8 @@ _BRANCH_NONE = "none-contain"
 _EXHAUSTIVE_WITNESS_CAP = 1_000_000
 # none-contain outcomes fed back into regularity before giving up
 _MAX_RESTRICT_LOOPS = 64
+# random rational moves tried, at halving steps, before a perturbation gives up
+_PERTURB_RETRIES = 50
 
 
 # ---------------------------------------------------------------------------
@@ -59,8 +61,6 @@ class RainbowHypergraph:
     contains the anchor.  Indices are the within-color indices of the set.
     """
 
-    point_set: LabeledPointSet
-    anchor: tuple
     edges: np.ndarray
 
     @property
@@ -77,9 +77,8 @@ class RainbowHypergraph:
 
 def rainbow_hypergraph(point_set: LabeledPointSet, anchor) -> RainbowHypergraph:
     """Build the containment hypergraph of an anchor over the whole set."""
-    enum = RainbowEnumerator([list(c) for c in point_set.colors])
-    closed, _ = enum.containment_masks(anchor)
-    return RainbowHypergraph(point_set, point_to_fractions(anchor), closed)
+    closed, _ = point_set.rainbow_enumerator.containment_masks(anchor)
+    return RainbowHypergraph(closed)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +141,7 @@ def deep_rainbow_point(
     for i, p in enumerate(strategy.extra_points):
         candidates.append((f"user-{i}", point_to_fractions(p)))
     seen = set()
-    enum = RainbowEnumerator([list(c) for c in point_set.colors])
+    enum = point_set.rainbow_enumerator
     best = None
     for label, cand in candidates:
         if cand in seen:
@@ -163,7 +162,7 @@ def _random_rational_vector(rng, d, den=1 << 20):
     return tuple(Fraction(rng.randint(-den, den), den) for _ in range(d))
 
 
-def _nudge_off_hyperplanes(anchor, points, seed, retries):
+def _nudge_off_hyperplanes(anchor, points, seed):
     """Shift the anchor off every spanned hyperplane while crossing none.
 
     Preserving the nonzero spanned-hyperplane signs preserves, in particular,
@@ -180,19 +179,17 @@ def _nudge_off_hyperplanes(anchor, points, seed, retries):
         return anchor_fr
     rng = random.Random(seed)
     magnitude = (max((abs(c) for p in all_pts for c in p), default=Fraction(1)) + 1) / (1 << 20)
-    for attempt in range(retries):
+    for attempt in range(_PERTURB_RETRIES):
         direction = _random_rational_vector(rng, d)
         cand = tuple(a + magnitude * u for a, u in zip(anchor_fr, direction))
         cand_signs, _ = spanned_signs(all_pts, cand)
         if np.where(base_signs == 0, cand_signs != 0, cand_signs == base_signs).all():
             return cand
         magnitude /= 2
-    raise BudgetExceededError(f"anchor perturbation failed after {retries} attempts")
+    raise BudgetExceededError(f"anchor perturbation failed after {_PERTURB_RETRIES} attempts")
 
 
-def perturb_anchor(
-    anchor, point_set: LabeledPointSet, seed: int = 0, retries: int = 50
-) -> tuple:
+def perturb_anchor(anchor, point_set: LabeledPointSet, seed: int = 0) -> tuple:
     """Move the anchor into general position with the set without leaving the
     interior of any rainbow simplex that contained it.
 
@@ -200,12 +197,12 @@ def perturb_anchor(
     the set is in general position (its recorded verdict, free after
     ``deep_rainbow_point``).  Open containment is re-verified afterwards.
     """
-    enum = RainbowEnumerator([list(c) for c in point_set.colors])
+    enum = point_set.rainbow_enumerator
     _, before_open = enum.containment_masks(anchor)
     if not before_open.any():
         raise PreconditionError("anchor has no open-interior margin")
     point_set.require_general_position()
-    moved = _nudge_off_hyperplanes(anchor, point_set.union_points(), seed, retries)
+    moved = _nudge_off_hyperplanes(anchor, point_set.union_points(), seed)
     _, after_open = enum.containment_masks(moved)
     # every simplex that held the anchor in its interior must still hold it;
     # boundary simplices may open up, which only increases the depth
@@ -422,19 +419,23 @@ def ham_sandwich_bisect(sets) -> OrientedHyperplane:
     lexicographic order) and returns the first whose two open sides each
     contain at least floor((|S_i| - on_i)/2) points of every set, where on_i
     counts the set's points on the hyperplane.  In general position some such
-    spanned cut always exists; exhausting the enumeration therefore signals a
-    general-position violation.
+    spanned cut always exists; the union is scanned for general position
+    (O(N^{d+1})) before the search.
     """
+    violation = find_general_position_violation([p for s in sets for p in s])
+    if violation is not None:
+        raise GeneralPositionError("sets are not in general position", violation)
+    return _spanned_bisecting_cut(sets)
+
+
+def _spanned_bisecting_cut(sets) -> OrientedHyperplane:
+    """``ham_sandwich_bisect`` for a caller that vouches for general position."""
     d = len(sets)
     if d > 3:
         raise PreconditionError("enumerative ham-sandwich supports d <= 3")
     if any(len(s) == 0 for s in sets):
         raise PreconditionError("empty set cannot be bisected")
-    all_points = [point_to_fractions(p) for s in sets for p in s]
-    violation = find_general_position_violation(all_points)
-    if violation is not None:
-        raise GeneralPositionError("sets are not in general position", violation)
-    int_points, den = scale_points_to_ints(all_points)
+    int_points, den = scale_points_to_ints([p for s in sets for p in s])
     points = int_array(int_points)
     bounds = np.cumsum([0] + [len(s) for s in sets])
     firsts, *others = (points[bounds[i] : bounds[i + 1]] for i in range(d))
@@ -479,14 +480,13 @@ class FewSeparationsResult:
 
 def _shift_toward(cut: OrientedHyperplane, anchor, keep_points):
     """Shift a cut toward the anchor by half the smallest off-cut margin."""
-    values = [cut.value(q) for q in keep_points if cut.value(q) != 0]
     vp = cut.value(anchor)
-    margin = min([abs(vp)] + [abs(v) for v in values])
+    margin = min([abs(vp)] + [abs(v) for v in map(cut.value, keep_points) if v != 0])
     sigma = 1 if vp > 0 else -1
     return OrientedHyperplane(cut.normal, cut.offset + sigma * margin / 2)
 
 
-def _arrangement_in_general_position(planes, point, colors, seed, retries=50):
+def _arrangement_in_general_position(planes, point, colors, seed):
     """The arrangement of d+1 separating hyperplanes, in general position.
 
     Plane i strictly separates ``point`` from every color but i.  The planes
@@ -512,7 +512,7 @@ def _arrangement_in_general_position(planes, point, colors, seed, retries=50):
         )
         slacks.append(slack / (2 * reach))
     eta = min(slacks)
-    for attempt in range(retries):
+    for attempt in range(_PERTURB_RETRIES):
         jittered = []
         for h in planes:
             dn = _random_rational_vector(rng, d)
@@ -564,7 +564,8 @@ def few_separations(
     separators = []
     for j in range(d + 1):
         others = [i for i in range(d + 1) if i != j]
-        cut = ham_sandwich_bisect([[p for _, p in current[i]] for i in others])
+        # Subsets of a set in general position: no rescan.
+        cut = _spanned_bisecting_cut([[p for _, p in current[i]] for i in others])
         if cut.side(anchor) == 0:
             # Impossible once the union with the anchor is in general position:
             # the cut is spanned by d input points.
@@ -625,7 +626,6 @@ def shrink_to_generic(
     index_sets,
     anchor,
     seed: int = 0,
-    retries: int = 50,
     assume_condition_g: bool = False,
 ) -> GenericPachConfiguration:
     """Drop at most d points per color so the anchor becomes interior to all
@@ -692,7 +692,7 @@ def shrink_to_generic(
             "anchor not interior to all simplices after removing the boundary family"
         )
     new_union = [p for c in new_colors for p in c]
-    moved = _nudge_off_hyperplanes(anchor, new_union, seed, retries)
+    moved = _nudge_off_hyperplanes(anchor, new_union, seed)
     cfg = GenericPachConfiguration(point_set, new_index_sets, moved)
     cfg.validate()
     return cfg
@@ -796,12 +796,12 @@ class PachCertificate:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PachCertificate":
-        from .io import arrangement_from_json_dict, scalar_from_json
+        from .io import arrangement_from_json_dict, index_from_json, scalar_from_json
 
         return cls(
             input_sha256=data["input_sha256"],
             point=tuple(scalar_from_json(c) for c in data["p"]),
-            index_sets=tuple(tuple(int(i) for i in idxs) for idxs in data["Y"]),
+            index_sets=tuple(tuple(map(index_from_json, idxs)) for idxs in data["Y"]),
             arrangement=arrangement_from_json_dict(data["arrangement"]),
             fractions=tuple(scalar_from_json(f) for f in data["fractions"]),
             verified=data["verified"],

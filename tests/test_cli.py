@@ -181,6 +181,73 @@ def test_verify_rejects_false_claims(workdir, capsys, planar_certificate, mode, 
     assert not verdict["ok"] and detail in verdict["detail"]
 
 
+@pytest.mark.parametrize("mode", ["--exhaustive", "--arrangement"])
+@pytest.mark.parametrize(
+    "mutate",
+    [lambda i: i + 0.9, float, str, lambda i: True],
+    ids=["fractional", "float", "string", "bool"],
+)
+def test_verify_rejects_non_integer_indices(workdir, capsys, planar_certificate, mode, mutate):
+    pts, data = planar_certificate
+
+    def replace_last_index(cert):
+        cert["Y"][0][-1] = mutate(cert["Y"][0][-1])
+
+    bad = _write_mutated(workdir, data, replace_last_index)
+    assert run(["verify", "--in", pts, "--cert", bad, mode]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+_POINTS_2D = b'[["1/2", "0"], ["0", "1/3"]], [["-1/2", "0"], ["0", "-1/3"]], [["1/5", "1/7"], '
+
+
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        ("select", b'{"dim": 1, "exact": true, "colors": [[["0"], ["\xff"]], [["1"], ["2"]]]}'),
+        ("deep", b'{"dim": 1, "exact": true, "colors": [[["0"], ["\xff"]], [["1"], ["2"]]]}'),
+        ("select", b'{"dim": 2, "exact": true, "colors": [' + _POINTS_2D + b'[Infinity, "0"]]]}'),
+        ("deep", b'{"dim": 2, "exact": true, "colors": [' + _POINTS_2D + b'[1e999, "0"]]]}'),
+        ("select", b'{"dim": 2, "exact": false, "colors": [' + _POINTS_2D + b'[NaN, 0.5]]]}'),
+        ("select", b'{"dim": 2, "exact": false, "colors": [' + _POINTS_2D + b'[-Infinity, 0.5]]]}'),
+        ("deep", b'{"dim": 2, "exact": false, "colors": [' + _POINTS_2D + b'["inf", 0.5]]]}'),
+        ("angle", b'{"vertices": [[0, 0], [1, 0], [0, NaN]]}'),
+        ("angle", b'{"vertices": [[0, 0], [1, 0], ["nan", 1]]}'),
+        ("angle", b'{"vertices": [[0, 0], [1, 0, 0], [0, 1]]}'),
+    ],
+    ids=[
+        "non-utf8-select", "non-utf8-deep", "exact-infinity", "exact-1e999", "float-nan",
+        "float-minus-infinity", "float-inf-string", "simplex-nan", "simplex-nan-string",
+        "simplex-ragged",
+    ],
+)
+def test_bad_input_files_exit_2(workdir, capsys, command, content):
+    path = workdir / "bad.json"
+    path.write_bytes(content)
+    args = {
+        "select": ["select", "--in", path, "--out", workdir / "cert.json"],
+        "deep": ["deep", "--in", path],
+        "angle": ["angle", "--simplex", path, "--samples", 1000],
+    }[command]
+    assert run(args) == 2
+    assert any(line.startswith("error:") for line in capsys.readouterr().err.splitlines())
+
+
+def test_internal_invariant_failure_exits_1(workdir, capsys, monkeypatch):
+    from pachsel import cli
+    from pachsel.errors import InternalInvariantError
+
+    def broken(*args, **kwargs):
+        raise InternalInvariantError("halving round kept fewer than half")
+
+    monkeypatch.setattr(cli, "run_pipeline", broken)
+    pts = workdir / "pts.json"
+    pio.dump_json({"dim": 1, "exact": True, "colors": [[["0"], ["2"]], [["1"], ["3"]]]}, pts)
+    assert run(["select", "--in", pts, "--out", workdir / "cert.json"]) == 1
+    assert "error: halving round" in capsys.readouterr().err
+    assert "1  internal invariant failed (a bug)" in cli.build_parser().epilog
+
+
 @pytest.mark.parametrize("command", ["select", "deep"])
 @pytest.mark.parametrize(
     "colors, witness",

@@ -212,7 +212,7 @@ def _hand_built_hypergraph(edge_fn, sizes):
         edges[idx] = edge_fn(*idx)
     from pachsel.selection import RainbowHypergraph
 
-    return RainbowHypergraph(ps, (Fraction(0),), edges)
+    return RainbowHypergraph(edges)
 
 
 def test_weak_regularity_dense_quadrant_example():
@@ -498,6 +498,29 @@ def test_grow_adds_no_general_position_scan(scan_sizes):
         index_sets.append(cert.index_sets)
     assert index_sets[0] != index_sets[1]  # growth changed the sets
     assert counts[0] == counts[1], counts
+
+
+@pytest.mark.parametrize("d, seed", [(2, 103), (3, 33)])
+def test_few_separations_reuses_the_recorded_verdict(scan_sizes, d, seed):
+    ps, p = _random_subsets_instance(d, 6, seed=seed)
+    ps.require_general_position()
+    scan_sizes.clear()
+    few_separations(ps, tuple(tuple(range(6)) for _ in range(d + 1)), p, seed=1)
+    assert scan_sizes == []
+
+
+def test_pipeline_enumerates_the_whole_set_once(monkeypatch):
+    built = []
+    init = RainbowEnumerator.__init__
+
+    def recorded(self, colors):
+        init(self, colors)
+        built.append(self.sizes)
+
+    monkeypatch.setattr(RainbowEnumerator, "__init__", recorded)
+    ps = random_labeled_set(2, 8, seed=3)
+    run_pipeline(ps, PipelineParams(seed=3))
+    assert built.count(ps.sizes()) == 1, built
 
 
 def test_perturb_anchor_reuses_the_deep_point_verdict(scan_sizes):
