@@ -56,9 +56,6 @@ class HyperplaneArrangement:
         rays = tuple(vec_sub(self.vertices[i], self.vertices[j]) for j in range(self.dim + 1) if j != i)
         return CornerRegion(i, self.vertices[i], halfspaces, rays)
 
-    def corners(self):
-        return tuple(self.corner(i) for i in range(self.dim + 1))
-
     def central_simplex_contains(self, point, strict: bool = True) -> bool:
         """Membership in Delta(H) = intersection of the negative halfspaces."""
         if strict:

@@ -39,7 +39,6 @@ from .errors import (
 )
 from .geometry import LabeledPointSet
 from .selection import (
-    DeepPointStrategy,
     PachCertificate,
     PipelineParams,
     deep_rainbow_point,
@@ -206,7 +205,7 @@ def cmd_select(args) -> int:
         epsilon=_parse_fraction(args.eps) if args.eps else None,
         beta=_parse_fraction(args.beta) if args.beta else None,
         witness_budget=args.witness_budget,
-        deep=DeepPointStrategy(random_candidates=args.random_candidates),
+        random_candidates=args.random_candidates,
         verify="arrangement" if args.no_verify else "exhaustive",
     )
     if len(set(ps.sizes())) == 1:
@@ -244,9 +243,7 @@ def cmd_verify(args) -> int:
 
 def cmd_deep(args) -> int:
     ps = _as_exact(_load_pointset(args.infile))
-    result = deep_rainbow_point(
-        ps, DeepPointStrategy(random_candidates=args.random_candidates), seed=args.seed
-    )
+    result = deep_rainbow_point(ps, args.random_candidates, seed=args.seed)
     out = {
         "p": [pio.scalar_to_json(c) for c in result.point],
         "depth": result.depth,
@@ -269,7 +266,7 @@ def cmd_angle(args) -> int:
     vertices = pio.simplex_from_json_dict(pio.load_json(args.simplex))
     simplex = Simplex.create(vertices)
     estimate: McEstimate = solid_angle_mc(simplex, args.vertex, args.samples, args.seed)
-    out = estimate.as_dict()
+    out = asdict(estimate)
     out["vertex"] = args.vertex
     if args.out:
         pio.dump_json(out, args.out)

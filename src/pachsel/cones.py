@@ -12,7 +12,7 @@ normalized solid angle, so no epsilon-ball is needed.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from math import exp, gamma, log, pi, sqrt
 
 import numpy as np
@@ -62,9 +62,6 @@ class McEstimate:
     std_error: float
     samples: int
     seed: int
-
-    def as_dict(self):
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -147,6 +144,8 @@ def solid_angle_mc(simplex: Simplex, vertex: int, samples: int, seed: int) -> Mc
     """
     if samples < 1:
         raise PreconditionError("samples must be >= 1")
+    if not 0 <= vertex <= simplex.dim:
+        raise PreconditionError(f"vertex must lie in 0..{simplex.dim}")
     if simplex.is_degenerate():
         raise PreconditionError("degenerate simplex has no solid angle")
     edges = simplex.edge_matrix(vertex)
@@ -167,14 +166,6 @@ class MsaEstimate:
     vertex: int
     std_error: float
     per_vertex: tuple
-
-    def as_dict(self):
-        return {
-            "value": self.value,
-            "vertex": self.vertex,
-            "std_error": self.std_error,
-            "per_vertex": [e.as_dict() for e in self.per_vertex],
-        }
 
 
 def msa_mc(simplex: Simplex, samples_per_vertex: int, seed: int) -> MsaEstimate:
@@ -229,16 +220,6 @@ class BoundTable:
     lower_bound_exponent: int
     rho_asymptotic: float
     clamped: bool
-
-    def as_dict(self):
-        return {
-            "dim": self.dim,
-            "u": self.msa_bound,
-            "g": self.corner_fraction_bound,
-            "lower_bound_exponent": self.lower_bound_exponent,
-            "rho_d_asymptotic": self.rho_asymptotic,
-            "clamped": self.clamped,
-        }
 
 
 def bound_table(d: int) -> BoundTable:
@@ -295,16 +276,6 @@ class FanCoverReport:
     samples: int
     seed: int
 
-    def as_dict(self):
-        return {
-            "coverage": self.coverage,
-            "max_fraction": self.max_fraction,
-            "argmax": self.argmax,
-            "fractions": list(self.fractions),
-            "samples": self.samples,
-            "seed": self.seed,
-        }
-
 
 def normal_fan_cover_check(simplex: Simplex, samples: int, seed: int) -> FanCoverReport:
     """Classify random directions into the polar cones of a simplex's vertices.
@@ -347,16 +318,16 @@ def spherical_cap_fraction(d: int, gamma_dist: float) -> float:
     return 0.5 * float(betainc((d - 1) / 2.0, 0.5, x))
 
 
-def round_cone_cut_distance(d: int, volume: float, tol: float = 1e-10) -> float:
+def round_cone_cut_distance(d: int, volume: float) -> float:
     """Distance from the origin of the hyperplane through the boundary sphere
     of the round cone with the given restricted volume; bisection on the
-    exact cap-volume equation to the given tolerance."""
+    exact cap-volume equation to 1e-10."""
     beta = unit_ball_volume(d)
     if not 0.0 < volume < beta / 2.0:
         raise PreconditionError("volume must lie in (0, beta_d / 2)")
     target = volume / beta
     lo, hi = 0.0, 1.0  # fraction decreases from 1/2 at gamma=0 to 0 at gamma=1
-    while hi - lo > tol:
+    while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         if spherical_cap_fraction(d, mid) >= target:
             lo = mid
@@ -412,18 +383,6 @@ class MsaSearchReport:
     best_value: float
     seed: int
 
-    def as_dict(self):
-        return {
-            "dim": self.dim,
-            "regular_angle": self.regular_angle.as_dict(),
-            "trials": self.trials,
-            "candidates": [
-                {"trial": t, "msa": e.as_dict(), "vertices": v} for t, e, v in self.candidates
-            ],
-            "best_value": self.best_value,
-            "seed": self.seed,
-        }
-
 
 def msa_regular_comparison_search(
     d: int, trials: int, samples: int, seed: int
@@ -460,9 +419,6 @@ class DeviationReport:
     observed_max: float
     samples: int
     seed: int
-
-    def as_dict(self):
-        return asdict(self)
 
 
 def acute_cone_admissible_deviation(

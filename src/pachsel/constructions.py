@@ -31,7 +31,6 @@ from .selection import (
     shrink_to_generic,
 )
 
-_PERTURB_DEN = 1 << 20
 # Uniform-ball and gaussian coordinate lattice; sets drawn before giving up.
 _SAMPLE_DEN = 1 << 17
 _GENERATION_RETRIES = 50
@@ -62,6 +61,16 @@ def _points_admissible(dim: int, points) -> bool:
     if dim <= 2:
         return satisfies_condition_G(points).is_true
     return in_general_position(points)
+
+
+def _admissible_set(dim: int, draw, shape: str) -> LabeledPointSet:
+    """Call ``draw`` until the union of the colors it returns is admissible;
+    ``draw`` returns None for a failed draw."""
+    for _attempt in range(_GENERATION_RETRIES):
+        colors = draw()
+        if colors is not None and _points_admissible(dim, [p for c in colors for p in c]):
+            return LabeledPointSet.create(dim, colors)
+    raise BudgetExceededError(f"{shape} generation failed in {_GENERATION_RETRIES} tries")
 
 
 # ---------------------------------------------------------------------------
@@ -137,37 +146,27 @@ def generate_grid_ball(cfg: GridBallConfig) -> LabeledPointSet:
     lattice_den = _lattice_denominator(eps.denominator)
     step = Fraction(1, lattice_den)
     max_steps = max(1, int(eps / 1000 * lattice_den))  # perturbations up to eps/1000
-    for _attempt in range(_GENERATION_RETRIES):
+
+    def draw():
         colors = [[] for _ in range(d + 1)]
-        ok = True
         for corner in cubes:
             lo = [k * eps for k in corner]
             base = _base_point_in_cube_and_ball(corner, eps, lattice_den)
             for ci in range(d + 1):
-                point = None
                 m = max_steps
                 for _ in range(40):
                     delta = tuple(rng.randint(-m, m) * step for _ in range(d))
                     cand = tuple(b + dx for b, dx in zip(base, delta))
                     in_cube = all(l < x < l + eps for l, x in zip(lo, cand))
                     if in_cube and squared_norm(cand) < 1:
-                        point = cand
+                        colors[ci].append(cand)
                         break
                     m = max(1, m // 2)
-                if point is None:
-                    ok = False
-                    break
-                colors[ci].append(point)
-            if not ok:
-                break
-        if not ok:
-            continue
-        union = [p for c in colors for p in c]
-        if _points_admissible(d, union):
-            return LabeledPointSet.create(d, colors)
-    raise BudgetExceededError(
-        f"grid-ball generation failed to reach an admissible set in {_GENERATION_RETRIES} tries"
-    )
+                else:
+                    return None
+        return colors
+
+    return _admissible_set(d, draw, "grid-ball")
 
 
 def grid_ball_count_bounds(dim: int, eps, n: int):
@@ -188,7 +187,8 @@ def uniform_ball_set(dim: int, n: int, seed: int = 0) -> LabeledPointSet:
     """n exact-rational points per color, uniform in the unit ball interior."""
     rng = random.Random(seed)
     den = _SAMPLE_DEN
-    for _attempt in range(_GENERATION_RETRIES):
+
+    def draw():
         colors = []
         for _ci in range(dim + 1):
             pts = []
@@ -197,28 +197,26 @@ def uniform_ball_set(dim: int, n: int, seed: int = 0) -> LabeledPointSet:
                 if squared_norm(cand) < 1:
                     pts.append(cand)
             colors.append(pts)
-        union = [p for c in colors for p in c]
-        if _points_admissible(dim, union):
-            return LabeledPointSet.create(dim, colors)
-    raise BudgetExceededError(f"uniform-ball generation failed in {_GENERATION_RETRIES} tries")
+        return colors
+
+    return _admissible_set(dim, draw, "uniform-ball")
 
 
 def gaussian_set(dim: int, n: int, seed: int = 0) -> LabeledPointSet:
     """n exact-rational points per color with snapped standard-normal coordinates."""
     rng = random.Random(seed)
     den = _SAMPLE_DEN
-    for _attempt in range(_GENERATION_RETRIES):
-        colors = [
+
+    def draw():
+        return [
             [
                 tuple(Fraction(round(rng.gauss(0.0, 1.0) * den), den) for _ in range(dim))
                 for _ in range(n)
             ]
             for _ in range(dim + 1)
         ]
-        union = [p for c in colors for p in c]
-        if _points_admissible(dim, union):
-            return LabeledPointSet.create(dim, colors)
-    raise BudgetExceededError(f"gaussian generation failed in {_GENERATION_RETRIES} tries")
+
+    return _admissible_set(dim, draw, "gaussian")
 
 
 # ---------------------------------------------------------------------------
@@ -237,20 +235,6 @@ class CornerVolumeReport:
     passed: bool
     samples: int
     seed: int
-
-    def as_dict(self):
-        return {
-            "volumes": list(self.volumes),
-            "min_volume": self.min_volume,
-            "min_index": self.min_index,
-            "msa": self.msa_value,
-            "msa_vertex": self.msa_vertex,
-            "bound": self.bound,
-            "sigma": self.sigma,
-            "passed": self.passed,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
 
 
 def corner_volumes_mc(arrangement, samples: int, seed: int):
@@ -338,30 +322,11 @@ class UpperBoundWitnessReport:
     corner_report: CornerVolumeReport
     seed: int
 
-    def as_dict(self):
-        return {
-            "dim": self.dim,
-            "eps": self.eps,
-            "n": self.n,
-            "certificate_fractions": [str(f) for f in self.certificate_fractions],
-            "shrunk_fractions": [str(f) for f in self.shrunk_fractions],
-            "min_fraction": self.min_fraction,
-            "min_color": self.min_color,
-            "g": self.corner_bound_g,
-            "g_is_vacuous": self.g_is_vacuous,
-            "volume_ratios": list(self.volume_ratios),
-            "min_fraction_vs_volume_pass": self.min_fraction_vs_volume_pass,
-            "sigma": self.sigma,
-            "corner_report": self.corner_report.as_dict(),
-            "seed": self.seed,
-        }
-
 
 def upper_bound_witness(
     dim: int,
     eps,
     seed: int = 0,
-    pipeline_params: PipelineParams | None = None,
     samples: int = 200_000,
 ) -> UpperBoundWitnessReport:
     """Grid-ball instance -> pipeline -> generic configuration -> volume audit.
@@ -377,8 +342,7 @@ def upper_bound_witness(
     cfg_gen = GridBallConfig(dim=dim, eps=to_fraction(eps), seed=seed)
     point_set = generate_grid_ball(cfg_gen)
     n = point_set.sizes()[0]
-    params = pipeline_params or PipelineParams(seed=seed)
-    cert: PachCertificate = run_pipeline(point_set, params)
+    cert: PachCertificate = run_pipeline(point_set, PipelineParams(seed=seed))
     generic = shrink_to_generic(
         point_set,
         cert.index_sets,
@@ -436,6 +400,8 @@ class WeightedPointMeasure:
                 raise InputValidationError("weights of each color must sum to 1")
             if any(to_fraction(w) <= 0 for _, w in pts):
                 raise InputValidationError("weights must be positive")
+            if any(len(p) != self.dim for p, _ in pts):
+                raise InputValidationError(f"measure points must have dimension {self.dim}")
 
     @classmethod
     def create(cls, dim, colors) -> "WeightedPointMeasure":
@@ -480,10 +446,7 @@ def discretize_measure(dim: int, weighted_colors, spread, seed: int = 0) -> Labe
                 copies = int(to_fraction(weight) * s)
                 for _ in range(copies):
                     while True:
-                        delta = tuple(
-                            random_fraction(rng, -spread, spread, _PERTURB_DEN)
-                            for _ in range(dim)
-                        )
+                        delta = tuple(random_fraction(rng, -spread, spread) for _ in range(dim))
                         if squared_norm(delta) < spread_sq:
                             break
                     out.append(tuple(a + b for a, b in zip(point, delta)))

@@ -117,8 +117,3 @@ class RainbowEnumerator:
         """(closed count, open count, total) for one candidate point."""
         closed, open_ = self.containment_masks(point)
         return int(closed.sum()), int(open_.sum()), self.total
-
-
-def containment_counts(point, colors):
-    """One-shot exact containment counts of ``point`` over all rainbow simplices."""
-    return RainbowEnumerator(colors).containment_counts(point)

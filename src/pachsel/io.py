@@ -52,10 +52,24 @@ def scalar_from_json(v):
     return v if isinstance(v, float) else Fraction(v)
 
 
-def index_from_json(v) -> int:
-    """A JSON integer index; bools, floats and strings are refused, not truncated."""
+def int_from_json(v, name: str) -> int:
+    """A JSON integer; bools, floats and strings are refused, not truncated."""
     if isinstance(v, bool) or not isinstance(v, int):
-        raise ParseError(f"index {v!r} is not an integer")
+        raise ParseError(f"{name} {v!r} is not an integer")
+    return v
+
+
+def bool_from_json(v, name: str) -> bool:
+    """A JSON boolean; strings and numbers are refused, not tested for truth."""
+    if not isinstance(v, bool):
+        raise ParseError(f"{name} {v!r} is not a boolean")
+    return v
+
+
+def list_from_json(v, name: str) -> list:
+    """A JSON array; a string is refused, not split into characters."""
+    if not isinstance(v, list):
+        raise ParseError(f"{name} {v!r} is not a list")
     return v
 
 
@@ -96,11 +110,15 @@ def pointset_to_json_dict(ps: LabeledPointSet) -> dict:
 
 def pointset_from_json_dict(data: dict) -> LabeledPointSet:
     try:
-        dim = int(data["dim"])
-        exact = bool(data["exact"])
+        dim = int_from_json(data["dim"], "dim")
+        exact = bool_from_json(data["exact"], "exact")
         coordinate = parse_scalar if exact else _finite_float
         colors = tuple(
-            tuple(tuple(coordinate(c) for c in p) for p in pts) for pts in data["colors"]
+            tuple(
+                tuple(coordinate(c) for c in list_from_json(p, "point"))
+                for p in list_from_json(pts, "color")
+            )
+            for pts in list_from_json(data["colors"], "colors")
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed point-set JSON: {exc}") from exc
@@ -133,7 +151,7 @@ def arrangement_from_json_dict(data: dict) -> HyperplaneArrangement:
     try:
         planes = [
             OrientedHyperplane(
-                tuple(scalar_from_json(c) for c in h["normal"]),
+                tuple(scalar_from_json(c) for c in list_from_json(h["normal"], "normal")),
                 scalar_from_json(h["offset"]),
             )
             for h in data["hyperplanes"]
@@ -150,13 +168,16 @@ def arrangement_from_json_dict(data: dict) -> HyperplaneArrangement:
 
 def measure_from_json_dict(data: dict):
     try:
-        dim = int(data["dim"])
+        dim = int_from_json(data["dim"], "dim")
         colors = [
             [
-                (tuple(parse_scalar(c) for c in entry["point"]), parse_scalar(entry["weight"]))
-                for entry in pts
+                (
+                    tuple(parse_scalar(c) for c in list_from_json(entry["point"], "point")),
+                    parse_scalar(entry["weight"]),
+                )
+                for entry in list_from_json(pts, "color")
             ]
-            for pts in data["colors"]
+            for pts in list_from_json(data["colors"], "colors")
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed measure JSON: {exc}") from exc
@@ -173,7 +194,10 @@ def simplex_to_json_dict(vertices) -> dict:
 
 def simplex_from_json_dict(data: dict):
     try:
-        vertices = [tuple(_finite_float(c) for c in v) for v in data["vertices"]]
+        vertices = [
+            tuple(_finite_float(c) for c in list_from_json(v, "vertex"))
+            for v in list_from_json(data["vertices"], "vertices")
+        ]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed simplex JSON: {exc}") from exc
     if len({len(v) for v in vertices}) > 1:

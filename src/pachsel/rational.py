@@ -57,7 +57,7 @@ def common_denominator(points) -> int:
     return lcm(*(to_fraction(c).denominator for p in points for c in p))
 
 
-def scale_points_to_ints(points, den: int | None = None):
+def scale_points_to_ints(points):
     """Scale rational points to integer coordinate tuples.
 
     Returns (scaled_points, den) with scaled = coordinate * den. Sign and
@@ -65,17 +65,8 @@ def scale_points_to_ints(points, den: int | None = None):
     integer determinants are far faster than Fraction ones.
     """
     pts = [point_to_fractions(p) for p in points]
-    if den is None:
-        den = common_denominator(pts)
-    scaled = []
-    for p in pts:
-        row = []
-        for c in p:
-            v = c * den
-            if v.denominator != 1:
-                raise ValueError("den does not clear the coordinate denominators")
-            row.append(v.numerator)
-        scaled.append(tuple(row))
+    den = common_denominator(pts)
+    scaled = [tuple((c * den).numerator for c in p) for p in pts]
     return scaled, den
 
 
@@ -161,14 +152,14 @@ def solve_linear_fraction(a_rows, b_col):
     return tuple(m[i][n] / m[i][i] for i in range(n))
 
 
-def random_fraction(rng, lo, hi, den: int = 1 << 20) -> Fraction:
-    """Uniform-ish rational in [lo, hi] with a power-of-two denominator.
+def random_fraction(rng, lo, hi) -> Fraction:
+    """Uniform-ish rational in [lo, hi] on a grid of 2^20 steps.
 
     Power-of-two denominators keep common-denominator integer scaling cheap.
     """
     lo_f, hi_f = to_fraction(lo), to_fraction(hi)
-    k = rng.randint(0, den)
-    return lo_f + (hi_f - lo_f) * Fraction(k, den)
+    k = rng.randint(0, 1 << 20)
+    return lo_f + (hi_f - lo_f) * Fraction(k, 1 << 20)
 
 
 def dot(u, v):

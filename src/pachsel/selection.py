@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import ceil, comb, prod
 
@@ -86,12 +86,6 @@ def rainbow_hypergraph(point_set: LabeledPointSet, anchor) -> RainbowHypergraph:
 
 
 @dataclass(frozen=True)
-class DeepPointStrategy:
-    random_candidates: int = 200
-    extra_points: tuple = ()
-
-
-@dataclass(frozen=True)
 class DeepPointResult:
     point: tuple
     depth: int
@@ -107,21 +101,20 @@ class DeepPointResult:
 
 def deep_rainbow_point(
     point_set: LabeledPointSet,
-    strategy: DeepPointStrategy | None = None,
+    random_candidates: int = 200,
     seed: int = 0,
     budget: int = 5_000_000,
 ) -> DeepPointResult:
     """Best candidate point by exact closed rainbow-containment count.
 
     Enumerates all rainbow simplices once, then scores candidate points:
-    the centroid, the coordinate-wise median, seeded random rainbow-simplex
-    centroids, and any user-supplied points.  The winner's depth/total ratio
+    the centroid, the coordinate-wise median, and ``random_candidates`` seeded
+    random rainbow-simplex centroids.  The winner's depth/total ratio
     is reported so callers can compare against the first-selection constant.
 
     Precondition: the set is in general position, decided here once per
     ``LabeledPointSet`` and reused by later stages handed the same instance.
     """
-    strategy = strategy or DeepPointStrategy()
     sizes = point_set.sizes()
     if prod(sizes) > budget:
         raise BudgetExceededError(f"{prod(sizes)} rainbow simplices exceed budget {budget}")
@@ -132,14 +125,12 @@ def deep_rainbow_point(
     candidates = [("centroid", centroid), ("coordinate-median", median)]
     rng = random.Random(seed)
     k = point_set.dim + 1
-    for t in range(strategy.random_candidates):
+    for t in range(random_candidates):
         verts = [
             point_to_fractions(point_set.point(ci, rng.randrange(sizes[ci]))) for ci in range(k)
         ]
         centroid = tuple(sum(v[j] for v in verts) / k for j in range(point_set.dim))
         candidates.append((f"simplex-centroid-{t}", centroid))
-    for i, p in enumerate(strategy.extra_points):
-        candidates.append((f"user-{i}", point_to_fractions(p)))
     seen = set()
     enum = point_set.rainbow_enumerator
     best = None
@@ -158,8 +149,8 @@ def deep_rainbow_point(
 # Anchor perturbation
 
 
-def _random_rational_vector(rng, d, den=1 << 20):
-    return tuple(Fraction(rng.randint(-den, den), den) for _ in range(d))
+def _random_rational_vector(rng, d):
+    return tuple(Fraction(rng.randint(-(1 << 20), 1 << 20), 1 << 20) for _ in range(d))
 
 
 def _nudge_off_hyperplanes(anchor, points, seed):
@@ -230,6 +221,8 @@ class RegularityParams:
             raise PreconditionError("epsilon must lie in (0, 1/2)")
         if to_fraction(self.beta) <= 0:
             raise PreconditionError("beta must be positive")
+        if self.witness_budget < 1:
+            raise PreconditionError("witness budget must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -573,14 +566,11 @@ def few_separations(
         off_points = [p for i in others for _, p in current[i]]
         shifted = _shift_toward(cut, anchor, off_points)
         anchor_side = shifted.side(anchor)
-        before = [len(current[i]) for i in range(d + 1)]
         for i in others:
             kept = [(idx, p) for idx, p in current[i] if shifted.side(p) == -anchor_side]
-            if 2 * len(kept) < before[i]:
+            if 2 * len(kept) < len(current[i]):
                 raise InternalInvariantError("halving round kept fewer than half")
             current[i] = kept
-        if len(current[j]) != before[j]:
-            raise InternalInvariantError("round modified its own set")
         separators.append(shifted)
     index_result = tuple(tuple(sorted(idx for idx, _ in part)) for part in current)
     subsets = [[p for _, p in part] for part in current]
@@ -796,16 +786,18 @@ class PachCertificate:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PachCertificate":
-        from .io import arrangement_from_json_dict, index_from_json, scalar_from_json
+        from .io import arrangement_from_json_dict, int_from_json, list_from_json, scalar_from_json
 
         return cls(
             input_sha256=data["input_sha256"],
-            point=tuple(scalar_from_json(c) for c in data["p"]),
-            index_sets=tuple(tuple(map(index_from_json, idxs)) for idxs in data["Y"]),
+            point=tuple(scalar_from_json(c) for c in list_from_json(data["p"], "p")),
+            index_sets=tuple(tuple(int_from_json(i, "index") for i in idxs) for idxs in data["Y"]),
             arrangement=arrangement_from_json_dict(data["arrangement"]),
-            fractions=tuple(scalar_from_json(f) for f in data["fractions"]),
+            fractions=tuple(
+                scalar_from_json(f) for f in list_from_json(data["fractions"], "fractions")
+            ),
             verified=data["verified"],
-            seed=int(data["seed"]),
+            seed=int_from_json(data["seed"], "seed"),
             stages=tuple(data["stages"]),
         )
 
@@ -916,7 +908,7 @@ class PipelineParams:
     epsilon: Fraction | None = None
     beta: Fraction | None = None
     witness_budget: int = 2000
-    deep: DeepPointStrategy = field(default_factory=DeepPointStrategy)
+    random_candidates: int = 200  # deep-point candidates beyond centroid and median
     verify: str = "exhaustive"  # "exhaustive" | "arrangement"
     grow: bool = True  # extend the selection to a maximal complete box
 
@@ -952,7 +944,7 @@ def run_pipeline(
             "colors must have equal sizes; replicate/discretize unequal inputs first"
         )
     stages = []
-    deep = deep_rainbow_point(point_set, params.deep, seed=params.seed)
+    deep = deep_rainbow_point(point_set, params.random_candidates, seed=params.seed)
     stages.append(
         {
             "stage": "deep-point",

@@ -181,19 +181,50 @@ def test_verify_rejects_false_claims(workdir, capsys, planar_certificate, mode, 
     assert not verdict["ok"] and detail in verdict["detail"]
 
 
-@pytest.mark.parametrize("mode", ["--exhaustive", "--arrangement"])
-@pytest.mark.parametrize(
-    "mutate",
-    [lambda i: i + 0.9, float, str, lambda i: True],
-    ids=["fractional", "float", "string", "bool"],
-)
-def test_verify_rejects_non_integer_indices(workdir, capsys, planar_certificate, mode, mutate):
-    pts, data = planar_certificate
-
+def _last_index(mutate):
     def replace_last_index(cert):
         cert["Y"][0][-1] = mutate(cert["Y"][0][-1])
 
-    bad = _write_mutated(workdir, data, replace_last_index)
+    return replace_last_index
+
+
+def _string_point(cert):
+    cert["p"] = "12"  # two characters, not the point (1, 2)
+
+
+def _string_fractions(cert):
+    cert["fractions"] = "111"
+
+
+def _string_normal(cert):
+    cert["arrangement"]["hyperplanes"][0]["normal"] = "12"
+
+
+def _float_seed(cert):
+    cert["seed"] += 0.5
+
+
+@pytest.mark.parametrize("mode", ["--exhaustive", "--arrangement"])
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _last_index(lambda i: i + 0.9),
+        _last_index(float),
+        _last_index(str),
+        _last_index(lambda i: True),
+        _string_point,
+        _string_fractions,
+        _string_normal,
+        _float_seed,
+    ],
+    ids=[
+        "fractional", "float", "string", "bool", "string-point", "string-fractions",
+        "string-normal", "float-seed",
+    ],
+)
+def test_verify_rejects_non_integer_indices(workdir, capsys, planar_certificate, mode, mutate):
+    pts, data = planar_certificate
+    bad = _write_mutated(workdir, data, mutate)
     assert run(["verify", "--in", pts, "--cert", bad, mode]) == 2
     assert "error:" in capsys.readouterr().err
 
@@ -214,11 +245,21 @@ _POINTS_2D = b'[["1/2", "0"], ["0", "1/3"]], [["-1/2", "0"], ["0", "-1/3"]], [["
         ("angle", b'{"vertices": [[0, 0], [1, 0], [0, NaN]]}'),
         ("angle", b'{"vertices": [[0, 0], [1, 0], ["nan", 1]]}'),
         ("angle", b'{"vertices": [[0, 0], [1, 0, 0], [0, 1]]}'),
+        ("angle", b'{"vertices": [[0, 0], [1, 0], "01"]}'),
+        ("deep", b'{"dim": 1.9, "exact": true, "colors": [[["0"], ["3"]], [["1"], ["2"]]]}'),
+        ("select", b'{"dim": true, "exact": true, "colors": [[["0"], ["3"]], [["1"], ["2"]]]}'),
+        ("deep", b'{"dim": 1, "exact": "false", "colors": [[["0"], ["3"]], [["1"], ["2"]]]}'),
+        ("deep", b'{"dim": 2, "exact": true, "colors": [' + _POINTS_2D + b'"12"]]}'),
+        ("measure", b'{"dim": 1.5, "colors": [[{"point": ["0"], "weight": "1"}], '
+         b'[{"point": ["1"], "weight": "1"}]]}'),
+        ("measure", b'{"dim": 1, "colors": [[{"point": "0", "weight": "1"}], '
+         b'[{"point": ["1"], "weight": "1"}]]}'),
     ],
     ids=[
         "non-utf8-select", "non-utf8-deep", "exact-infinity", "exact-1e999", "float-nan",
         "float-minus-infinity", "float-inf-string", "simplex-nan", "simplex-nan-string",
-        "simplex-ragged",
+        "simplex-ragged", "simplex-string-vertex", "float-dim", "bool-dim", "string-exact",
+        "string-point", "measure-float-dim", "measure-string-point",
     ],
 )
 def test_bad_input_files_exit_2(workdir, capsys, command, content):
@@ -228,6 +269,8 @@ def test_bad_input_files_exit_2(workdir, capsys, command, content):
         "select": ["select", "--in", path, "--out", workdir / "cert.json"],
         "deep": ["deep", "--in", path],
         "angle": ["angle", "--simplex", path, "--samples", 1000],
+        "measure": ["gen", "--dim", 1, "--shape", "measure-file", "--measure-file", path,
+                    "--out", workdir / "pts.json"],
     }[command]
     assert run(args) == 2
     assert any(line.startswith("error:") for line in capsys.readouterr().err.splitlines())
@@ -279,15 +322,24 @@ def test_exit_codes(workdir):
     colors = [[[i * 1.0 + ci * 0.1, (i * i) % 97 * 1.0] for i in range(n)] for ci in range(3)]
     pio.dump_json({"dim": d, "exact": False, "colors": colors}, big)
     assert run(["deep", "--in", big, "--seed", 0]) == 4
-    # precondition: measure dimension mismatch
+    # precondition: measure dimension mismatch, then a measure point of the wrong dimension
     m = workdir / "m.json"
-    pio.dump_json({"dim": 2, "colors": [[], [], []]}, m)
-    assert (
-        run(
-            ["gen", "--dim", 1, "--shape", "measure-file", "--measure-file", m, "--out", workdir / "x.json"]
+    for measure in (
+        {"dim": 2, "colors": [[], [], []]},
+        {"dim": 1, "colors": [[{"point": ["0", "5"], "weight": "1"}], [{"point": ["1"], "weight": "1"}]]},
+    ):
+        pio.dump_json(measure, m)
+        assert (
+            run(
+                ["gen", "--dim", 1, "--shape", "measure-file", "--measure-file", m, "--out", workdir / "x.json"]
+            )
+            == 3
         )
-        == 3
-    )
+    # precondition: a witness budget below one trial
+    pts = workdir / "pts.json"
+    pio.dump_json({"dim": 1, "exact": True, "colors": [[["0"], ["2"]], [["1"], ["3"]]]}, pts)
+    for budget in (0, -5):
+        assert run(["select", "--in", pts, "--out", workdir / "c.json", "--witness-budget", budget]) == 3
 
 
 def test_bounds_csv(workdir, capsys):
@@ -312,6 +364,9 @@ def test_angle_command(workdir, capsys):
     assert run(["angle", "--simplex", simplex, "--vertex", 0, "--samples", 50_000, "--seed", 4, "--out", out]) == 0
     data = pio.load_json(out)
     assert abs(data["mean"] - 0.25) < 0.01
+    assert set(data) == {"mean", "std_error", "samples", "seed", "vertex"}
+    for vertex in (7, -1):
+        assert run(["angle", "--simplex", simplex, "--vertex", vertex, "--samples", 1000]) == 3
 
 
 def test_deep_command(workdir, capsys):

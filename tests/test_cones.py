@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -361,7 +362,7 @@ def test_regular_simplex_and_msa_search_mode():
     assert rep.trials == 20
     assert rep.candidates == ()
     assert rep.best_value <= rep.regular_angle.mean + 0.05
-    assert "regular_angle" in rep.as_dict()
+    assert "regular_angle" in asdict(rep)
 
 
 def test_mc_determinism_same_seed():

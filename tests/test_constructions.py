@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
@@ -139,7 +140,7 @@ def test_upper_bound_witness_plane_report():
     assert len(report.volume_ratios) == 3
     assert len(report.certificate_fractions) == 3
     assert report.corner_report.passed
-    data = report.as_dict()
+    data = asdict(report)
     assert data["n"] == 16 and "seed" in data
 
 
@@ -189,3 +190,5 @@ def test_discretize_measure_validation():
         discretize_measure(1, [[((0,), Fraction(1, 2))], [((1,), Fraction(1))]], Fraction(1, 10))
     with pytest.raises(PreconditionError):
         discretize_measure(1, [[((0,), Fraction(1))], [((1,), Fraction(1))]], Fraction(0))
+    with pytest.raises(InputValidationError):  # a 2-coordinate point in a 1-d measure
+        discretize_measure(1, [[((0, 5), Fraction(1))], [((1,), Fraction(1))]], Fraction(1, 10))

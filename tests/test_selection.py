@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pachsel.enumeration import RainbowEnumerator, containment_counts
+from pachsel.enumeration import RainbowEnumerator
 from pachsel.errors import (
     BudgetExceededError,
     GeneralPositionError,
@@ -14,7 +14,6 @@ from pachsel.errors import (
 )
 from pachsel.geometry import LabeledPointSet, in_general_position, point_in_simplex
 from pachsel.selection import (
-    DeepPointStrategy,
     GenericPachConfiguration,
     PachCertificate,
     PipelineParams,
@@ -46,7 +45,7 @@ def test_containment_counts_match_naive_loop():
         ps = random_labeled_set(d, 5, seed=10 + d)
         colors = [list(c) for c in ps.colors]
         p = tuple(Fraction(rng.randint(-64, 64), 64) for _ in range(d))
-        closed, open_, total = containment_counts(p, colors)
+        closed, open_, total = RainbowEnumerator(colors).containment_counts(p)
         naive_closed = naive_open = 0
         for verts in itertools.product(*colors):
             if point_in_simplex(p, list(verts), "closed"):
@@ -59,7 +58,7 @@ def test_containment_counts_match_naive_loop():
 
 def test_containment_handles_degenerate_simplices():
     colors = [[(0, 0), (2, 2)], [(1, 1)], [(3, 3), (0, 1)]]  # collinear combos exist
-    closed, open_, total = containment_counts((1, 1), colors)
+    closed, open_, total = RainbowEnumerator(colors).containment_counts((1, 1))
     assert total == 4
     assert open_ == 0  # p is a vertex or on degenerate simplices only
     assert closed >= 1  # p equals the color-1 point, in every closed hull
@@ -71,9 +70,7 @@ def test_containment_handles_degenerate_simplices():
 
 def test_deep_point_hand_example_interval():
     ps = LabeledPointSet.create(1, [[(0,), (3,)], [(1,), (2,)]])
-    res = deep_rainbow_point(
-        ps, DeepPointStrategy(random_candidates=0, extra_points=((Fraction(3, 2),),))
-    )
+    res = deep_rainbow_point(ps, random_candidates=0)
     assert res.total == 4
     assert res.depth == 2  # the two spanning segments
     assert res.ratio == Fraction(1, 2)  # matches n^2 / 2 at n = 2
@@ -81,7 +78,7 @@ def test_deep_point_hand_example_interval():
 
 def test_deep_point_single_point_per_color():
     ps = LabeledPointSet.create(1, [[(0,)], [(1,)]])
-    res = deep_rainbow_point(ps, DeepPointStrategy(random_candidates=4), seed=1)
+    res = deep_rainbow_point(ps, random_candidates=4, seed=1)
     assert res.total == 1
     assert res.depth in (0, 1)
 
@@ -120,7 +117,7 @@ def test_deep_point_budget():
 
 def test_deep_point_recount_by_shuffled_enumeration():
     ps = random_labeled_set(2, 6, seed=17)
-    res = deep_rainbow_point(ps, DeepPointStrategy(random_candidates=20), seed=4)
+    res = deep_rainbow_point(ps, random_candidates=20, seed=4)
     rng = random.Random(99)
     perm_colors = list(range(3))
     rng.shuffle(perm_colors)
@@ -142,7 +139,7 @@ def test_deep_point_recount_by_shuffled_enumeration():
 
 def test_perturb_anchor_noop_when_generic():
     ps = random_labeled_set(2, 4, seed=21)
-    res = deep_rainbow_point(ps, DeepPointStrategy(random_candidates=40), seed=5)
+    res = deep_rainbow_point(ps, random_candidates=40, seed=5)
     moved = perturb_anchor(res.point, ps, seed=6)
     if in_general_position(ps.union_points() + [res.point]):
         assert moved == res.point
@@ -273,6 +270,9 @@ def test_regularity_params_validation():
         RegularityParams(Fraction(1, 2), Fraction(1, 4))
     with pytest.raises(PreconditionError):
         RegularityParams(Fraction(1, 4), Fraction(0))
+    for budget in (0, -5):
+        with pytest.raises(PreconditionError):
+            RegularityParams(Fraction(1, 4), Fraction(1, 4), witness_budget=budget)
     assert default_epsilon(1) == Fraction(1, 4)
     assert default_epsilon(2) == Fraction(1, 4)
     assert default_epsilon(3) == Fraction(1, 8)
