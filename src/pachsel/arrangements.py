@@ -11,10 +11,11 @@ import json
 import os
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import InternalInvariantError, PreconditionError
 from .geometry import OrientedHyperplane, orientation, point_in_simplex, strict_separation
-from .rational import format_scalar, point_to_fractions, solve_linear_fraction, vec_sub
+from .rational import format_scalar, null_vector, point_to_fractions, scale_points_to_ints, vec_sub
 
 
 @dataclass(frozen=True)
@@ -76,16 +77,17 @@ def build_arrangement(hyperplanes) -> HyperplaneArrangement:
     d = planes[0].dim
     if len(planes) != d + 1:
         raise PreconditionError(f"need d+1 = {d + 1} hyperplanes, got {len(planes)}")
+    if any(h.dim != d for h in planes):
+        raise PreconditionError(f"hyperplane normals must all have dimension {d}")
+    int_rows, _ = scale_points_to_ints([h.normal + (-h.offset,) for h in planes])
     vertices = []
     for i in range(d + 1):
-        rows = [planes[j].normal for j in range(d + 1) if j != i]
-        rhs = [planes[j].offset for j in range(d + 1) if j != i]
-        try:
-            vertices.append(solve_linear_fraction(rows, rhs))
-        except ValueError:
+        *v, last = null_vector([r for j, r in enumerate(int_rows) if j != i])
+        if last == 0:
             raise PreconditionError(
                 f"normals of the hyperplanes other than {i} are linearly dependent"
             )
+        vertices.append(tuple(Fraction(c, last) for c in v))
     for i in range(d + 1):
         if planes[i].value(vertices[i]) == 0:
             raise PreconditionError("all d+1 hyperplanes pass through one point")

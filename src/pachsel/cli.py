@@ -400,7 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="pts.json")
     p.add_argument("--out", required=True, help="output cert.json")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", help="regularity epsilon (rational); default 1/2^d")
+    p.add_argument(
+        "--eps", help="regularity epsilon (rational), at most 1/2^d; default 1/2^d, 1/4 at d=1"
+    )
     p.add_argument("--beta", help="density floor (rational); default achieved density")
     p.add_argument("--witness-budget", type=int, default=2000)
     p.add_argument("--random-candidates", type=int, default=200)
@@ -474,3 +476,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -84,6 +84,8 @@ class GridBallConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise PreconditionError("dimension must be positive")
         if to_fraction(self.eps) <= 0:
             raise PreconditionError("cube side must be positive")
 

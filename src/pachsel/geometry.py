@@ -20,10 +20,10 @@ import numpy as np
 from . import lp
 from .errors import DimensionMismatchError, GeneralPositionError, PreconditionError
 from .rational import (
-    det_int,
     dot,
     is_exact,
     matrix_rank_fraction,
+    null_vector,
     point_to_fractions,
     scale_points_to_ints,
     to_fraction,
@@ -143,19 +143,13 @@ class OrientedHyperplane:
 def hyperplane_cofactors(int_points):
     """Integer (normal, offset) of the hyperplane through d points of Z^d.
 
-    The normal holds the signed (d-1)-minors of the difference matrix, so
+    (normal, -offset) is the null vector of the rows (p, 1), signed so that
     normal.x - offset is, up to a sign fixed by d, the orientation determinant
     of (points, x); it is zero when the points are affinely dependent.
     """
-    d = len(int_points)
-    if d == 1:
-        return (1,), int_points[0][0]
-    base = int_points[0]
-    diffs = [tuple(a - b for a, b in zip(p, base)) for p in int_points[1:]]
-    normal = tuple(
-        (-1) ** k * det_int([row[:k] + row[k + 1 :] for row in diffs]) for k in range(d)
-    )
-    return normal, dot(normal, base)
+    s = (-1) ** (len(int_points) - 1)
+    *normal, last = null_vector([tuple(p) + (1,) for p in int_points])
+    return tuple(s * c for c in normal), -s * last
 
 
 @dataclass(frozen=True)

@@ -149,6 +149,7 @@ def arrangement_to_json_dict(arr: HyperplaneArrangement) -> dict:
 
 def arrangement_from_json_dict(data: dict) -> HyperplaneArrangement:
     try:
+        dim = int_from_json(data["dim"], "arrangement dim")
         planes = [
             OrientedHyperplane(
                 tuple(scalar_from_json(c) for c in list_from_json(h["normal"], "normal")),
@@ -158,6 +159,9 @@ def arrangement_from_json_dict(data: dict) -> HyperplaneArrangement:
         ]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed arrangement JSON: {exc}") from exc
+    for h in planes:
+        if h.dim != dim:
+            raise ParseError(f"hyperplane normal has {h.dim} coordinates, arrangement dim is {dim}")
     # Rebuilding re-derives the vertices; orientation is idempotent.
     return build_arrangement(planes)
 

@@ -7,15 +7,14 @@ degrades a predicate to approximate arithmetic.
 
 Orientation signs come from one kernel, ``geometry.orientation_signs``, on
 points scaled by ``scale_points_to_ints``: int64 when the magnitude proves it
-exact, Python ints otherwise.  ``det_int`` gives exact hyperplane cofactors.
+exact, Python ints otherwise.  Determinants, ranks and null vectors share one
+fraction-free elimination, ``_echelon``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-
-Scalar = int | Fraction | float
 
 
 def is_exact(x) -> bool:
@@ -70,86 +69,58 @@ def scale_points_to_ints(points):
     return scaled, den
 
 
-def det_int(rows) -> int:
-    """Exact integer determinant (fraction-free Bareiss elimination)."""
-    n = len(rows)
+def _echelon(rows):
+    """Fraction-free (Bareiss) row echelon form of an integer matrix.
+
+    Returns (rows, pivot columns, swap sign).  A column with no pivot is
+    skipped; every entry below the pivot rows stays a minor of the input, so
+    the divisions stay exact.
+    """
     m = [list(r) for r in rows]
+    ncols = len(m[0]) if m else 0
+    pivots = []
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            row_k = m[k]
-            lead = row_i[k]
-            for j in range(k + 1, n):
+    for col in range(ncols):
+        k = len(pivots)
+        r = next((i for i in range(k, len(m)) if m[i][col] != 0), None)
+        if r is None:
+            continue
+        if r != k:
+            m[k], m[r] = m[r], m[k]
+            sign = -sign
+        row_k = m[k]
+        pivot = row_k[col]
+        for row_i in m[k + 1 :]:
+            lead = row_i[col]
+            for j in range(col + 1, ncols):
                 row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
-            row_i[k] = 0
+            row_i[col] = 0
         prev = pivot
-    return sign * m[n - 1][n - 1]
+        pivots.append(col)
+    return m, pivots, sign
+
+
+def det_int(rows) -> int:
+    """Exact determinant of a square integer matrix."""
+    m, pivots, sign = _echelon(rows)
+    return sign * m[-1][-1] if len(pivots) == len(m) else 0
 
 
 def matrix_rank_fraction(rows) -> int:
-    """Exact rank of a rational matrix."""
-    if not rows:
-        return 0
-    m = [[to_fraction(x) for x in r] for r in rows]
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(row, nrows):
-            if m[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        m[row], m[pivot_row] = m[pivot_row], m[row]
-        pivot = m[row][col]
-        for r in range(row + 1, nrows):
-            if m[r][col] != 0:
-                factor = m[r][col] / pivot
-                for c in range(col, ncols):
-                    m[r][c] -= factor * m[row][c]
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
+    """Exact rank of a rational matrix; scaling the rows to integers keeps it."""
+    return len(_echelon(scale_points_to_ints(rows)[0])[1])
 
 
-def solve_linear_fraction(a_rows, b_col):
-    """Solve a nonsingular square rational system exactly; returns a tuple.
+def null_vector(rows) -> tuple:
+    """Signed maximal minors of a k x (k+1) integer matrix.
 
-    Raises ZeroDivisionError-like ValueError when the matrix is singular.
+    The result is orthogonal to every row, and it is zero exactly when the
+    rows are linearly dependent.
     """
-    n = len(a_rows)
-    m = [[to_fraction(x) for x in row] + [to_fraction(b_col[i])] for i, row in enumerate(a_rows)]
-    for k in range(n):
-        pivot_row = None
-        for r in range(k, n):
-            if m[r][k] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            raise ValueError("singular linear system")
-        m[k], m[pivot_row] = m[pivot_row], m[k]
-        pivot = m[k][k]
-        for r in range(n):
-            if r != k and m[r][k] != 0:
-                factor = m[r][k] / pivot
-                for c in range(k, n + 1):
-                    m[r][c] -= factor * m[k][c]
-    return tuple(m[i][n] / m[i][i] for i in range(n))
+    return tuple(
+        (-1) ** c * det_int([r[:c] + r[c + 1 :] for r in rows]) for c in range(len(rows) + 1)
+    )
 
 
 def random_fraction(rng, lo, hi) -> Fraction:

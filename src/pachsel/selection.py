@@ -943,6 +943,11 @@ def run_pipeline(
         raise PreconditionError(
             "colors must have equal sizes; replicate/discretize unequal inputs first"
         )
+    eps = to_fraction(params.epsilon) if params.epsilon is not None else default_epsilon(d)
+    if eps > Fraction(1, 2**d):
+        raise PreconditionError(
+            f"epsilon must be at most 1/2^d = 1/{2**d}: few-separations keeps only that fraction"
+        )
     stages = []
     deep = deep_rainbow_point(point_set, params.random_candidates, seed=params.seed)
     stages.append(
@@ -968,7 +973,6 @@ def run_pipeline(
             "density": f"{density.numerator}/{density.denominator}",
         }
     )
-    eps = to_fraction(params.epsilon) if params.epsilon is not None else default_epsilon(d)
     reg_params = RegularityParams(
         epsilon=eps,
         beta=beta,

@@ -87,6 +87,8 @@ def test_degenerate_arrangements_rejected():
         build_arrangement([H((1, 0), 0), H((0, 1), 0), H((1, 1), 0)])
     with pytest.raises(PreconditionError):
         build_arrangement([H((1, 0), 0), H((0, 1), 0)])  # wrong count
+    with pytest.raises(PreconditionError):
+        build_arrangement([H((1, 0), 0), H((0, 1, 0), 0), H((1, 1), 1)])  # mixed dimensions
 
 
 def test_dichotomy_inside_interval():

@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pachsel
 from pachsel import io as pio
 from pachsel.cli import main
 
@@ -204,6 +208,21 @@ def _float_seed(cert):
     cert["seed"] += 0.5
 
 
+def _long_normal(cert):
+    cert["arrangement"]["hyperplanes"][0]["normal"].append("1")
+
+
+def _short_normal(cert):
+    cert["arrangement"]["hyperplanes"][0]["normal"].pop()
+
+
+def _arrangement_dim(value):
+    def replace_dim(cert):
+        cert["arrangement"]["dim"] = value
+
+    return replace_dim
+
+
 @pytest.mark.parametrize("mode", ["--exhaustive", "--arrangement"])
 @pytest.mark.parametrize(
     "mutate",
@@ -216,10 +235,14 @@ def _float_seed(cert):
         _string_fractions,
         _string_normal,
         _float_seed,
+        _long_normal,
+        _short_normal,
+        _arrangement_dim(7),
+        _arrangement_dim("x"),
     ],
     ids=[
         "fractional", "float", "string", "bool", "string-point", "string-fractions",
-        "string-normal", "float-seed",
+        "string-normal", "float-seed", "long-normal", "short-normal", "dim-7", "string-dim",
     ],
 )
 def test_verify_rejects_non_integer_indices(workdir, capsys, planar_certificate, mode, mutate):
@@ -340,6 +363,13 @@ def test_exit_codes(workdir):
     pio.dump_json({"dim": 1, "exact": True, "colors": [[["0"], ["2"]], [["1"], ["3"]]]}, pts)
     for budget in (0, -5):
         assert run(["select", "--in", pts, "--out", workdir / "c.json", "--witness-budget", budget]) == 3
+    # precondition: a grid ball of dimension below 1
+    assert run(["gen", "--dim", -1, "--shape", "grid-ball", "--eps", "1/2", "--out", workdir / "g.json"]) == 3
+    # precondition: eps above 1/2^d, which few-separations cannot keep
+    ball = workdir / "ball.json"
+    assert run(["gen", "--dim", 2, "--shape", "uniform-ball", "--n", 12, "--seed", 3, "--out", ball]) == 0
+    for eps, code in (("49/100", 3), ("1/3", 3), ("1/4", 0)):
+        assert run(["select", "--in", ball, "--out", workdir / "c.json", "--seed", 2, "--eps", eps]) == code
 
 
 def test_bounds_csv(workdir, capsys):
@@ -355,6 +385,17 @@ def test_bounds_csv(workdir, capsys):
     d3 = lines[3].split(",")
     assert d3[0] == "3" and d3[3] == "18"
     assert abs(float(d3[1]) - 0.44127) < 1e-4
+
+
+def test_module_entry_point_runs_command():
+    src = Path(pachsel.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pachsel.cli", "bounds", "--dims", "1..2"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[0] == "d,u,g,lower_bound_exponent,rho_d_asymptotic,csup_exact"
 
 
 def test_angle_command(workdir, capsys):

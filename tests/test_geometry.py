@@ -25,7 +25,13 @@ from pachsel.geometry import (
     spanned_signs,
     strict_separation,
 )
-from pachsel.rational import det_int, matrix_rank_fraction, scale_points_to_ints, vec_sub
+from pachsel.rational import (
+    det_int,
+    matrix_rank_fraction,
+    null_vector,
+    scale_points_to_ints,
+    vec_sub,
+)
 
 from conftest import general_position_points, random_points
 
@@ -128,6 +134,59 @@ def test_orientation_signs_at_extreme_coordinates(k, bits):
     assert orientation_signs(batch).tolist() == [1, -1, 0]
     assert orientation_signs(np.array(batch, dtype=object)).tolist() == [1, -1, 0]
     assert [_det_sign(t) for t in batch] == [1, -1, 0]
+
+
+# ---------------------------------------------------------------------------
+# exact elimination
+
+
+def _fraction_det_rank(rows):
+    """Reference: Gaussian elimination over Fractions; (determinant, rank).
+
+    The determinant is only meaningful for a square matrix."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    det, rank = Fraction(1), 0
+    for col in range(len(m[0])):
+        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            det = -det
+        det *= m[rank][col]
+        for i in range(rank + 1, len(m)):
+            f = m[i][col] / m[rank][col]
+            m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return (det if rank == len(m) else 0), rank
+
+
+@st.composite
+def wide_int_matrices(draw):
+    """k x (k+1) integer matrices, some rows integer combinations of others."""
+    k = draw(st.integers(1, 5))
+    rows = [draw(st.lists(st.integers(-9, 9), min_size=k + 1, max_size=k + 1)) for _ in range(k)]
+    for j in draw(st.lists(st.integers(0, k - 1), max_size=k, unique=True)):
+        w = [draw(st.integers(-3, 3)) for _ in range(k)]
+        rows[j] = [sum(c * r[x] for c, r, i in zip(w, rows, range(k)) if i != j) for x in range(k + 1)]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_int_matrices())
+def test_elimination_matches_fraction_reference(rows):
+    k = len(rows)
+    _, rank = _fraction_det_rank(rows)
+    assert matrix_rank_fraction(rows) == rank
+    transposed = [list(col) for col in zip(*rows)]
+    assert matrix_rank_fraction(transposed) == rank
+    minors = [[r[:c] + r[c + 1 :] for r in rows] for c in range(k + 1)]
+    for minor in minors:
+        assert det_int(minor) == _fraction_det_rank(minor)[0]
+    v = null_vector(rows)
+    assert v == tuple((-1) ** c * _fraction_det_rank(minors[c])[0] for c in range(k + 1))
+    assert all(sum(a * b for a, b in zip(r, v)) == 0 for r in rows)
+    assert (not any(v)) == (rank < k)
 
 
 # ---------------------------------------------------------------------------

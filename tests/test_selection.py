@@ -563,6 +563,13 @@ def test_run_pipeline_rejects_unequal_sizes():
         run_pipeline(ps)
 
 
+def test_run_pipeline_rejects_eps_above_halving_fraction():
+    ps = random_labeled_set(2, 8, seed=43)
+    for eps in (Fraction(49, 100), Fraction(1, 3)):
+        with pytest.raises(PreconditionError, match="at most 1/2"):
+            run_pipeline(ps, PipelineParams(seed=9, epsilon=eps))
+
+
 def test_run_pipeline_deterministic():
     ps = random_labeled_set(1, 8, seed=44)
     a = run_pipeline(ps, PipelineParams(seed=5))
