@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from math import exp, gamma, log, pi, sqrt
 
 import numpy as np
-from scipy.special import betainc
 
 from .errors import PreconditionError
 
@@ -314,6 +313,8 @@ def spherical_cap_fraction(d: int, gamma_dist: float) -> float:
         raise PreconditionError("round cones need d >= 2")
     if not 0.0 <= gamma_dist <= 1.0:
         raise PreconditionError("gamma must lie in [0, 1]")
+    from scipy.special import betainc  # imported here: scipy dominates import time
+
     x = 1.0 - gamma_dist * gamma_dist
     return 0.5 * float(betainc((d - 1) / 2.0, 0.5, x))
 

@@ -20,6 +20,7 @@ import numpy as np
 from . import lp
 from .errors import DimensionMismatchError, GeneralPositionError, PreconditionError
 from .rational import (
+    _echelon,
     dot,
     is_exact,
     matrix_rank_fraction,
@@ -303,35 +304,40 @@ DEFAULT_CONDITION_G_CAP = 10_000_000
 def affine_hulls_intersect(point_groups) -> bool:
     """Exact test whether the affine hulls of the groups share a point.
 
-    Solvability of the stacked affine-combination system, decided by a
-    rational rank comparison.
+    The stacked affine-combination system  sum_j mu_j s_j - x = 0,
+    sum_j mu_j = 1  (one block per group, x shared) on integer-scaled points
+    is solvable iff one fraction-free elimination of its augmented rows finds
+    no pivot in the right-hand-side column.
     """
-    groups = [[point_to_fractions(p) for p in g] for g in point_groups]
-    if any(not g for g in groups):
+    if any(not g for g in point_groups):
         return False
-    d = len(groups[0][0])
-    nmu = sum(len(g) for g in groups)
-    ncols = d + nmu
+    int_pts, _ = scale_points_to_ints([p for g in point_groups for p in g])
+    d = len(int_pts[0])
+    ncols = d + len(int_pts) + 1  # x, the mu of every group, right-hand side
     rows = []
-    rhs = []
-    mu_off = d
-    for g in groups:
-        for k in range(d):  # sum_j mu_j * s_j - x = 0
-            row = [Fraction(0)] * ncols
-            row[k] = Fraction(-1)
-            for j, s in enumerate(g):
-                row[mu_off + j] = s[k]
+    offset = 0
+    for g in point_groups:
+        block = range(offset, offset + len(g))
+        for k in range(d):
+            row = [0] * ncols
+            row[k] = -1
+            for j in block:
+                row[d + j] = int_pts[j][k]
             rows.append(row)
-            rhs.append(Fraction(0))
-        row = [Fraction(0)] * ncols  # affine combination: coefficients sum to 1
-        for j in range(len(g)):
-            row[mu_off + j] = Fraction(1)
+        row = [0] * ncols
+        for j in block:
+            row[d + j] = 1
+        row[-1] = 1
         rows.append(row)
-        rhs.append(Fraction(1))
-        mu_off += len(g)
-    rank_a = matrix_rank_fraction(rows)
-    rank_ab = matrix_rank_fraction([r + [b] for r, b in zip(rows, rhs)])
-    return rank_a == rank_ab
+        offset += len(g)
+    return ncols - 1 not in _echelon(rows)[1]
+
+
+# Two float keys of one rational t/w differ by at most about 6 * 2^-53 of
+# their magnitude: int64 t and w round once each on conversion and the
+# quotient once more, and Python's int / int rounds once, correctly.  Keys
+# farther apart than this bound name distinct points.
+_KEY_RTOL = 2.0**-45
 
 
 def _condition_g_plane(points) -> ConditionGResult:
@@ -342,17 +348,20 @@ def _condition_g_plane(points) -> ConditionGResult:
     concurrent, and such a triple exists iff its lowest-indexed line i meets
     two later lines disjoint from it at one point (two distinct lines through
     that point can share no input point).  Every point of line i is named by
-    one reduced rational t/w, its x coordinate (y when line i is vertical), so
-    one lexsort of the (t, w) keys per line finds the equal pairs in O(N^2)
-    memory.  Lines are the pairs of ``combinations(range(n), 2)`` in order.
+    one rational t/w, its x coordinate (y when line i is vertical).  The float
+    keys t / w of the later lines are sorted, and only keys within _KEY_RTOL
+    of a sorted neighbour are compared, as exact Python-int fractions; a
+    quotient past the float range leaves the whole line to that comparison.
+    Memory stays O(N^2).  Lines are the pairs of
+    ``combinations(range(n), 2)`` in order.
 
     The integer scaling runs in int64 when the worst intermediate, 8 M^3 for
     M = max|coordinate|, stays below 2^63, and on Python ints otherwise.  The
     witness is line i, the lowest-indexed line in any concurrency, then the
-    two lowest-indexed later lines meeting it at one point; of several such
-    points, the one met by the lowest-indexed later line.  It depends only on
-    which lines are concurrent, so both dtypes and any scaling give the same
-    witness.  ``checked`` counts the intersections up to line i.
+    lexicographically first pair of later lines meeting it at one point.  It
+    depends only on which lines are concurrent, so both dtypes and any
+    scaling give the same witness.  ``checked`` counts the intersections up
+    to line i.
     """
     int_pts, _ = scale_points_to_ints(points)
     n = len(int_pts)
@@ -380,21 +389,36 @@ def _condition_g_plane(points) -> ConditionGResult:
             t = b1 * lc[js] - lb[js] * c1
         else:
             t = c1 * la[js] - lc[js] * a1
-        t, w = np.where(w < 0, -t, t), np.abs(w)
-        g = np.gcd(t, w)
-        t, w = t // g, w // g
         checked += len(js)
-        order = np.lexsort((w, t))
-        t, w = t[order], w[order]
-        dup = np.flatnonzero((t[1:] == t[:-1]) & (w[1:] == w[:-1]))
-        if dup.size:
-            # Stable sort: in each run of equal keys the lines keep their order.
-            at = dup[np.argmin(order[dup])]
-            witness = tuple(
-                tuple(supports[k].tolist()) for k in (i, js[order[at]], js[order[at + 1]])
-            )
+        try:
+            keys = (t / w).astype(np.float64, copy=False)
+        except OverflowError:
+            keys = np.zeros(len(js))
+        if not _close_neighbours(np.sort(keys)).any():
+            continue
+        order = np.argsort(keys)
+        close = np.flatnonzero(_close_neighbours(keys[order]))
+        # Equal points have keys linked by close gaps, so they are all here.
+        members = np.unique(order[np.concatenate([close, close + 1])])
+        pair = _first_equal_pair(t[members].tolist(), w[members].tolist())
+        if pair is not None:
+            witness = tuple(tuple(supports[k].tolist()) for k in (i, *js[members[pair]]))
             return ConditionGResult("false", witness, checked)
     return ConditionGResult("true", None, checked)
+
+
+def _close_neighbours(keys):
+    """Whether each pair of adjacent sorted keys may name one rational."""
+    lo, hi = keys[:-1], keys[1:]
+    return hi - lo <= _KEY_RTOL * np.maximum(hi, -lo)
+
+
+def _first_equal_pair(ts, ws):
+    """Lexicographically first index pair [a, b] with ts[a]/ws[a] == ts[b]/ws[b], or None."""
+    value = [Fraction(t, w) for t, w in zip(ts, ws)]
+    by_value = sorted(range(len(value)), key=value.__getitem__)  # stable: ascending per class
+    classes = (list(c)[:2] for _, c in itertools.groupby(by_value, key=value.__getitem__))
+    return min((c for c in classes if len(c) == 2), default=None)
 
 
 def _iter_disjoint_subset_tuples(n, d):
@@ -429,8 +453,9 @@ def satisfies_condition_G(obj, parts=None, cap: int = DEFAULT_CONDITION_G_CAP) -
     With ``parts`` given, checks only that tuple of index subsets.  Without
     it, the check is exhaustive: closed form for d=1, and capped enumeration
     for d >= 3 (result 'indeterminate' once ``cap`` tuples were examined).
-    For d=2 it sorts, for one spanned line at a time, the exact points where
-    the later disjoint lines meet it (see ``_condition_g_plane``): in int64
+    For d=2 it sorts, for one spanned line at a time, float keys of the
+    points where the later disjoint lines meet it and compares exactly only
+    the keys too close to tell apart (see ``_condition_g_plane``): in int64
     when 8 M^3 < 2^63 for M = max|scaled coordinate|, on Python ints
     otherwise.  A planar 'false' names three support pairs, the lowest-indexed
     line in any concurrency first, and ``checked`` counts the intersections

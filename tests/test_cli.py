@@ -398,6 +398,17 @@ def test_module_entry_point_runs_command():
     assert proc.stdout.splitlines()[0] == "d,u,g,lower_bound_exponent,rho_d_asymptotic,csup_exact"
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    src = Path(pachsel.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, pachsel.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_angle_command(workdir, capsys):
     simplex = workdir / "s.json"
     pio.dump_json({"vertices": [[0, 0], [1, 0], [0, 1]]}, simplex)

@@ -331,6 +331,54 @@ def _naive_condition_g(points, d):
     return True
 
 
+def _two_rank_affine_hulls_intersect(point_groups):
+    """Reference: the affine-combination system over Fractions is consistent
+    iff its coefficient matrix and augmented matrix have one rank."""
+    d = len(point_groups[0][0])
+    ncols = d + sum(len(g) for g in point_groups)
+    rows, rhs, offset = [], [], d
+    for g in point_groups:
+        for k in range(d):
+            row = [Fraction(0)] * ncols
+            row[k] = Fraction(-1)
+            for j, s in enumerate(g):
+                row[offset + j] = Fraction(s[k])
+            rows.append(row)
+            rhs.append(Fraction(0))
+        row = [Fraction(0)] * ncols
+        for j in range(len(g)):
+            row[offset + j] = Fraction(1)
+        rows.append(row)
+        rhs.append(Fraction(1))
+        offset += len(g)
+    augmented = [r + [b] for r, b in zip(rows, rhs)]
+    return _fraction_det_rank(rows)[1] == _fraction_det_rank(augmented)[1]
+
+
+@st.composite
+def affine_hull_groups(draw):
+    """d+1 groups of 1..d points at d = 2 or 3; when planted, every group's
+    hull holds one rational point (the point itself, or the midpoint of a
+    group's first and last points)."""
+    d = draw(st.sampled_from([2, 3]))
+    point = st.tuples(*[small_fraction] * d)
+    groups = [draw(st.lists(point, min_size=1, max_size=d)) for _ in range(d + 1)]
+    if draw(st.booleans()):
+        x = draw(point)
+        groups = [
+            [x] if len(g) == 1 else g[:-1] + [tuple(2 * c - a for c, a in zip(x, g[0]))]
+            for g in groups
+        ]
+    return groups
+
+
+@settings(max_examples=120, deadline=None)
+@given(affine_hull_groups())
+def test_affine_hulls_intersect_matches_two_rank_reference(groups):
+    hit = affine_hulls_intersect(groups)
+    assert hit == _two_rank_affine_hulls_intersect(groups)
+
+
 def test_condition_g_concurrent_lines_is_false():
     pts = [(-1, 0), (1, 0), (0, -1), (0, 1), (-1, -1), (1, 1)]
     res = satisfies_condition_G(pts)
@@ -464,12 +512,16 @@ def test_planar_condition_g_late_violation():
 
 
 def test_planar_condition_g_large_coordinates_keep_verdict_and_witness():
-    """Scaling by 2^30 pushes 8 M^3 past 2^63, onto Python ints."""
+    """Scaling by 2^30 pushes 8 M^3 past 2^63, onto Python ints; by 10^120
+    the products t and w of a key t / w pass the float range, and by 10^320
+    the quotients do too, so every line is left to the exact comparison."""
     violation = _condition_g_true_prefix(12, 29) + _planted_concurrency(
         (Fraction(3, 5), Fraction(1, 3)), [(2, 1), (0, 1), (-1, 4)], [(-1, 2), (1, 2), (-2, 1)]
     )
-    for pts in (_condition_g_true_prefix(20, 31), violation):
-        scaled = [tuple(c * (1 << 30) for c in p) for p in pts]
+    for scale, pts in itertools.product(
+        (1 << 30, 10**120, 10**320), (_condition_g_true_prefix(20, 31), violation)
+    ):
+        scaled = [tuple(c * scale for c in p) for p in pts]
         int_scaled, _ = scale_points_to_ints(scaled)
         assert 8 * max(abs(c) for p in int_scaled for c in p) ** 3 >= 1 << 63
         small, large = satisfies_condition_G(pts), satisfies_condition_G(scaled)
@@ -480,6 +532,66 @@ def test_planar_condition_g_large_coordinates_keep_verdict_and_witness():
         )
     assert small.is_false
     _assert_planar_witness(scaled, large)
+    with pytest.raises(OverflowError):
+        int_scaled[0][0] / 1
+
+
+def test_planar_condition_g_near_concurrency_within_float_bound_is_true():
+    """Lines (2, 3) and (4, 5) cross line (0, 1), the x axis, at
+    1024 + 1/524287 and 1024 + 1/524288: distinct points whose float keys
+    differ by about 2^-48 of their size, inside the filter's 2^-45, on the
+    int64 path."""
+    pts = [(0, 0), (1, 0), (1024, -1), (1025, 524286), (1023, -1), (525312, 524287)]
+    assert 8 * 525312**3 < 1 << 63
+    x1, x2 = 1024 + Fraction(1, 524287), 1024 + Fraction(1, 524288)
+    assert float(x1) != float(x2)
+    assert abs(float(x1) - float(x2)) <= 2.0**-45 * float(x1)
+    assert in_general_position(pts)
+    assert satisfies_condition_G(pts).is_true
+    assert _naive_condition_g(pts, 2)
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [
+        # Line (2, 3) meets the x axis, line (0, 1), at t/w = 1/3, line (4, 5) at -2/-6.
+        [(0, 0), (1, 0), (0, -1), (1, 2), (-3, 4), (2, -2)],
+        # Both meet line (0, 1) at x = 125945, as t/w = 13479406657587875/107026135675
+        # and 5138001983688125/40795601125: int64 keys whose float quotients differ.
+        [(223231, -170597), (-19984, 155123), (218871, 11261),
+         (-13444, -117664), (206687, -47800), (72117, -35315)],
+    ],
+)
+def test_planar_condition_g_equal_points_from_different_keys(pts):
+    """One rational reached through two unreduced (t, w) pairs on the int64 path."""
+    assert 8 * max(abs(c) for p in pts for c in p) ** 3 < 1 << 63
+    res = satisfies_condition_G(pts)
+    assert res.witness == ((0, 1), (2, 3), (4, 5))
+    _assert_planar_witness(pts, res)
+
+
+def test_planar_condition_g_vertical_line_and_zero_key():
+    """Line (0, 1) is the y axis, so its points are keyed by y; lines (2, 3)
+    and (4, 5) meet it at the origin, key 0, or at y = 2/7 once moved."""
+    pts = [(0, -2), (0, 3), (-1, -1), (1, 1), (-3, 2), (3, -2)]
+    res = satisfies_condition_G(pts)
+    assert res.witness == ((0, 1), (2, 3), (4, 5))
+    _assert_planar_witness(pts, res)
+    moved = pts[:5] + [(4, -2)]
+    assert in_general_position(moved)
+    assert satisfies_condition_G(moved).is_true
+    assert _naive_condition_g(moved, 2)
+
+
+@pytest.mark.parametrize(
+    "pts, status", [([(0, 0)], "true"), ([(0, 0), (1, 0)], "true"),
+                    ([(0, 0), (1, 0), (0, 1)], "true"), ([(0, 0), (1, 1), (2, 2)], "false")]
+)
+def test_planar_condition_g_fewer_than_four_points(pts, status):
+    """No two disjoint lines exist, so only general position can fail."""
+    res = satisfies_condition_G(pts)
+    assert (res.status, res.checked) == (status, 0)
+    assert res.is_true == _naive_condition_g(pts, 2)
 
 
 def test_planar_condition_g_memory_is_quadratic():
