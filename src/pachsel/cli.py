@@ -38,6 +38,7 @@ from .errors import (
     PreconditionError,
 )
 from .geometry import LabeledPointSet
+from .rational import format_scalar
 from .selection import (
     PachCertificate,
     PipelineParams,
@@ -133,13 +134,6 @@ def _load_pointset(path) -> LabeledPointSet:
     return pio.pointset_from_json_dict(pio.load_json(path))
 
 
-def _as_exact(ps: LabeledPointSet) -> LabeledPointSet:
-    """Lossless rational view of a float point set (predicates stay exact)."""
-    if ps.exact:
-        return ps
-    return LabeledPointSet.create(ps.dim, ps.colors, exact=True)
-
-
 def _replicate_unequal(ps: LabeledPointSet, seed: int, spread: Fraction):
     """Equalize color sizes by uniform-weight discretization (replicate each
     point to the least common size, then perturb into general position).
@@ -197,9 +191,8 @@ def _select_unequal(ps, params, input_hash, seed):
 
 
 def cmd_select(args) -> int:
-    raw = _load_pointset(args.infile)
-    input_hash = pio.pointset_sha256(raw)
-    ps = _as_exact(raw)
+    ps = _load_pointset(args.infile)
+    input_hash = pio.pointset_sha256(ps)
     params = PipelineParams(
         seed=args.seed,
         epsilon=_parse_fraction(args.eps) if args.eps else None,
@@ -227,7 +220,7 @@ def cmd_select(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    ps = _as_exact(_load_pointset(args.infile))
+    ps = _load_pointset(args.infile)
     try:
         cert = PachCertificate.from_json_dict(pio.load_json(args.cert))
     except (KeyError, TypeError, ValueError) as exc:
@@ -242,10 +235,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_deep(args) -> int:
-    ps = _as_exact(_load_pointset(args.infile))
+    ps = _load_pointset(args.infile)
     result = deep_rainbow_point(ps, args.random_candidates, seed=args.seed)
     out = {
-        "p": [pio.scalar_to_json(c) for c in result.point],
+        "p": [format_scalar(c) for c in result.point],
         "depth": result.depth,
         "open_depth": result.open_depth,
         "total": result.total,

@@ -35,10 +35,6 @@ from .rational import (
 COMBINATION_BLOCK = 1 << 12
 
 
-def _is_exact_point(point) -> bool:
-    return all(is_exact(c) for c in point)
-
-
 def int_array(values) -> np.ndarray:
     """Nested Python ints as an int64 array, or an object array if one does not fit."""
     arr = np.array(values, dtype=object)
@@ -155,11 +151,13 @@ def hyperplane_cofactors(int_points):
 
 @dataclass(frozen=True)
 class LabeledPointSet:
-    """d+1 colored finite point sets in R^d with stable within-color indices."""
+    """d+1 colored finite point sets in R^d with stable within-color indices.
+
+    Coordinates are exact (int or Fraction); a float is converted losslessly
+    by ``create`` or, for files, by ``io.pointset_from_json_dict``."""
 
     dim: int
     colors: tuple
-    exact: bool = True
 
     def __post_init__(self):
         if self.dim < 1:
@@ -172,16 +170,12 @@ class LabeledPointSet:
             for p in pts:
                 if len(p) != self.dim:
                     raise DimensionMismatchError("point dimension mismatch")
-                if self.exact and not _is_exact_point(p):
-                    raise PreconditionError("exact point set contains non-exact coordinates")
+                if not all(is_exact(c) for c in p):
+                    raise PreconditionError("point set contains non-exact coordinates")
 
     @classmethod
-    def create(cls, dim, colors, exact=True):
-        normalized = tuple(
-            tuple(point_to_fractions(p) if exact else tuple(float(c) for c in p) for p in pts)
-            for pts in colors
-        )
-        return cls(dim, normalized, exact)
+    def create(cls, dim, colors):
+        return cls(dim, tuple(tuple(point_to_fractions(p) for p in pts) for pts in colors))
 
     def sizes(self):
         return tuple(len(pts) for pts in self.colors)
@@ -298,35 +292,44 @@ class ConditionGResult:
         return self.status == "false"
 
 
+# Tuples the d >= 3 condition-(G) enumeration examines before it answers
+# 'indeterminate'.
 DEFAULT_CONDITION_G_CAP = 10_000_000
 
 
 def affine_hulls_intersect(point_groups) -> bool:
     """Exact test whether the affine hulls of the groups share a point.
 
-    The stacked affine-combination system  sum_j mu_j s_j - x = 0,
-    sum_j mu_j = 1  (one block per group, x shared) on integer-scaled points
-    is solvable iff one fraction-free elimination of its augmented rows finds
-    no pivot in the right-hand-side column.
+    The groups are scaled to integers by one common denominator, which moves
+    every hull by the same positive factor, and handed to ``_int_hulls_meet``.
     """
     if any(not g for g in point_groups):
         return False
-    int_pts, _ = scale_points_to_ints([p for g in point_groups for p in g])
-    d = len(int_pts[0])
-    ncols = d + len(int_pts) + 1  # x, the mu of every group, right-hand side
+    int_pts = iter(scale_points_to_ints([p for g in point_groups for p in g])[0])
+    return _int_hulls_meet([[next(int_pts) for _ in g] for g in point_groups])
+
+
+def _int_hulls_meet(groups) -> bool:
+    """Whether the affine hulls of nonempty groups of integer points meet.
+
+    The stacked affine-combination system  sum_j mu_j s_j - x = 0,
+    sum_j mu_j = 1  (one block per group, x shared) is solvable iff one
+    fraction-free elimination of its augmented rows finds no pivot in the
+    right-hand-side column.
+    """
+    d = len(groups[0][0])
+    ncols = d + sum(len(g) for g in groups) + 1  # x, the mu of every group, right-hand side
     rows = []
-    offset = 0
-    for g in point_groups:
-        block = range(offset, offset + len(g))
+    offset = d
+    for g in groups:
+        block = slice(offset, offset + len(g))
         for k in range(d):
             row = [0] * ncols
             row[k] = -1
-            for j in block:
-                row[d + j] = int_pts[j][k]
+            row[block] = [p[k] for p in g]
             rows.append(row)
         row = [0] * ncols
-        for j in block:
-            row[d + j] = 1
+        row[block] = [1] * len(g)
         row[-1] = 1
         rows.append(row)
         offset += len(g)
@@ -446,13 +449,13 @@ def _iter_disjoint_subset_tuples(n, d):
     yield from rec([])
 
 
-def satisfies_condition_G(obj, parts=None, cap: int = DEFAULT_CONDITION_G_CAP) -> ConditionGResult:
+def satisfies_condition_G(obj) -> ConditionGResult:
     """Condition (G): general position plus empty common intersection of the
     affine hulls of any d+1 pairwise disjoint subsets of size <= d.
 
-    With ``parts`` given, checks only that tuple of index subsets.  Without
-    it, the check is exhaustive: closed form for d=1, and capped enumeration
-    for d >= 3 (result 'indeterminate' once ``cap`` tuples were examined).
+    The check is exhaustive: closed form for d=1, and for d >= 3 an
+    enumeration on the points scaled to integers once, capped at
+    ``DEFAULT_CONDITION_G_CAP`` tuples (result 'indeterminate' past it).
     For d=2 it sorts, for one spanned line at a time, float keys of the
     points where the later disjoint lines meet it and compares exactly only
     the keys too close to tell apart (see ``_condition_g_plane``): in int64
@@ -462,16 +465,6 @@ def satisfies_condition_G(obj, parts=None, cap: int = DEFAULT_CONDITION_G_CAP) -
     examined up to that line; a 'true' counts all of them.
     """
     d, pts = _point_list(obj)
-    if parts is not None:
-        for a, b in itertools.combinations(parts, 2):
-            if set(a) & set(b):
-                raise PreconditionError("parts must be pairwise disjoint")
-        for part in parts:
-            if len(part) > d:
-                raise PreconditionError("parts must have size at most d")
-        groups = [[pts[i] for i in part] for part in parts]
-        hit = affine_hulls_intersect(groups)
-        return ConditionGResult("false" if hit else "true", tuple(parts) if hit else None, 1)
     violation = find_general_position_violation(pts)
     if violation is not None:
         return ConditionGResult("false", (violation,), 0)
@@ -479,13 +472,13 @@ def satisfies_condition_G(obj, parts=None, cap: int = DEFAULT_CONDITION_G_CAP) -
         return ConditionGResult("true", None, 0)  # distinct points suffice
     if d == 2:
         return _condition_g_plane(pts)
+    int_pts, _ = scale_points_to_ints(pts)
     checked = 0
     for tup in _iter_disjoint_subset_tuples(len(pts), d):
         checked += 1
-        if checked > cap:
+        if checked > DEFAULT_CONDITION_G_CAP:
             return ConditionGResult("indeterminate", None, checked - 1)
-        groups = [[pts[i] for i in part] for part in tup]
-        if affine_hulls_intersect(groups):
+        if _int_hulls_meet([[int_pts[i] for i in part] for part in tup]):
             return ConditionGResult("false", tup, checked)
     return ConditionGResult("true", None, checked)
 

@@ -3,12 +3,19 @@
 Schemas (stable external interfaces):
 
 * point set:     {"dim": d, "exact": bool, "colors": [[[c1,...,cd], ...], ...]}
-                 exact coordinates serialized as "p/q" strings
+                 written with "exact": true and "p/q" strings; an "exact":
+                 false file holds finite doubles, read losslessly as the
+                 Fractions they equal, so it loads as its exact twin
 * arrangement:   {"dim": d, "hyperplanes": [{"normal": [...], "offset": s}, ...],
                   "oriented": true}
 * measure:       {"dim": d, "colors": [[{"point": [...], "weight": "r/s"}, ...], ...]}
 * certificate:   see selection.PachCertificate.to_json_dict
 * simplex:       {"vertices": [[...], ...]}
+
+This module is the only one that knows a file may spell a number as a float.
+Every scalar of a point, arrangement, measure or certificate file passes
+``scalar_from_json`` (or, in an "exact": false point file, ``_finite_float``)
+and arrives as a Fraction; simplex files stay float, as cones.py is.
 
 Structured files are written with sorted keys and a fixed layout so that a
 fixed seed reproduces byte-identical output.
@@ -24,7 +31,7 @@ from fractions import Fraction
 from .arrangements import HyperplaneArrangement, build_arrangement
 from .errors import ParseError
 from .geometry import LabeledPointSet, OrientedHyperplane
-from .rational import format_scalar, is_exact, parse_scalar
+from .rational import format_scalar
 
 
 def _finite_float(v) -> float:
@@ -35,21 +42,15 @@ def _finite_float(v) -> float:
     return x
 
 
-def scalar_to_json(x):
-    if is_exact(x):
-        return format_scalar(x)
-    return float(x)
-
-
-def scalar_from_json(v):
-    if isinstance(v, str):
-        try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational literal {v!r}") from exc
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+def scalar_from_json(v) -> Fraction:
+    """A JSON scalar ("p/q" or decimal string, integer or finite float) as the
+    Fraction it equals; bools, other values and zero denominators are refused."""
+    if isinstance(v, bool) or not isinstance(v, (str, int, float)):
         raise ParseError(f"bad scalar {v!r}")
-    return v if isinstance(v, float) else Fraction(v)
+    try:
+        return Fraction(v)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ParseError(f"bad rational literal {v!r}") from exc
 
 
 def int_from_json(v, name: str) -> int:
@@ -94,6 +95,8 @@ def load_json(path):
             return json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
     except ValueError as exc:  # also JSONDecodeError and UnicodeDecodeError
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deeply") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -101,18 +104,15 @@ def load_json(path):
 
 
 def pointset_to_json_dict(ps: LabeledPointSet) -> dict:
-    if ps.exact:
-        colors = [[[format_scalar(c) for c in p] for p in pts] for pts in ps.colors]
-    else:
-        colors = [[[float(c) for c in p] for p in pts] for pts in ps.colors]
-    return {"dim": ps.dim, "exact": ps.exact, "colors": colors}
+    colors = [[[format_scalar(c) for c in p] for p in pts] for pts in ps.colors]
+    return {"dim": ps.dim, "exact": True, "colors": colors}
 
 
 def pointset_from_json_dict(data: dict) -> LabeledPointSet:
     try:
         dim = int_from_json(data["dim"], "dim")
         exact = bool_from_json(data["exact"], "exact")
-        coordinate = parse_scalar if exact else _finite_float
+        coordinate = scalar_from_json if exact else (lambda c: Fraction(_finite_float(c)))
         colors = tuple(
             tuple(
                 tuple(coordinate(c) for c in list_from_json(p, "point"))
@@ -123,7 +123,7 @@ def pointset_from_json_dict(data: dict) -> LabeledPointSet:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed point-set JSON: {exc}") from exc
     try:
-        return LabeledPointSet(dim, colors, exact)
+        return LabeledPointSet(dim, colors)
     except Exception as exc:
         raise ParseError(f"inconsistent point set: {exc}") from exc
 
@@ -140,7 +140,7 @@ def arrangement_to_json_dict(arr: HyperplaneArrangement) -> dict:
     return {
         "dim": arr.dim,
         "hyperplanes": [
-            {"normal": [scalar_to_json(c) for c in h.normal], "offset": scalar_to_json(h.offset)}
+            {"normal": [format_scalar(c) for c in h.normal], "offset": format_scalar(h.offset)}
             for h in arr.hyperplanes
         ],
         "oriented": True,
@@ -176,8 +176,8 @@ def measure_from_json_dict(data: dict):
         colors = [
             [
                 (
-                    tuple(parse_scalar(c) for c in list_from_json(entry["point"], "point")),
-                    parse_scalar(entry["weight"]),
+                    tuple(scalar_from_json(c) for c in list_from_json(entry["point"], "point")),
+                    scalar_from_json(entry["weight"]),
                 )
                 for entry in list_from_json(pts, "color")
             ]

@@ -40,17 +40,6 @@ def format_scalar(x) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def parse_scalar(v) -> Fraction:
-    """Parse a JSON value (string "p/q", int, or float) into a Fraction."""
-    if isinstance(v, str):
-        return Fraction(v)
-    if isinstance(v, bool):
-        raise ValueError(f"not a scalar: {v!r}")
-    if isinstance(v, (int, float)):
-        return Fraction(v)
-    raise ValueError(f"not a scalar: {v!r}")
-
-
 def common_denominator(points) -> int:
     """Least common denominator over all coordinates of an iterable of points."""
     return lcm(*(to_fraction(c).denominator for p in points for c in p))

@@ -36,7 +36,7 @@ from .geometry import (
     spanned_signs,
     strict_separation,
 )
-from .rational import point_to_fractions, scale_points_to_ints, to_fraction
+from .rational import format_scalar, point_to_fractions, scale_points_to_ints, to_fraction
 
 _BRANCH_ALL = "all-contain"
 _BRANCH_NONE = "none-contain"
@@ -771,14 +771,14 @@ class PachCertificate:
     stages: tuple
 
     def to_json_dict(self) -> dict:
-        from .io import arrangement_to_json_dict, scalar_to_json
+        from .io import arrangement_to_json_dict
 
         return {
             "input_sha256": self.input_sha256,
-            "p": [scalar_to_json(c) for c in self.point],
+            "p": [format_scalar(c) for c in self.point],
             "Y": [list(idxs) for idxs in self.index_sets],
             "arrangement": arrangement_to_json_dict(self.arrangement),
-            "fractions": [scalar_to_json(f) for f in self.fractions],
+            "fractions": [format_scalar(f) for f in self.fractions],
             "verified": self.verified,
             "seed": self.seed,
             "stages": list(self.stages),

@@ -96,6 +96,7 @@ def test_select_unequal_sizes_replicates_and_dedupes(workdir, capsys):
 
 
 def test_select_accepts_float_point_sets(workdir):
+    """A float file is read losslessly: it and its exact twin give one certificate."""
     pts = workdir / "float.json"
     pio.dump_json(
         {
@@ -105,8 +106,13 @@ def test_select_accepts_float_point_sets(workdir):
         },
         pts,
     )
-    cert = workdir / "float_cert.json"
+    twin = workdir / "twin.json"
+    colors = [[["1/8"], ["3/2"], ["15/4"]], [["1/2"], ["9/4"], ["5"]]]
+    pio.dump_json({"dim": 1, "exact": True, "colors": colors}, twin)
+    cert, twin_cert = workdir / "float_cert.json", workdir / "twin_cert.json"
     assert run(["select", "--in", pts, "--out", cert, "--seed", 2]) == 0
+    assert run(["select", "--in", twin, "--out", twin_cert, "--seed", 2]) == 0
+    assert cert.read_bytes() == twin_cert.read_bytes()
     assert run(["verify", "--in", pts, "--cert", cert, "--exhaustive"]) == 0
 
 
@@ -277,12 +283,17 @@ _POINTS_2D = b'[["1/2", "0"], ["0", "1/3"]], [["-1/2", "0"], ["0", "-1/3"]], [["
          b'[{"point": ["1"], "weight": "1"}]]}'),
         ("measure", b'{"dim": 1, "colors": [[{"point": "0", "weight": "1"}], '
          b'[{"point": ["1"], "weight": "1"}]]}'),
+        ("select", b'{"dim": 1, "exact": true, "colors": [[["0"], ["1/0"]], [["1"], ["2"]]]}'),
+        ("measure", b'{"dim": 1, "colors": [[{"point": ["0"], "weight": "1/0"}], '
+         b'[{"point": ["1"], "weight": "1"}]]}'),
+        ("select", b'{"dim": 1, "exact": true, "colors": ' + b"[" * 200_000 + b"]" * 200_000 + b"}"),
     ],
     ids=[
         "non-utf8-select", "non-utf8-deep", "exact-infinity", "exact-1e999", "float-nan",
         "float-minus-infinity", "float-inf-string", "simplex-nan", "simplex-nan-string",
         "simplex-ragged", "simplex-string-vertex", "float-dim", "bool-dim", "string-exact",
-        "string-point", "measure-float-dim", "measure-string-point",
+        "string-point", "measure-float-dim", "measure-string-point", "exact-zero-denominator",
+        "measure-zero-denominator", "deeply-nested",
     ],
 )
 def test_bad_input_files_exit_2(workdir, capsys, command, content):

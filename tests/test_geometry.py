@@ -12,8 +12,10 @@ from pachsel import lp
 from pachsel.errors import DimensionMismatchError, GeneralPositionError, PreconditionError
 from pachsel.geometry import (
     COMBINATION_BLOCK,
+    ConditionGResult,
     LabeledPointSet,
     OrientedHyperplane,
+    _iter_disjoint_subset_tuples,
     affine_hulls_intersect,
     find_general_position_violation,
     hyperplane_cofactors,
@@ -424,22 +426,66 @@ def test_condition_g_implies_general_position(rng):
                 assert in_general_position(pts)
 
 
+def _groups(points, parts):
+    return [[points[i] for i in part] for part in parts]
+
+
 def test_condition_g_single_parts_tuple():
+    """Three concurrent lines meet; two parallel ones and a third do not."""
     pts = [(-1, 0), (1, 0), (0, -1), (0, 1), (-1, -1), (1, 1)]
-    res = satisfies_condition_G(pts, parts=[(0, 1), (2, 3), (4, 5)])
-    assert res.is_false
-    ok = satisfies_condition_G(pts, parts=[(0, 2), (1, 3), (4, 5)])
-    assert ok.status in ("true", "false")  # exact single-tuple answer
-    with pytest.raises(PreconditionError):
-        satisfies_condition_G(pts, parts=[(0, 1), (1, 2), (3, 4)])
+    assert affine_hulls_intersect(_groups(pts, [(0, 1), (2, 3), (4, 5)]))
+    assert not affine_hulls_intersect(_groups(pts, [(0, 2), (1, 3), (4, 5)]))
 
 
-def test_condition_g_cap_yields_indeterminate():
+def test_condition_g_cap_yields_indeterminate(monkeypatch):
+    from pachsel import geometry
+
+    monkeypatch.setattr(geometry, "DEFAULT_CONDITION_G_CAP", 10)
     rng = random.Random(9)
     pts = general_position_points(rng, 10, 3)
-    res = satisfies_condition_G(pts, cap=10)
+    res = satisfies_condition_G(pts)
     assert res.status == "indeterminate"
     assert res.checked == 10
+
+
+def _per_tuple_condition_g(points):
+    """Reference for d >= 3 on a set in general position: every tuple's own
+    points, scaled tuple by tuple, go to ``affine_hulls_intersect``."""
+    checked = 0
+    for tup in _iter_disjoint_subset_tuples(len(points), len(points[0])):
+        checked += 1
+        if affine_hulls_intersect(_groups(points, tup)):
+            return ConditionGResult("false", tup, checked)
+    return ConditionGResult("true", None, checked)
+
+
+def _planted_spatial_violation(rng):
+    """Three planes and a line through one rational point, three points on
+    each plane and two on the line, with mixed denominators."""
+    def frac():
+        return Fraction(rng.randint(-60, 60), rng.choice([3, 5, 7, 11, 16]))
+
+    x = tuple(frac() for _ in range(3))
+    line = [frac() for _ in range(3)]
+    pts = [tuple(c + s * v for c, v in zip(x, line)) for s in (Fraction(1, 2), Fraction(-3, 4))]
+    for _ in range(3):
+        u, w = [frac() for _ in range(3)], [frac() for _ in range(3)]
+        for _ in range(3):
+            a, b = frac(), frac()
+            pts.append(tuple(c + a * p + b * q for c, p, q in zip(x, u, w)))
+    return pts
+
+
+def test_spatial_condition_g_matches_per_tuple_reference():
+    """Scaling the whole set once keeps status, witness and count at d=3."""
+    rng = random.Random(23)
+    pts = _planted_spatial_violation(rng)
+    assert in_general_position(pts)
+    res = satisfies_condition_G(pts)
+    assert res.is_false and affine_hulls_intersect(_groups(pts, res.witness))
+    assert res == _per_tuple_condition_g(pts)
+    free = general_position_points(rng, 9, 3, den=3 * 5 * 7 * 11)
+    assert satisfies_condition_G(free) == _per_tuple_condition_g(free)
 
 
 def _planted_concurrency(center, directions, steps):
@@ -456,7 +502,7 @@ def _assert_planar_witness(pts, res):
     assert len(res.witness) == 3
     assert all(len(pair) == 2 for pair in res.witness)
     assert len({i for pair in res.witness for i in pair}) == 6
-    assert satisfies_condition_G(pts, parts=res.witness).is_false
+    assert affine_hulls_intersect(_groups(pts, res.witness))
 
 
 small_coord = st.integers(-30, 30)
@@ -733,6 +779,9 @@ def test_oriented_hyperplane_flip_consistency():
 def test_labeled_point_set_validation():
     with pytest.raises(PreconditionError):
         LabeledPointSet.create(2, [[(0, 0)], [(1, 1)]])  # needs 3 colors
+    with pytest.raises(PreconditionError):
+        LabeledPointSet(1, (((0.5,),), ((1,),)))  # coordinates are int or Fraction
+    assert LabeledPointSet.create(1, [[(0.1,)], [(1,)]]).point(0, 0) == (Fraction(0.1),)
     ps = LabeledPointSet.create(1, [[(0,), (1,)], [(2,)]])
     assert ps.sizes() == (2, 1)
     assert find_general_position_violation(ps) is None
