@@ -20,7 +20,7 @@ from .errors import (
     InternalInvariantError,
     PreconditionError,
 )
-from .geometry import LabeledPointSet, in_general_position, satisfies_condition_G
+from .geometry import LabeledPointSet, in_general_position
 from .rational import point_to_fractions, random_fraction, squared_norm, to_fraction
 from .selection import (
     GenericPachConfiguration,
@@ -35,10 +35,11 @@ from .selection import (
 _SAMPLE_DEN = 1 << 17
 _GENERATION_RETRIES = 50
 
-# Generators snap coordinates to a lattice with this target denominator; keeps
-# common-denominator integer scalings of points in the unit ball below 2^20,
-# where the planar condition-(G) check runs in int64 rather than on Python
-# ints, while leaving plenty of perturbation granularity.
+# Grid-ball generation snaps coordinates to a lattice with this target
+# denominator: plenty of perturbation granularity, while common-denominator
+# integer scalings of points in the unit ball stay below 2^20, so planar
+# orientation signs and the planar condition-(G) audit run in int64.  The
+# lattice stays as it is: changing it would change every generated file.
 _LATTICE_TARGET = 600_000
 
 
@@ -49,26 +50,12 @@ def _lattice_denominator(base_den: int) -> int:
     return base_den * mult
 
 
-def _points_admissible(dim: int, points) -> bool:
-    """General position always; condition (G) whenever it is decidable here.
-
-    For d <= 2 the exhaustive condition-(G) check includes general position.
-    For d >= 3 it is out of reach (the enumeration cap makes it
-    indeterminate); generation then relies on the random rational
-    perturbations, and downstream consumers verify the consequence they
-    actually need (boundary families of size <= d).
-    """
-    if dim <= 2:
-        return satisfies_condition_G(points).is_true
-    return in_general_position(points)
-
-
 def _admissible_set(dim: int, draw, shape: str) -> LabeledPointSet:
-    """Call ``draw`` until the union of the colors it returns is admissible;
-    ``draw`` returns None for a failed draw."""
+    """Call ``draw`` until the union of the colors it returns is in general
+    position; ``draw`` returns None for a failed draw."""
     for _attempt in range(_GENERATION_RETRIES):
         colors = draw()
-        if colors is not None and _points_admissible(dim, [p for c in colors for p in c]):
+        if colors is not None and in_general_position([p for c in colors for p in c]):
             return LabeledPointSet.create(dim, colors)
     raise BudgetExceededError(f"{shape} generation failed in {_GENERATION_RETRIES} tries")
 
@@ -138,8 +125,8 @@ def generate_grid_ball(cfg: GridBallConfig) -> LabeledPointSet:
 
     The per-color copies are independent random rational perturbations of a
     base point of each cube, all on a common lattice; the union is
-    regenerated until it is admissible (general position, plus condition (G)
-    where decidable).
+    regenerated until it is in general position.  Condition (G) is not
+    checked: the shrink step verifies the one consequence it needs.
     """
     d = cfg.dim
     eps = to_fraction(cfg.eps)
@@ -350,7 +337,6 @@ def upper_bound_witness(
         cert.index_sets,
         cert.point,
         seed=seed + 1,
-        assume_condition_g=(dim >= 3),
     )
     report = corner_volume_audit(generic, samples, seed + 2)
     beta = unit_ball_volume(dim)
@@ -435,18 +421,17 @@ def discretize_measure(dim: int, weighted_colors, spread, seed: int = 0) -> Labe
             raise InputValidationError("measure dimension mismatch")
     else:
         measure = WeightedPointMeasure.create(dim, weighted_colors)
-    weighted_colors = measure.colors
     s = measure.common_denominator
     rng = random.Random(seed)
     spread_sq = spread * spread
-    for _attempt in range(_GENERATION_RETRIES):
+
+    def draw():
         colors = []
-        for pts in weighted_colors:
+        for pts in measure.colors:
             out = []
             for point, weight in pts:
                 point = point_to_fractions(point)
-                copies = int(to_fraction(weight) * s)
-                for _ in range(copies):
+                for _ in range(int(to_fraction(weight) * s)):
                     while True:
                         delta = tuple(random_fraction(rng, -spread, spread) for _ in range(dim))
                         if squared_norm(delta) < spread_sq:
@@ -455,7 +440,6 @@ def discretize_measure(dim: int, weighted_colors, spread, seed: int = 0) -> Labe
             if len(out) != s:
                 raise InternalInvariantError("per-color count mismatch")
             colors.append(out)
-        union = [p for c in colors for p in c]
-        if in_general_position(union):
-            return LabeledPointSet.create(dim, colors)
-    raise BudgetExceededError(f"measure discretization failed in {_GENERATION_RETRIES} tries")
+        return colors
+
+    return _admissible_set(dim, draw, "measure")

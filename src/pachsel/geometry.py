@@ -1,5 +1,5 @@
-"""Exact geometric primitives: orientation, general position, condition (G),
-simplex containment, and strict hyperplane separation.
+"""Exact geometric primitives: orientation, general position, the planar
+condition-(G) audit, simplex containment, and strict hyperplane separation.
 
 All combinatorial predicates run on exact rational arithmetic (floats are
 converted losslessly).  Volume and angle estimation live in cones.py and are
@@ -20,7 +20,6 @@ import numpy as np
 from . import lp
 from .errors import DimensionMismatchError, GeneralPositionError, PreconditionError
 from .rational import (
-    _echelon,
     dot,
     is_exact,
     matrix_rank_fraction,
@@ -273,9 +272,8 @@ def in_general_position(obj) -> bool:
 
 @dataclass(frozen=True)
 class ConditionGResult:
-    """Tri-state outcome of a condition (G) check.
+    """Outcome of a condition (G) check: status 'true' or 'false'.
 
-    status is 'true', 'false', or 'indeterminate' (enumeration cap hit).
     witness carries the failing tuple of index tuples when status is 'false'.
     """
 
@@ -290,50 +288,6 @@ class ConditionGResult:
     @property
     def is_false(self) -> bool:
         return self.status == "false"
-
-
-# Tuples the d >= 3 condition-(G) enumeration examines before it answers
-# 'indeterminate'.
-DEFAULT_CONDITION_G_CAP = 10_000_000
-
-
-def affine_hulls_intersect(point_groups) -> bool:
-    """Exact test whether the affine hulls of the groups share a point.
-
-    The groups are scaled to integers by one common denominator, which moves
-    every hull by the same positive factor, and handed to ``_int_hulls_meet``.
-    """
-    if any(not g for g in point_groups):
-        return False
-    int_pts = iter(scale_points_to_ints([p for g in point_groups for p in g])[0])
-    return _int_hulls_meet([[next(int_pts) for _ in g] for g in point_groups])
-
-
-def _int_hulls_meet(groups) -> bool:
-    """Whether the affine hulls of nonempty groups of integer points meet.
-
-    The stacked affine-combination system  sum_j mu_j s_j - x = 0,
-    sum_j mu_j = 1  (one block per group, x shared) is solvable iff one
-    fraction-free elimination of its augmented rows finds no pivot in the
-    right-hand-side column.
-    """
-    d = len(groups[0][0])
-    ncols = d + sum(len(g) for g in groups) + 1  # x, the mu of every group, right-hand side
-    rows = []
-    offset = d
-    for g in groups:
-        block = slice(offset, offset + len(g))
-        for k in range(d):
-            row = [0] * ncols
-            row[k] = -1
-            row[block] = [p[k] for p in g]
-            rows.append(row)
-        row = [0] * ncols
-        row[block] = [1] * len(g)
-        row[-1] = 1
-        rows.append(row)
-        offset += len(g)
-    return ncols - 1 not in _echelon(rows)[1]
 
 
 # Two float keys of one rational t/w differ by at most about 6 * 2^-53 of
@@ -424,63 +378,29 @@ def _first_equal_pair(ts, ws):
     return min((c for c in classes if len(c) == 2), default=None)
 
 
-def _iter_disjoint_subset_tuples(n, d):
-    """All unordered tuples of d+1 pairwise disjoint index subsets of sizes 2..d.
-
-    Singleton subsets cannot participate in a violation once general position
-    holds, so they are not enumerated.  Tuples are canonicalized by requiring
-    strictly increasing minima across parts.
-    """
-    sizes = range(2, d + 1)
-
-    def rec(parts):
-        if len(parts) == d + 1:
-            yield tuple(parts)
-            return
-        used = set().union(*parts) if parts else set()
-        last_min = min(parts[-1]) if parts else -1
-        avail = [i for i in range(n) if i not in used]
-        for size in sizes:
-            for combo in itertools.combinations(avail, size):
-                if combo[0] <= last_min:
-                    continue
-                yield from rec(parts + [combo])
-
-    yield from rec([])
-
-
 def satisfies_condition_G(obj) -> ConditionGResult:
-    """Condition (G): general position plus empty common intersection of the
-    affine hulls of any d+1 pairwise disjoint subsets of size <= d.
+    """Condition (G) for d <= 2, an audit outside the pipeline: general
+    position plus empty common intersection of the affine hulls of any d+1
+    pairwise disjoint subsets of size <= d.
 
-    The check is exhaustive: closed form for d=1, and for d >= 3 an
-    enumeration on the points scaled to integers once, capped at
-    ``DEFAULT_CONDITION_G_CAP`` tuples (result 'indeterminate' past it).
-    For d=2 it sorts, for one spanned line at a time, float keys of the
-    points where the later disjoint lines meet it and compares exactly only
-    the keys too close to tell apart (see ``_condition_g_plane``): in int64
-    when 8 M^3 < 2^63 for M = max|scaled coordinate|, on Python ints
-    otherwise.  A planar 'false' names three support pairs, the lowest-indexed
-    line in any concurrency first, and ``checked`` counts the intersections
-    examined up to that line; a 'true' counts all of them.
+    Distinct points suffice at d=1.  At d=2 it sorts, for one spanned line at
+    a time, float keys of the points where the later disjoint lines meet it
+    and compares exactly only the keys too close to tell apart (see
+    ``_condition_g_plane``): in int64 when 8 M^3 < 2^63 for M = max|scaled
+    coordinate|, on Python ints otherwise.  A planar 'false' names three
+    support pairs, the lowest-indexed line in any concurrency first, and
+    ``checked`` counts the intersections examined up to that line; a 'true'
+    counts all of them.  Above d=2 it raises PreconditionError.
     """
     d, pts = _point_list(obj)
+    if d > 2:
+        raise PreconditionError(f"condition (G) is checked for d <= 2 only, got d = {d}")
     violation = find_general_position_violation(pts)
     if violation is not None:
         return ConditionGResult("false", (violation,), 0)
     if d == 1:
-        return ConditionGResult("true", None, 0)  # distinct points suffice
-    if d == 2:
-        return _condition_g_plane(pts)
-    int_pts, _ = scale_points_to_ints(pts)
-    checked = 0
-    for tup in _iter_disjoint_subset_tuples(len(pts), d):
-        checked += 1
-        if checked > DEFAULT_CONDITION_G_CAP:
-            return ConditionGResult("indeterminate", None, checked - 1)
-        if _int_hulls_meet([[int_pts[i] for i in part] for part in tup]):
-            return ConditionGResult("false", tup, checked)
-    return ConditionGResult("true", None, checked)
+        return ConditionGResult("true", None, 0)
+    return _condition_g_plane(pts)
 
 
 def point_in_simplex(point, vertices, mode: str = "closed") -> bool:

@@ -14,7 +14,7 @@ Schemas (stable external interfaces):
 
 This module is the only one that knows a file may spell a number as a float.
 Every scalar of a point, arrangement, measure or certificate file passes
-``scalar_from_json`` (or, in an "exact": false point file, ``_finite_float``)
+``scalar_from_json`` (or, in an "exact": false point file, ``float_from_json``)
 and arrives as a Fraction; simplex files stay float, as cones.py is.
 
 Structured files are written with sorted keys and a fixed layout so that a
@@ -40,6 +40,16 @@ def _finite_float(v) -> float:
     if not math.isfinite(x):
         raise ValueError(f"non-finite number {v!r}")
     return x
+
+
+def float_from_json(v) -> float:
+    """A JSON number as a finite float; bools, strings and other values are refused."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ParseError(f"bad number {v!r}")
+    try:
+        return _finite_float(v)
+    except (ValueError, OverflowError) as exc:
+        raise ParseError(f"bad number {v!r}: {exc}") from exc
 
 
 def scalar_from_json(v) -> Fraction:
@@ -112,7 +122,7 @@ def pointset_from_json_dict(data: dict) -> LabeledPointSet:
     try:
         dim = int_from_json(data["dim"], "dim")
         exact = bool_from_json(data["exact"], "exact")
-        coordinate = scalar_from_json if exact else (lambda c: Fraction(_finite_float(c)))
+        coordinate = scalar_from_json if exact else (lambda c: Fraction(float_from_json(c)))
         colors = tuple(
             tuple(
                 tuple(coordinate(c) for c in list_from_json(p, "point"))
@@ -199,7 +209,7 @@ def simplex_to_json_dict(vertices) -> dict:
 def simplex_from_json_dict(data: dict):
     try:
         vertices = [
-            tuple(_finite_float(c) for c in list_from_json(v, "vertex"))
+            tuple(float_from_json(c) for c in list_from_json(v, "vertex"))
             for v in list_from_json(data["vertices"], "vertices")
         ]
     except (KeyError, TypeError, ValueError) as exc:

@@ -32,7 +32,6 @@ from .geometry import (
     hyperplane_cofactors,
     int_array,
     orientation_signs,
-    satisfies_condition_G,
     spanned_signs,
     strict_separation,
 )
@@ -621,10 +620,13 @@ def shrink_to_generic(
     """Drop at most d points per color so the anchor becomes interior to all
     remaining rainbow simplices, then nudge it into general position.
 
-    Requires condition (G) on the selected union, which bounds the greedy
-    boundary family by d.  Colors of size >= d+1 therefore always survive;
-    smaller colors are accepted and fail with a size-underflow error only
-    when a removal would actually empty them.
+    The paper assumes condition (G) on the selected union only to bound the
+    greedy boundary family by d; this checks that bound directly (a larger
+    family raises PreconditionError) and needs only general position of the
+    union (GeneralPositionError with its witness otherwise).  Colors of size
+    >= d+1 therefore always survive; smaller colors are accepted and fail
+    with a size-underflow error only when a removal would actually empty
+    them.  ``assume_condition_g`` is accepted for old callers and ignored.
     """
     d = point_set.dim
     index_sets = tuple(tuple(sorted(idxs)) for idxs in index_sets)
@@ -634,16 +636,9 @@ def shrink_to_generic(
         [point_to_fractions(point_set.point(ci, i)) for i in idxs]
         for ci, idxs in enumerate(index_sets)
     ]
-    union = [p for c in colors for p in c]
-    if not assume_condition_g:
-        check = satisfies_condition_G(union)
-        if check.is_false:
-            raise PreconditionError(f"selected union violates condition (G): {check.witness}")
-        if check.status == "indeterminate":
-            raise BudgetExceededError(
-                "condition (G) check indeterminate at this scale; "
-                "pass assume_condition_g=True if the generator enforced it"
-            )
+    violation = find_general_position_violation([p for c in colors for p in c])
+    if violation is not None:
+        raise GeneralPositionError("selected union is not in general position", violation)
     anchor = point_to_fractions(anchor)
     enum = RainbowEnumerator(colors)
     closed, open_ = enum.containment_masks(anchor)

@@ -259,6 +259,8 @@ def test_verify_rejects_non_integer_indices(workdir, capsys, planar_certificate,
 
 
 _POINTS_2D = b'[["1/2", "0"], ["0", "1/3"]], [["-1/2", "0"], ["0", "-1/3"]], [["1/5", "1/7"], '
+# The same shape in JSON numbers: with [1, 0.5] last it loads and selects.
+_FLOAT_POINTS_2D = b'[[0.5, 0], [0, 0.25]], [[-0.5, 0], [0, -0.25]], [[0.2, 0.125], '
 
 
 @pytest.mark.parametrize(
@@ -268,11 +270,14 @@ _POINTS_2D = b'[["1/2", "0"], ["0", "1/3"]], [["-1/2", "0"], ["0", "-1/3"]], [["
         ("deep", b'{"dim": 1, "exact": true, "colors": [[["0"], ["\xff"]], [["1"], ["2"]]]}'),
         ("select", b'{"dim": 2, "exact": true, "colors": [' + _POINTS_2D + b'[Infinity, "0"]]]}'),
         ("deep", b'{"dim": 2, "exact": true, "colors": [' + _POINTS_2D + b'[1e999, "0"]]]}'),
-        ("select", b'{"dim": 2, "exact": false, "colors": [' + _POINTS_2D + b'[NaN, 0.5]]]}'),
-        ("select", b'{"dim": 2, "exact": false, "colors": [' + _POINTS_2D + b'[-Infinity, 0.5]]]}'),
-        ("deep", b'{"dim": 2, "exact": false, "colors": [' + _POINTS_2D + b'["inf", 0.5]]]}'),
+        ("select", b'{"dim": 2, "exact": false, "colors": [' + _FLOAT_POINTS_2D + b'[NaN, 0.5]]]}'),
+        ("select", b'{"dim": 2, "exact": false, "colors": [' + _FLOAT_POINTS_2D + b'[-Infinity, 0.5]]]}'),
+        ("deep", b'{"dim": 2, "exact": false, "colors": [' + _FLOAT_POINTS_2D + b'["inf", 0.5]]]}'),
+        ("select", b'{"dim": 2, "exact": false, "colors": [' + _FLOAT_POINTS_2D + b'[true, 0.5]]]}'),
+        ("deep", b'{"dim": 2, "exact": false, "colors": [' + _FLOAT_POINTS_2D + b'["1e-3", 0.5]]]}'),
         ("angle", b'{"vertices": [[0, 0], [1, 0], [0, NaN]]}'),
         ("angle", b'{"vertices": [[0, 0], [1, 0], ["nan", 1]]}'),
+        ("angle", b'{"vertices": [[0, 0], [1, 0], [true, 1]]}'),
         ("angle", b'{"vertices": [[0, 0], [1, 0, 0], [0, 1]]}'),
         ("angle", b'{"vertices": [[0, 0], [1, 0], "01"]}'),
         ("deep", b'{"dim": 1.9, "exact": true, "colors": [[["0"], ["3"]], [["1"], ["2"]]]}'),
@@ -290,7 +295,8 @@ _POINTS_2D = b'[["1/2", "0"], ["0", "1/3"]], [["-1/2", "0"], ["0", "-1/3"]], [["
     ],
     ids=[
         "non-utf8-select", "non-utf8-deep", "exact-infinity", "exact-1e999", "float-nan",
-        "float-minus-infinity", "float-inf-string", "simplex-nan", "simplex-nan-string",
+        "float-minus-infinity", "float-inf-string", "float-bool", "float-numeric-string",
+        "simplex-nan", "simplex-nan-string", "simplex-bool",
         "simplex-ragged", "simplex-string-vertex", "float-dim", "bool-dim", "string-exact",
         "string-point", "measure-float-dim", "measure-string-point", "exact-zero-denominator",
         "measure-zero-denominator", "deeply-nested",

@@ -18,6 +18,7 @@ from pachsel.constructions import (
 )
 from pachsel.errors import InputValidationError, PreconditionError
 from pachsel.geometry import in_general_position, satisfies_condition_G
+from pachsel.io import pointset_sha256
 from pachsel.rational import squared_norm, to_fraction
 from pachsel.selection import (
     GenericPachConfiguration,
@@ -74,6 +75,39 @@ def test_uniform_and_gaussian_sets_admissible():
     g = gaussian_set(2, 5, seed=4)
     assert g.sizes() == (5, 5, 5)
     assert in_general_position(g.union_points())
+
+
+_TWO_POINT_MEASURE = [
+    [((0,), Fraction(1, 3)), ((Fraction(1, 2),), Fraction(2, 3))],
+    [((1,), Fraction(1, 2)), ((-1,), Fraction(1, 2))],
+]
+
+
+@pytest.mark.parametrize(
+    "generate, digest",
+    [
+        (lambda: uniform_ball_set(2, 25, seed=1),
+         "afdcb56c2ce85009dbb98646dfd8cc8b9cdf9274dc56138f51f04b1be8acc779"),
+        (lambda: uniform_ball_set(2, 25, seed=2),
+         "893e357a9c50f5bc5ea48477d7a98c9adeef4ecec8dc308c847a3108d3d0e4f1"),
+        (lambda: uniform_ball_set(2, 25, seed=3),
+         "2c355d035d2c69b5900ac92621be2c907113b20b065c6d00f2269fcfac1fb45f"),
+        (lambda: gaussian_set(2, 10, seed=1),
+         "0b033d80809c0025f72e37d81165d4ea36aea0ea665cf10bf3430cf6ff747c86"),
+        (lambda: generate_grid_ball(GridBallConfig(2, Fraction(1, 2), seed=1)),
+         "69ffc1e6f23d502b8e16aabe08efe21b1910d2f51616dd64f6bcb21245bd53d6"),
+        (lambda: discretize_measure(1, _TWO_POINT_MEASURE, Fraction(1, 64), seed=1),
+         "ff7c534f9e7a14c7aad60161c6418f47754fb54fbd441b57087b96e23c9b0c60"),
+        (lambda: uniform_ball_set(3, 8, seed=1),
+         "ef36383e6e564136dc5c87675fa31929caba1743f4f0f719df6de981c041888a"),
+    ],
+    ids=["uniform-d2-n25-s1", "uniform-d2-n25-s2", "uniform-d2-n25-s3", "gaussian-d2-n10",
+         "grid-ball-d2-eps1/2", "measure-d1", "uniform-d3-n8"],
+)
+def test_generated_files_are_pinned(generate, digest):
+    """Generated sets keep their bytes: a change to a generator's draws, its
+    retry loop or its gate shows here first."""
+    assert pointset_sha256(generate()) == digest
 
 
 def test_corner_volume_audit_interval_vacuous_but_true():

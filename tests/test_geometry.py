@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -12,11 +13,8 @@ from pachsel import lp
 from pachsel.errors import DimensionMismatchError, GeneralPositionError, PreconditionError
 from pachsel.geometry import (
     COMBINATION_BLOCK,
-    ConditionGResult,
     LabeledPointSet,
     OrientedHyperplane,
-    _iter_disjoint_subset_tuples,
-    affine_hulls_intersect,
     find_general_position_violation,
     hyperplane_cofactors,
     in_general_position,
@@ -328,57 +326,52 @@ def _naive_condition_g(points, d):
         flat = [i for part in tup for i in part]
         if len(set(flat)) != len(flat):
             continue
-        if affine_hulls_intersect([[points[i] for i in part] for part in tup]):
+        if _two_rank_affine_hulls_intersect([[points[i] for i in part] for part in tup]):
             return False
     return True
 
 
 def _two_rank_affine_hulls_intersect(point_groups):
-    """Reference: the affine-combination system over Fractions is consistent
-    iff its coefficient matrix and augmented matrix have one rank."""
+    """Reference: the affine-combination system is consistent iff its
+    coefficient matrix and augmented matrix have one rank.  The points are
+    first scaled to integers by one common denominator, which scales every
+    hull by the same positive factor."""
+    den = math.lcm(*(Fraction(c).denominator for g in point_groups for p in g for c in p))
     d = len(point_groups[0][0])
     ncols = d + sum(len(g) for g in point_groups)
     rows, rhs, offset = [], [], d
     for g in point_groups:
         for k in range(d):
-            row = [Fraction(0)] * ncols
-            row[k] = Fraction(-1)
+            row = [0] * ncols
+            row[k] = -1
             for j, s in enumerate(g):
-                row[offset + j] = Fraction(s[k])
+                row[offset + j] = int(Fraction(s[k]) * den)
             rows.append(row)
-            rhs.append(Fraction(0))
-        row = [Fraction(0)] * ncols
-        for j in range(len(g)):
-            row[offset + j] = Fraction(1)
+            rhs.append(0)
+        row = [0] * ncols
+        row[offset : offset + len(g)] = [1] * len(g)
         rows.append(row)
-        rhs.append(Fraction(1))
+        rhs.append(1)
         offset += len(g)
     augmented = [r + [b] for r, b in zip(rows, rhs)]
-    return _fraction_det_rank(rows)[1] == _fraction_det_rank(augmented)[1]
+    return _integer_rank(rows) == _integer_rank(augmented)
 
 
-@st.composite
-def affine_hull_groups(draw):
-    """d+1 groups of 1..d points at d = 2 or 3; when planted, every group's
-    hull holds one rational point (the point itself, or the midpoint of a
-    group's first and last points)."""
-    d = draw(st.sampled_from([2, 3]))
-    point = st.tuples(*[small_fraction] * d)
-    groups = [draw(st.lists(point, min_size=1, max_size=d)) for _ in range(d + 1)]
-    if draw(st.booleans()):
-        x = draw(point)
-        groups = [
-            [x] if len(g) == 1 else g[:-1] + [tuple(2 * c - a for c, a in zip(x, g[0]))]
-            for g in groups
-        ]
-    return groups
-
-
-@settings(max_examples=120, deadline=None)
-@given(affine_hull_groups())
-def test_affine_hulls_intersect_matches_two_rank_reference(groups):
-    hit = affine_hulls_intersect(groups)
-    assert hit == _two_rank_affine_hulls_intersect(groups)
+def _integer_rank(rows):
+    """Reference rank over Q: division-free elimination on Python ints."""
+    m = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(m[0])):
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        top = m[rank]
+        for i in range(rank + 1, len(m)):
+            if m[i][col]:
+                m[i] = [a * top[col] - m[i][col] * b for a, b in zip(m[i], top)]
+        rank += 1
+    return rank
 
 
 def test_condition_g_concurrent_lines_is_false():
@@ -418,6 +411,12 @@ def test_condition_g_agrees_with_naive_on_coarse_random_instances():
         assert satisfies_condition_G(pts).is_true == _naive_condition_g(pts, 2)
 
 
+def test_condition_g_above_the_plane_is_refused():
+    pts = general_position_points(random.Random(9), 8, 3)
+    with pytest.raises(PreconditionError, match="d <= 2"):
+        satisfies_condition_G(pts)
+
+
 def test_condition_g_implies_general_position(rng):
     for d in (1, 2):
         for _ in range(10):
@@ -428,64 +427,6 @@ def test_condition_g_implies_general_position(rng):
 
 def _groups(points, parts):
     return [[points[i] for i in part] for part in parts]
-
-
-def test_condition_g_single_parts_tuple():
-    """Three concurrent lines meet; two parallel ones and a third do not."""
-    pts = [(-1, 0), (1, 0), (0, -1), (0, 1), (-1, -1), (1, 1)]
-    assert affine_hulls_intersect(_groups(pts, [(0, 1), (2, 3), (4, 5)]))
-    assert not affine_hulls_intersect(_groups(pts, [(0, 2), (1, 3), (4, 5)]))
-
-
-def test_condition_g_cap_yields_indeterminate(monkeypatch):
-    from pachsel import geometry
-
-    monkeypatch.setattr(geometry, "DEFAULT_CONDITION_G_CAP", 10)
-    rng = random.Random(9)
-    pts = general_position_points(rng, 10, 3)
-    res = satisfies_condition_G(pts)
-    assert res.status == "indeterminate"
-    assert res.checked == 10
-
-
-def _per_tuple_condition_g(points):
-    """Reference for d >= 3 on a set in general position: every tuple's own
-    points, scaled tuple by tuple, go to ``affine_hulls_intersect``."""
-    checked = 0
-    for tup in _iter_disjoint_subset_tuples(len(points), len(points[0])):
-        checked += 1
-        if affine_hulls_intersect(_groups(points, tup)):
-            return ConditionGResult("false", tup, checked)
-    return ConditionGResult("true", None, checked)
-
-
-def _planted_spatial_violation(rng):
-    """Three planes and a line through one rational point, three points on
-    each plane and two on the line, with mixed denominators."""
-    def frac():
-        return Fraction(rng.randint(-60, 60), rng.choice([3, 5, 7, 11, 16]))
-
-    x = tuple(frac() for _ in range(3))
-    line = [frac() for _ in range(3)]
-    pts = [tuple(c + s * v for c, v in zip(x, line)) for s in (Fraction(1, 2), Fraction(-3, 4))]
-    for _ in range(3):
-        u, w = [frac() for _ in range(3)], [frac() for _ in range(3)]
-        for _ in range(3):
-            a, b = frac(), frac()
-            pts.append(tuple(c + a * p + b * q for c, p, q in zip(x, u, w)))
-    return pts
-
-
-def test_spatial_condition_g_matches_per_tuple_reference():
-    """Scaling the whole set once keeps status, witness and count at d=3."""
-    rng = random.Random(23)
-    pts = _planted_spatial_violation(rng)
-    assert in_general_position(pts)
-    res = satisfies_condition_G(pts)
-    assert res.is_false and affine_hulls_intersect(_groups(pts, res.witness))
-    assert res == _per_tuple_condition_g(pts)
-    free = general_position_points(rng, 9, 3, den=3 * 5 * 7 * 11)
-    assert satisfies_condition_G(free) == _per_tuple_condition_g(free)
 
 
 def _planted_concurrency(center, directions, steps):
@@ -502,7 +443,7 @@ def _assert_planar_witness(pts, res):
     assert len(res.witness) == 3
     assert all(len(pair) == 2 for pair in res.witness)
     assert len({i for pair in res.witness for i in pair}) == 6
-    assert affine_hulls_intersect(_groups(pts, res.witness))
+    assert _two_rank_affine_hulls_intersect(_groups(pts, res.witness))
 
 
 small_coord = st.integers(-30, 30)

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pachsel.enumeration import RainbowEnumerator
 from pachsel.errors import (
@@ -12,7 +14,12 @@ from pachsel.errors import (
     InputValidationError,
     PreconditionError,
 )
-from pachsel.geometry import LabeledPointSet, in_general_position, point_in_simplex
+from pachsel.geometry import (
+    LabeledPointSet,
+    in_general_position,
+    point_in_simplex,
+    satisfies_condition_G,
+)
 from pachsel.selection import (
     GenericPachConfiguration,
     PachCertificate,
@@ -604,6 +611,67 @@ def test_shrink_size_underflow():
     ps = LabeledPointSet.create(1, [[(0,)], [(2,)]])
     with pytest.raises(PreconditionError):
         shrink_to_generic(ps, ((0,), (0,)), (2,), seed=1)  # boundary + singleton colors
+
+
+@st.composite
+def sector_sets(draw):
+    """Three colors of three integer points around the origin: color 0 at
+    angles in [-45, 0] degrees, color 1 in [180, 225] and color 2 in
+    [45, 135].  Every rainbow triangle then holds the origin, on its boundary
+    exactly when two of its vertices are opposite ends of sector edges
+    (0 and 180, -45 and 135, or 225 and 45 degrees).  Such pairs are planted
+    at will, each on its own two points."""
+    coord = st.integers(1, 60)
+
+    def point(color):
+        t = draw(coord)
+        if color == 2:
+            return (draw(st.integers(-t, t)), t)
+        u = draw(st.integers(0, t))
+        return (t, -u) if color == 0 else (-t, -u)
+
+    colors = [[point(c) for _ in range(3)] for c in range(3)]
+    for (c1, k1, v1), (c2, k2, v2) in [
+        ((0, 0, (1, 0)), (1, 0, (-1, 0))),
+        ((0, 1, (1, -1)), (2, 0, (-1, 1))),
+        ((1, 1, (-1, -1)), (2, 1, (1, 1))),
+    ]:
+        if draw(st.booleans()):
+            m1, m2 = draw(coord), draw(coord)
+            colors[c1][k1] = (m1 * v1[0], m1 * v1[1])
+            colors[c2][k2] = (m2 * v2[0], m2 * v2[1])
+    return colors
+
+
+@settings(max_examples=60, deadline=None)
+@given(sector_sets(), st.integers(0, 3))
+def test_shrink_lemma_under_condition_g(colors, seed):
+    """Condition (G) on the union keeps the boundary family within d, so the
+    shrink drops the same number, at most d, of points from every color."""
+    assume(satisfies_condition_G([p for c in colors for p in c]).is_true)
+    ps = LabeledPointSet.create(2, colors)
+    cfg = shrink_to_generic(ps, ((0, 1, 2),) * 3, (0, 0), seed=seed)
+    removed = {3 - len(idxs) for idxs in cfg.index_sets}
+    assert len(removed) == 1 and removed <= {0, 1, 2}
+
+
+def test_shrink_ignores_condition_g_violation_away_from_anchor():
+    """Lines (0, 2), (1, 3) and (4, 5) of the union meet at (-2, -5/3), a
+    violation of (G) that puts no rainbow triangle's boundary on the origin."""
+    colors = [[(4, -3), (3, 0)], [(-5, -1), (-3, -2)], [(0, 1), (3, 5)]]
+    union = [p for c in colors for p in c]
+    assert satisfies_condition_G(union).witness == ((0, 2), (1, 3), (4, 5))
+    ps = LabeledPointSet.create(2, colors)
+    cfg = shrink_to_generic(ps, ((0, 1),) * 3, (0, 0), seed=1)
+    assert cfg.index_sets == ((0, 1),) * 3
+    cfg.validate()
+
+
+def test_shrink_degenerate_union_names_its_witness():
+    ps = LabeledPointSet.create(2, [[(3, -1), (5, -1)], [(-3, -1), (-4, -2)], [(0, 5), (1, 4)]])
+    with pytest.raises(GeneralPositionError) as info:
+        shrink_to_generic(ps, ((0, 1),) * 3, (0, 0), seed=1)
+    assert info.value.witness == (0, 1, 2)  # (3, -1), (5, -1) and (-3, -1)
 
 
 def test_separating_arrangement_interval():
