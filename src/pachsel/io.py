@@ -4,8 +4,9 @@ Schemas (stable external interfaces):
 
 * point set:     {"dim": d, "exact": bool, "colors": [[[c1,...,cd], ...], ...]}
                  written with "exact": true and "p/q" strings; an "exact":
-                 false file holds finite doubles, read losslessly as the
-                 Fractions they equal, so it loads as its exact twin
+                 false file holds JSON numbers, read losslessly as the
+                 Fractions they equal (integers exactly, floats as the
+                 doubles they parse to), so it loads as its exact twin
 * arrangement:   {"dim": d, "hyperplanes": [{"normal": [...], "offset": s}, ...],
                   "oriented": true}
 * measure:       {"dim": d, "colors": [[{"point": [...], "weight": "r/s"}, ...], ...]}
@@ -122,7 +123,9 @@ def pointset_from_json_dict(data: dict) -> LabeledPointSet:
     try:
         dim = int_from_json(data["dim"], "dim")
         exact = bool_from_json(data["exact"], "exact")
-        coordinate = scalar_from_json if exact else (lambda c: Fraction(float_from_json(c)))
+        # a float file's integers are read exactly, not through a double
+        coordinate = scalar_from_json if exact else (
+            lambda c: Fraction(c if type(c) is int else float_from_json(c)))
         colors = tuple(
             tuple(
                 tuple(coordinate(c) for c in list_from_json(p, "point"))

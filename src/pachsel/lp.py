@@ -8,75 +8,79 @@ Two entry points back the geometric operations:
   from a finite point set; infeasibility is exactly closed-hull membership
   (Farkas duality, exercised by the test suite).
 
-The solver is a dense two-phase tableau simplex over Fractions.  Pivoting
-uses the largest-coefficient rule for speed and falls back to Bland's rule
-after a fixed number of iterations, which guarantees termination.  Problem
-sizes here are desk scale (tens of rows), so no sparsity is attempted.
+The solver is a dense two-phase tableau simplex that stays in the integers
+(Edmonds 1967; Bareiss 1968).  Each initial row, the objective row included,
+is multiplied by the lcm of its denominators; an integer tableau T and one
+common denominator D (1 at the start, then the last pivot) stand for the
+rational tableau.  A pivot on (r, c) replaces each row i != r by
+(T[i]*T[r][c] - T[i][c]*T[r]) / D, exact since every entry stays a minor of
+the initial matrix, keeps row r and sets D = T[r][c] > 0.  Row i of T is then
+the Fraction tableau's row i times D, or times D and its initial scale while
+it has never been a pivot row.  A positive row multiple changes no ratio
+within a row and no order among objective entries, so every pivot decision,
+the optimal vertex and the returned Fractions are the Fraction simplex's;
+scaling columns (the point coordinates) would reorder the objective entries
+and could change Dantzig's choice.  Pivoting is largest-coefficient, with a
+fallback to Bland's rule after a fixed number of iterations that guarantees
+termination; ratio-test ties go to the lowest basic variable.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .rational import to_fraction
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def _integer_row(row):
+    """A row of Fractions times the lcm of its denominators, and that lcm."""
+    scale = lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row], scale
 
 
-def _pivot(tableau, basis, row, col):
-    pivot = tableau[row][col]
-    tableau[row] = [x / pivot for x in tableau[row]]
+def _pivot(tableau, basis, row, col, den) -> int:
+    """Fraction-free pivot on (row, col); returns the new common denominator."""
     prow = tableau[row]
+    p = prow[col]
     for i, r in enumerate(tableau):
-        if i != row and r[col] != 0:
+        if i != row:
             f = r[col]
-            tableau[i] = [a - f * b for a, b in zip(r, prow)]
+            if f:
+                tableau[i] = [(a * p - f * b) // den for a, b in zip(r, prow)]
+            else:
+                tableau[i] = [a * p // den for a in r]
     basis[row] = col
+    return p
 
 
-def _run_simplex(tableau, basis):
-    """Minimize the objective encoded in the last tableau row.
-
-    Returns 'optimal' or 'unbounded'.  The caller must provide a feasible
-    starting basis (rhs column nonnegative, basis columns unit).
-    """
+def _run_simplex(tableau, basis) -> int:
+    """Minimize the objective in the last row of an integer tableau with D = 1
+    and a feasible basis (rhs >= 0, each basic column zero off its row and
+    positive in it); returns the final D.  Neither LP here is unbounded."""
     nrows = len(tableau) - 1
     ncols = len(tableau[0]) - 1
     dantzig_limit = 4 * (nrows + ncols) + 64
-    iteration = 0
+    den, iteration = 1, 0
     while True:
-        obj = tableau[nrows]
-        enter = -1
+        obj = tableau[nrows][:ncols]
         if iteration < dantzig_limit:
-            best = _ZERO
-            for j in range(ncols):
-                if obj[j] < best:
-                    best = obj[j]
-                    enter = j
-        else:
-            for j in range(ncols):  # Bland: first improving column
-                if obj[j] < 0:
-                    enter = j
-                    break
+            best = min(obj)
+            enter = obj.index(best) if best < 0 else -1  # first most negative
+        else:  # Bland: first improving column
+            enter = next((j for j, x in enumerate(obj) if x < 0), -1)
         if enter < 0:
-            return "optimal"
+            return den
         leave = -1
-        best_ratio = None
         for i in range(nrows):
             a = tableau[i][enter]
             if a > 0:
-                ratio = tableau[i][-1] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = i
+                b = tableau[i][-1]  # b/a against the best lb/la, cross-multiplied
+                if leave < 0 or b * la < lb * a or (b * la == lb * a and basis[i] < basis[leave]):
+                    leave, lb, la = i, b, a
         if leave < 0:
-            return "unbounded"
-        _pivot(tableau, basis, leave, enter)
+            raise AssertionError("simplex reported unbounded")
+        den = _pivot(tableau, basis, leave, enter, den)
         iteration += 1
 
 
@@ -88,46 +92,30 @@ def convex_combination(point, points):
     """
     p = [to_fraction(c) for c in point]
     pts = [[to_fraction(c) for c in q] for q in points]
-    d = len(p)
     n = len(pts)
     if n == 0:
         return None
-    # Equality system: sum_i lam_i * s_i = p ; sum_i lam_i = 1 ; lam >= 0.
-    rows = []
-    rhs = []
-    for k in range(d):
-        rows.append([pts[i][k] for i in range(n)])
-        rhs.append(p[k])
-    rows.append([_ONE] * n)
-    rhs.append(_ONE)
-    # Flip rows to make rhs nonnegative, then add one artificial per row.
+    # Equality system: sum_i lam_i * s_i = p ; sum_i lam_i = 1 ; lam >= 0,
+    # each row flipped to a nonnegative rhs.
+    rows = [[q[k] for q in pts] + [p[k]] for k in range(len(p))]
+    rows.append([Fraction(1)] * (n + 1))
+    rows = [[-x for x in r] if r[-1] < 0 else r for r in rows]
     m = len(rows)
+    # Phase-I objective: minimize the sum of one artificial per row, which
+    # is minus the sum of the rows (zero on the artificial columns).
+    obj = [-sum(col) for col in zip(*rows)]
     tableau = []
-    for i in range(m):
-        row = rows[i][:]
-        b = rhs[i]
-        if b < 0:
-            row = [-x for x in row]
-            b = -b
-        art = [_ZERO] * m
-        art[i] = _ONE
-        tableau.append(row + art + [b])
-    # Phase-I objective: minimize the sum of artificials.
-    obj = [_ZERO] * n + [_ONE] * m + [_ZERO]
-    for i in range(m):
-        obj = [a - b for a, b in zip(obj, tableau[i])]
-    tableau.append(obj)
+    for i, r in enumerate(rows + [obj]):  # each row, then its artificial's column
+        ints, scale = _integer_row(r)
+        tableau.append(ints[:-1] + [scale * (j == i) for j in range(m)] + ints[-1:])
     basis = [n + i for i in range(m)]
-    status = _run_simplex(tableau, basis)
-    if status != "optimal":  # Phase-I objective is bounded below by zero
-        raise AssertionError("phase-I simplex reported unbounded")
-    objective = -tableau[m][-1]
-    if objective != 0:
+    den = _run_simplex(tableau, basis)
+    if tableau[m][-1] != 0:  # the phase-I optimum is positive
         return None
-    lam = [_ZERO] * n
+    lam = [Fraction(0)] * n
     for i, var in enumerate(basis):
         if var < n:
-            lam[var] = tableau[i][-1]
+            lam[var] = Fraction(tableau[i][-1], den)
     return lam
 
 
@@ -142,54 +130,31 @@ def max_margin_separation(point, points):
     p = [to_fraction(c) for c in point]
     pts = [[to_fraction(c) for c in q] for q in points]
     d = len(p)
-    n = len(pts)
-    if n == 0:
+    if not pts:
         raise ValueError("need at least one point to separate from")
     nvars = 2 * d + 3  # u_1..u_d, v_1..v_d, b1, b2, t
     iu, iv, ib1, ib2, it_ = 0, d, 2 * d, 2 * d + 1, 2 * d + 2
-    rows = []
-    for s in pts:  # -(a.s) + b + t <= 0
-        row = [_ZERO] * nvars
-        for j in range(d):
-            row[iu + j] = -s[j]
-            row[iv + j] = s[j]
-        row[ib1] = _ONE
-        row[ib2] = -_ONE
-        row[it_] = _ONE
-        rows.append((row, _ZERO))
-    row = [_ZERO] * nvars  # a.p - b + t <= 0
-    for j in range(d):
-        row[iu + j] = p[j]
-        row[iv + j] = -p[j]
-    row[ib1] = -_ONE
-    row[ib2] = _ONE
-    row[it_] = _ONE
-    rows.append((row, _ZERO))
+    rows = []  # (coefficients, rhs, row scale), each row then its slack's column
+    # -(a.s) + b + t <= 0 for each s, then a.p - b + t <= 0
+    for s, sign in [(s, -1) for s in pts] + [(p, 1)]:
+        ints, scale = _integer_row(s)
+        row = [sign * x for x in ints] + [-sign * x for x in ints]
+        rows.append((row + [-sign * scale, sign * scale, scale], 0, scale))
     for j in range(d):  # u_j + v_j <= 1 caps the max-norm of the normal
-        row = [_ZERO] * nvars
-        row[iu + j] = _ONE
-        row[iv + j] = _ONE
-        rows.append((row, _ONE))
+        row = [0] * nvars
+        row[iu + j] = row[iv + j] = 1
+        rows.append((row, 1, 1))
     m = len(rows)
-    tableau = []
-    for i, (row, b) in enumerate(rows):
-        slack = [_ZERO] * m
-        slack[i] = _ONE
-        tableau.append(row + slack + [b])
-    obj = [_ZERO] * (nvars + m + 1)
-    obj[it_] = -_ONE  # minimize -t
-    tableau.append(obj)
+    tableau = [r + [scale * (j == i) for j in range(m)] + [b] for i, (r, b, scale) in enumerate(rows)]
+    tableau.append([0] * it_ + [-1] + [0] * (m + 1))  # minimize -t
     basis = [nvars + i for i in range(m)]
-    status = _run_simplex(tableau, basis)
-    if status != "optimal":
-        raise AssertionError("max-margin LP reported unbounded")
-    values = [_ZERO] * nvars
+    den = _run_simplex(tableau, basis)
+    values = [0] * nvars
     for i, var in enumerate(basis):
         if var < nvars:
             values[var] = tableau[i][-1]
-    margin = values[it_]
-    if margin <= 0:
+    if values[it_] <= 0:
         return None
-    normal = tuple(values[iu + j] - values[iv + j] for j in range(d))
-    offset = values[ib1] - values[ib2]
-    return normal, offset, margin
+    normal = tuple(Fraction(values[iu + j] - values[iv + j], den) for j in range(d))
+    offset = Fraction(values[ib1] - values[ib2], den)
+    return normal, offset, Fraction(values[it_], den)

@@ -41,6 +41,9 @@ _BRANCH_ALL = "all-contain"
 _BRANCH_NONE = "none-contain"
 # zero-edge witness search is exhaustive up to this many candidate tuples
 _EXHAUSTIVE_WITNESS_CAP = 1_000_000
+# a batched zero-edge test takes 64 candidates, doubling up to 4096 (which
+# bounds the Python tuples held) and to 2^20 gathered hypergraph cells
+_WITNESS_FIRST_ROWS, _WITNESS_MAX_ROWS, _WITNESS_BLOCK_CELLS = 64, 1 << 12, 1 << 20
 # none-contain outcomes fed back into regularity before giving up
 _MAX_RESTRICT_LOOPS = 64
 # random rational moves tried, at halving steps, before a perturbation gives up
@@ -315,23 +318,44 @@ def _find_zero_edge_witness(h, parts, t, budget, rng):
 
     Returns (witness or None, source string, trials).  Exhaustive only when
     the tuple count is within ``_EXHAUSTIVE_WITNESS_CAP``; otherwise
-    ``budget`` random samples.
+    ``budget`` random samples.  Candidates are tested in doubling blocks, in
+    the order of a one-at-a-time search, by one fancy index that gathers each
+    block's sub-boxes as (B, t, ..., t); a sampled hit replays the draws up
+    to the witness, so ``rng`` ends where that search would leave it.
     """
-    s = len(parts[0])
     k = len(parts)
-    n_tuples = comb(s, t) ** k
+    n_tuples = comb(len(parts[0]), t) ** k
+
+    def draw():
+        return tuple(tuple(sorted(rng.sample(part, t))) for part in parts)
+
     if n_tuples <= _EXHAUSTIVE_WITNESS_CAP:
-        for combo in itertools.product(
-            *[itertools.combinations(part, t) for part in parts]
-        ):
-            if h.sub_edge_count(combo) == 0:
-                return tuple(combo), "exhaustive", n_tuples
-        return None, "exhaustive", n_tuples
-    for trial in range(budget):
-        combo = tuple(tuple(sorted(rng.sample(part, t))) for part in parts)
-        if h.sub_edge_count(combo) == 0:
-            return combo, "sampled", trial + 1
-    return None, "sampled", budget
+        source, trials = "exhaustive", n_tuples
+        combos = itertools.product(*[itertools.combinations(part, t) for part in parts])
+    else:
+        source, trials = "sampled", budget
+        combos = (draw() for _ in range(budget))
+    cap = max(1, min(_WITNESS_MAX_ROWS, _WITNESS_BLOCK_CELLS // t**k))
+    rows, tried = _WITNESS_FIRST_ROWS, 0
+    while True:
+        state = rng.getstate()
+        block = list(itertools.islice(combos, min(rows, cap)))
+        if not block:
+            return None, source, trials
+        idx = np.array(block)  # idx[b, j]: the t indices candidate b takes from color j
+        shapes = [(-1,) + (1,) * j + (t,) + (1,) * (k - 1 - j) for j in range(k)]
+        cells = h.edges[tuple(idx[:, j].reshape(shape) for j, shape in enumerate(shapes))]
+        free = np.flatnonzero(~cells.reshape(len(block), -1).any(axis=1))
+        if free.size:
+            hit = int(free[0])
+            if source == "sampled":  # replay the draws up to the witness
+                rng.setstate(state)
+                for _ in range(hit + 1):
+                    draw()
+                trials = tried + hit + 1
+            return block[hit], source, trials
+        tried += len(block)
+        rows *= 2
 
 
 def weak_regularity(

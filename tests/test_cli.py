@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -114,6 +115,31 @@ def test_select_accepts_float_point_sets(workdir):
     assert run(["select", "--in", twin, "--out", twin_cert, "--seed", 2]) == 0
     assert cert.read_bytes() == twin_cert.read_bytes()
     assert run(["verify", "--in", pts, "--cert", cert, "--exhaustive"]) == 0
+
+
+def test_float_point_file_reads_integers_exactly():
+    """JSON integers of an "exact": false file are not rounded through a double."""
+    big = 2**53 + 1
+    ps = pio.pointset_from_json_dict(
+        {"dim": 1, "exact": False, "colors": [[[big], [0.5]], [[-big], [1]]]}
+    )
+    assert ps.colors == (((Fraction(big),), (Fraction(1, 2),)), ((Fraction(-big),), (Fraction(1),)))
+
+
+def test_select_float_file_with_integer_past_2_53_matches_exact_twin(workdir):
+    big = 2**53 + 1
+    pts = workdir / "float.json"
+    pio.dump_json(
+        {"dim": 1, "exact": False, "colors": [[[0.125], [1.5], [big]], [[0.5], [2.25], [5]]]}, pts
+    )
+    twin = workdir / "twin.json"
+    colors = [[["1/8"], ["3/2"], [str(big)]], [["1/2"], ["9/4"], ["5"]]]
+    pio.dump_json({"dim": 1, "exact": True, "colors": colors}, twin)
+    cert, twin_cert = workdir / "float_cert.json", workdir / "twin_cert.json"
+    assert run(["select", "--in", pts, "--out", cert, "--seed", 2]) == 0
+    assert run(["select", "--in", twin, "--out", twin_cert, "--seed", 2]) == 0
+    assert pio.load_json(cert)["input_sha256"] == pio.load_json(twin_cert)["input_sha256"]
+    assert cert.read_bytes() == twin_cert.read_bytes()
 
 
 def test_verify_detects_mutation(workdir):

@@ -15,6 +15,7 @@ from pachsel.cones import (
     msa_upper_bound_is_clamped,
     normal_fan_cover_check,
     polar_cone,
+    regular_simplex,
     restricted_volume_mc,
     rho_d_asymptotic,
     round_cone_cut_distance,
@@ -343,7 +344,7 @@ def test_acute_deviation_bound_over_random_acute_cones():
 
 
 def test_regular_simplex_and_msa_search_mode():
-    from pachsel.cones import msa_regular_comparison_search, regular_simplex
+    from pachsel.cones import msa_regular_comparison_search
 
     for d in (2, 3, 4):
         s = regular_simplex(d)
@@ -369,3 +370,11 @@ def test_mc_determinism_same_seed():
     a = solid_angle_mc(EQUILATERAL, 0, 50_000, seed=99)
     b = solid_angle_mc(EQUILATERAL, 0, 50_000, seed=99)
     assert a == b
+
+
+@pytest.mark.parametrize("d, hits", [(2, 167_372), (3, 44_047)])
+def test_solid_angle_mc_regular_simplex_is_pinned(d, hits):
+    """10^6 seeded samples at vertex 0 hit the cone exactly as often as the
+    ``np.all(axis=1)`` inside-test did; the column-wise test must not move a
+    single sample."""
+    assert solid_angle_mc(regular_simplex(d), 0, 10**6, 11).mean == hits / 10**6

@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import comb
 from fractions import Fraction
 
 import numpy as np
@@ -20,10 +21,12 @@ from pachsel.geometry import (
     point_in_simplex,
     satisfies_condition_G,
 )
+from pachsel import selection
 from pachsel.selection import (
     GenericPachConfiguration,
     PachCertificate,
     PipelineParams,
+    RainbowHypergraph,
     RegularityParams,
     certificate_configuration,
     deep_rainbow_point,
@@ -214,8 +217,6 @@ def _hand_built_hypergraph(edge_fn, sizes):
     edges = np.zeros(sizes, dtype=bool)
     for idx in itertools.product(*[range(n) for n in sizes]):
         edges[idx] = edge_fn(*idx)
-    from pachsel.selection import RainbowHypergraph
-
     return RainbowHypergraph(edges)
 
 
@@ -270,6 +271,77 @@ def test_weak_regularity_forced_witness():
             RegularityParams(Fraction(1, 3), Fraction(1, 8)),
             forced_witness=((0, 1), (0, 1)),  # spans edges
         )
+
+
+def _per_tuple_witness(h, parts, t, budget, rng):
+    """The zero-edge witness search one candidate tuple at a time."""
+    k = len(parts)
+    n_tuples = comb(len(parts[0]), t) ** k
+    if n_tuples <= selection._EXHAUSTIVE_WITNESS_CAP:
+        for combo in itertools.product(*[itertools.combinations(part, t) for part in parts]):
+            if h.sub_edge_count(combo) == 0:
+                return tuple(combo), "exhaustive", n_tuples
+        return None, "exhaustive", n_tuples
+    for trial in range(budget):
+        combo = tuple(tuple(sorted(rng.sample(part, t))) for part in parts)
+        if h.sub_edge_count(combo) == 0:
+            return combo, "sampled", trial + 1
+    return None, "sampled", budget
+
+
+def _assert_witness_searches_agree(h, parts, t, budget, seed):
+    fast_rng, slow_rng = random.Random(seed), random.Random(seed)
+    fast = selection._find_zero_edge_witness(h, parts, t, budget, fast_rng)
+    assert fast == _per_tuple_witness(h, parts, t, budget, slow_rng)
+    assert fast_rng.getstate() == slow_rng.getstate()
+    return fast
+
+
+@pytest.mark.parametrize("sampled", [False, True], ids=["exhaustive", "sampled"])
+def test_batched_witness_search_matches_per_tuple_loop(monkeypatch, sampled):
+    if sampled:
+        monkeypatch.setattr(selection, "_EXHAUSTIVE_WITNESS_CAP", 0)
+    rng = random.Random(41)
+    found = 0
+    for trial in range(60):
+        k = rng.choice((3, 4))
+        n = rng.randint(4, 6 if k == 3 else 5)
+        h = RainbowHypergraph(np.random.default_rng(trial).random((n,) * k) < rng.choice((0.6, 0.9, 0.97)))
+        s = rng.randint(2, n)
+        parts = tuple(tuple(sorted(rng.sample(range(n), s))) for _ in range(k))
+        t = rng.randint(1, s - 1)
+        witness, source, _ = _assert_witness_searches_agree(h, parts, t, rng.randint(1, 400), trial)
+        assert source == ("sampled" if sampled else "exhaustive")
+        found += witness is not None
+    assert 10 < found < 50  # both outcomes are exercised
+
+
+@pytest.mark.parametrize("sampled", [False, True], ids=["exhaustive", "sampled"])
+@pytest.mark.parametrize("k", [3, 4])
+def test_batched_witness_search_finds_a_zero_tuple_at_a_block_edge(monkeypatch, sampled, k):
+    """A single zero tuple planted as the last row of the first block and as
+    the first row of the second: the witness, its trial count and the
+    generator's state match the one-at-a-time search."""
+    if sampled:
+        monkeypatch.setattr(selection, "_EXHAUSTIVE_WITNESS_CAP", 0)
+    n, t = (10, 3) if sampled else (6, 2)
+    parts = tuple(tuple(range(n)) for _ in range(k))
+    first_block = selection._WITNESS_FIRST_ROWS
+    for position in (first_block - 1, first_block):
+        if sampled:  # the candidate the generator draws at that trial
+            rng = random.Random(7)
+            for _ in range(position + 1):
+                combo = tuple(tuple(sorted(rng.sample(part, t))) for part in parts)
+        else:
+            combos = itertools.product(*[itertools.combinations(part, t) for part in parts])
+            combo = next(itertools.islice(combos, position, None))
+        edges = np.ones((n,) * k, dtype=bool)
+        edges[np.ix_(*combo)] = False
+        # a budget just past the witness ends the second block early
+        witness, _, trials = _assert_witness_searches_agree(RainbowHypergraph(edges), parts, t, position + 3, 7)
+        assert witness == combo
+        if sampled:
+            assert trials == position + 1
 
 
 def test_regularity_params_validation():
