@@ -43,6 +43,24 @@ def int_array(values) -> np.ndarray:
         return arr
 
 
+def _minors(m):
+    """Minors of all rows of ``m`` (shape (..., r, c), 1 <= r <= c) keyed by their
+    columns: minors of the bottom rows, expanded along the row above."""
+    r, c = m.shape[-2:]
+    minors = {(j,): m[..., r - 1, j] for j in range(c)}
+    for s in range(2, r + 1):
+        row = m[..., r - s, :]
+        expanded = {}
+        for cols in itertools.combinations(range(c), s):
+            det = row[..., cols[0]] * minors[cols[1:]]
+            for pos in range(1, s):
+                term = row[..., cols[pos]] * minors[cols[:pos] + cols[pos + 1 :]]
+                det = det + term if pos % 2 == 0 else det - term
+            expanded[cols] = det
+        minors = expanded
+    return minors
+
+
 def orientation_signs(tuples) -> np.ndarray:
     """Exact orientation signs of integer point tuples, batched.
 
@@ -61,22 +79,20 @@ def orientation_signs(tuples) -> np.ndarray:
         return np.ones(a.shape[:-2], dtype=np.int8)
     bound = 2 * max(int(a.max()), -int(a.min())) if a.size else 0
     a = a.astype(np.int64 if factorial(k) * bound**k < 1 << 63 else object, copy=False)
-    m = a[..., 1:, :] - a[..., :1, :]
-    # Minors of the bottom r rows keyed by their columns, expanded along the
-    # row above; the single k x k minor is the determinant.
-    minors = {(c,): m[..., k - 1, c] for c in range(k)}
-    for r in range(2, k + 1):
-        row = m[..., k - r, :]
-        expanded = {}
-        for cols in itertools.combinations(range(k), r):
-            det = row[..., cols[0]] * minors[cols[1:]]
-            for pos in range(1, r):
-                term = row[..., cols[pos]] * minors[cols[:pos] + cols[pos + 1 :]]
-                det = det + term if pos % 2 == 0 else det - term
-            expanded[cols] = det
-        minors = expanded
-    det = minors[tuple(range(k))]  # a bare Python int for a single object tuple
+    det = _minors(a[..., 1:, :] - a[..., :1, :])[tuple(range(k))]
     return np.greater(det, 0).astype(np.int8) - np.less(det, 0)
+
+
+def face_cofactors(faces) -> np.ndarray:
+    """Signed cofactors c of nonempty integer faces, (..., k, k) -> (..., k+1):
+    orientation(q, face), q first, is the sign of c . (1, q).  No minor of the
+    rows (1, f_i) or partial sum exceeds k! max(1, max|coordinate|)^k."""
+    k = faces.shape[-1]
+    bound = max(1, int(faces.max()), -int(faces.min()))
+    rows = np.concatenate([np.ones_like(faces[..., :1]), faces], axis=-1)
+    minors = _minors(rows.astype(np.int64 if factorial(k) * bound**k < 1 << 63 else object))
+    cols = range(k + 1)
+    return np.stack([(-1) ** j * minors[tuple(c for c in cols if c != j)] for j in cols], -1)
 
 
 def combination_blocks(n, r):

@@ -79,8 +79,8 @@ class RainbowHypergraph:
 
 def rainbow_hypergraph(point_set: LabeledPointSet, anchor) -> RainbowHypergraph:
     """Build the containment hypergraph of an anchor over the whole set."""
-    closed, _ = point_set.rainbow_enumerator.containment_masks(anchor)
-    return RainbowHypergraph(closed)
+    closed, _ = point_set.rainbow_enumerator.containment_masks([anchor])
+    return RainbowHypergraph(closed[0])
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +109,8 @@ def deep_rainbow_point(
 ) -> DeepPointResult:
     """Best candidate point by exact closed rainbow-containment count.
 
-    Enumerates all rainbow simplices once, then scores candidate points:
-    the centroid, the coordinate-wise median, and ``random_candidates`` seeded
+    Scores the distinct candidate points in one batched enumeration: the
+    centroid, the coordinate-wise median, and ``random_candidates`` seeded
     random rainbow-simplex centroids.  The winner's depth/total ratio
     is reported so callers can compare against the first-selection constant.
 
@@ -124,7 +124,8 @@ def deep_rainbow_point(
     union = [point_to_fractions(p) for p in point_set.union_points()]
     centroid = tuple(sum(p[k] for p in union) / len(union) for k in range(point_set.dim))
     median = tuple(statistics.median(p[k] for p in union) for k in range(point_set.dim))
-    candidates = [("centroid", centroid), ("coordinate-median", median)]
+    labels = {centroid: "centroid"}  # distinct candidates in order, with their first labels
+    labels.setdefault(median, "coordinate-median")
     rng = random.Random(seed)
     k = point_set.dim + 1
     for t in range(random_candidates):
@@ -132,19 +133,13 @@ def deep_rainbow_point(
             point_to_fractions(point_set.point(ci, rng.randrange(sizes[ci]))) for ci in range(k)
         ]
         centroid = tuple(sum(v[j] for v in verts) / k for j in range(point_set.dim))
-        candidates.append((f"simplex-centroid-{t}", centroid))
-    seen = set()
+        labels.setdefault(centroid, f"simplex-centroid-{t}")
+    points = list(labels)
     enum = point_set.rainbow_enumerator
-    best = None
-    for label, cand in candidates:
-        if cand in seen:
-            continue
-        seen.add(cand)
-        closed, open_, _ = enum.containment_counts(cand)
-        if best is None or closed > best[0]:
-            best = (closed, open_, cand, label)
-    closed, open_, cand, label = best
-    return DeepPointResult(cand, closed, open_, enum.total, label, len(seen))
+    closed, open_ = enum.depths(points)
+    best = int(np.argmax(closed))  # the first strict maximum in candidate order
+    p = points[best]
+    return DeepPointResult(p, int(closed[best]), int(open_[best]), enum.total, labels[p], len(points))
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +186,13 @@ def perturb_anchor(anchor, point_set: LabeledPointSet, seed: int = 0) -> tuple:
     ``deep_rainbow_point``).  Open containment is re-verified afterwards.
     """
     enum = point_set.rainbow_enumerator
-    _, before_open = enum.containment_masks(anchor)
+    _, before_open = enum.containment_masks([anchor])
     if not before_open.any():
         raise PreconditionError("anchor has no open-interior margin")
     point_set.require_general_position()
     moved = _nudge_off_hyperplanes(anchor, point_set.union_points(), seed)
-    _, after_open = enum.containment_masks(moved)
+    # rainbow_hypergraph(point_set, moved) reuses these masks: they are the latest batch
+    _, after_open = enum.containment_masks([moved])
     # every simplex that held the anchor in its interior must still hold it;
     # boundary simplices may open up, which only increases the depth
     if not np.array_equal(before_open, before_open & after_open):
@@ -628,8 +624,7 @@ class GenericPachConfiguration:
         violation = find_general_position_violation(union + [list(self.point)])
         if violation is not None:
             raise GeneralPositionError("configuration union is degenerate", violation)
-        enum = RainbowEnumerator(colors)
-        _, open_ = enum.containment_masks(self.point)
+        _, open_ = RainbowEnumerator(colors).containment_masks([self.point])
         if not bool(open_.all()):
             raise InputValidationError("point is not interior to every rainbow simplex")
 
@@ -664,11 +659,10 @@ def shrink_to_generic(
     if violation is not None:
         raise GeneralPositionError("selected union is not in general position", violation)
     anchor = point_to_fractions(anchor)
-    enum = RainbowEnumerator(colors)
-    closed, open_ = enum.containment_masks(anchor)
+    closed, open_ = RainbowEnumerator(colors).containment_masks([anchor])
     if not bool(closed.all()):
         raise PreconditionError("anchor is not in every closed rainbow simplex")
-    boundary = np.argwhere(closed & ~open_)
+    boundary = np.argwhere(closed[0] & ~open_[0])
     family = []
     used = [set() for _ in range(d + 1)]
     for idx in boundary:
@@ -694,8 +688,7 @@ def shrink_to_generic(
         tuple(index_sets[ci][i] for i in kept_local[ci]) for ci in range(d + 1)
     )
     new_colors = [[colors[ci][i] for i in kept_local[ci]] for ci in range(d + 1)]
-    enum2 = RainbowEnumerator(new_colors)
-    _, open2 = enum2.containment_masks(anchor)
+    _, open2 = RainbowEnumerator(new_colors).containment_masks([anchor])
     if not bool(open2.all()):
         raise InternalInvariantError(
             "anchor not interior to all simplices after removing the boundary family"
@@ -888,15 +881,13 @@ def verify_certificate(
     ]
     if mode == "exhaustive":
         enum = RainbowEnumerator(colors)
-        closed, _ = enum.containment_masks(cert.point)
+        closed = enum.containment_masks([cert.point])[0][0]
         count = int(closed.sum())
         fraction = Fraction(count, enum.total)
         witness = None
         if count != enum.total:
             bad = np.argwhere(~closed)[0]
-            witness = tuple(
-                int(cert.index_sets[ci][int(bad[ci])]) for ci in range(len(colors))
-            )
+            witness = tuple(int(cert.index_sets[ci][int(i)]) for ci, i in enumerate(bad))
         return VerificationReport(
             mode,
             fraction == 1,

@@ -15,8 +15,10 @@ from pachsel.geometry import (
     COMBINATION_BLOCK,
     LabeledPointSet,
     OrientedHyperplane,
+    face_cofactors,
     find_general_position_violation,
     hyperplane_cofactors,
+    int_array,
     in_general_position,
     orientation,
     orientation_signs,
@@ -117,6 +119,16 @@ def test_orientation_signs_match_det_int(batch):
     signs = orientation_signs(batch)
     assert signs.dtype == np.int8 and signs.shape == (len(batch),)
     assert signs.tolist() == [_det_sign(t) for t in batch]
+
+
+@settings(max_examples=200, deadline=None)
+@given(orientation_batches())
+def test_face_cofactors_give_orientation_against_the_face(batch):
+    # orientation(p_0, p_1..p_k) = c(p_1..p_k) . (1, p_0), exactly
+    cofactors = face_cofactors(int_array([t[1:] for t in batch])).tolist()
+    for tup, c in zip(batch, cofactors):
+        value = c[0] + sum(x * y for x, y in zip(c[1:], tup[0]))
+        assert (value > 0) - (value < 0) == _det_sign(tup)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pachsel.constructions import uniform_ball_set
+from pachsel import enumeration
 from pachsel.enumeration import RainbowEnumerator
 from pachsel.errors import (
     BudgetExceededError,
@@ -22,6 +24,8 @@ from pachsel.geometry import (
     satisfies_condition_G,
 )
 from pachsel import selection
+from pachsel.io import canonical_json_bytes, sha256_hex
+from pachsel.rational import det_int
 from pachsel.selection import (
     GenericPachConfiguration,
     PachCertificate,
@@ -49,10 +53,35 @@ from conftest import naive_closed_containment_fraction, random_labeled_set
 # enumeration engine
 
 
-def test_containment_counts_match_naive_loop():
+def _naive_masks(colors, p):
+    """Closed and open masks by ``point_in_simplex`` on every rainbow simplex."""
+    shape = tuple(len(c) for c in colors)
+    closed, open_ = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
+    for idx in itertools.product(*(range(n) for n in shape)):
+        verts = [colors[ci][i] for ci, i in enumerate(idx)]
+        closed[idx] = point_in_simplex(p, verts, "closed")
+        open_[idx] = point_in_simplex(p, verts, "open")
+    return closed, open_
+
+
+def _assert_batch_matches_oracles(colors, batch):
+    """Batched masks equal single-point batches and the naive loop."""
+    enum = RainbowEnumerator(colors)
+    closed, open_ = enum.containment_masks(batch)
+    assert closed.shape == open_.shape == (len(batch), *enum.sizes)
+    for b, p in enumerate(batch):
+        one_closed, one_open = enum.containment_masks([p])
+        assert np.array_equal(one_closed[0], closed[b]) and np.array_equal(one_open[0], open_[b])
+        naive_closed, naive_open = _naive_masks(colors, p)
+        assert np.array_equal(closed[b], naive_closed) and np.array_equal(open_[b], naive_open)
+    return closed, open_
+
+
+def test_containment_counts_match_naive_loop(monkeypatch):
     rng = random.Random(2)
-    for d in (1, 2):
-        ps = random_labeled_set(d, 5, seed=10 + d)
+    for d in (1, 2, 3):
+        n = 5 if d < 3 else 4
+        ps = random_labeled_set(d, n, seed=10 + d)
         colors = [list(c) for c in ps.colors]
         p = tuple(Fraction(rng.randint(-64, 64), 64) for _ in range(d))
         closed, open_, total = RainbowEnumerator(colors).containment_counts(p)
@@ -63,7 +92,15 @@ def test_containment_counts_match_naive_loop():
             if point_in_simplex(p, list(verts), "open"):
                 naive_open += 1
         assert (closed, open_) == (naive_closed, naive_open)
-        assert total == 5 ** (d + 1)
+        assert total == n ** (d + 1)
+        # a batch with a repeated point and a vertex, scored in blocks of two
+        batch = [p, tuple(Fraction(rng.randint(-64, 64), 3) for _ in range(d)), p, colors[1][0]]
+        masks = _assert_batch_matches_oracles(colors, batch)
+        monkeypatch.setattr(enumeration, "BLOCK_CELLS", 2 * total)
+        depths = RainbowEnumerator(colors).depths(batch)
+        for counts, mask in zip(depths, masks):
+            assert counts.tolist() == mask.reshape(len(batch), -1).sum(axis=1).tolist()
+        monkeypatch.undo()
 
 
 def test_containment_handles_degenerate_simplices():
@@ -72,6 +109,52 @@ def test_containment_handles_degenerate_simplices():
     assert total == 4
     assert open_ == 0  # p is a vertex or on degenerate simplices only
     assert closed >= 1  # p equals the color-1 point, in every closed hull
+    half = Fraction(1, 2)
+    batch = [(1, 1), (half, half), (0, half), (half, half), (3, 3), (-1, -1)]
+    closed, _ = _assert_batch_matches_oracles(colors, batch)
+    assert closed[1, 0, 0, 0] and not closed[5, 0, 0, 0]  # on and off the degenerate segment
+
+
+@st.composite
+def planted_colors(draw):
+    """Colors whose first rainbow simplex has orientation determinant e in
+    {-1, 0, 1} next to coordinates of about 2^bits (2^1100 is past float64)."""
+    d = draw(st.integers(1, 3))
+    bits = draw(st.sampled_from([20, 40, 60, 80, 1100]))
+    e = draw(st.sampled_from([-1, 0, 1]))
+    half = st.integers(-(1 << bits // 2), 1 << bits // 2)
+    # M = L diag(e, 1, ..., 1) U with unit triangular L, U has determinant e
+    lower = [[int(i == j) or (draw(half) if j < i else 0) for j in range(d)] for i in range(d)]
+    upper = [[int(i == j) or (draw(half) if j > i else 0) for j in range(d)] for i in range(d)]
+    upper[0] = [e * x for x in upper[0]]
+    m = [[sum(lower[i][t] * upper[t][j] for t in range(d)) for j in range(d)] for i in range(d)]
+    big = st.tuples(st.sampled_from([-1, 1]), st.integers(1 << bits, 1 << bits + 1)).map(
+        lambda t: t[0] * t[1]
+    )
+    q = tuple(draw(big) for _ in range(d))
+    colors = [[q]] + [[tuple(a + b for a, b in zip(q, row))] for row in m]
+    for color in colors:
+        if draw(st.booleans()):
+            color.append(tuple(draw(big) for _ in range(d)))
+    return e, bits, colors
+
+
+@settings(max_examples=40, deadline=None)
+@given(planted_colors())
+def test_filtered_signs_match_det_int_next_to_large_coordinates(planted):
+    e, bits, colors = planted
+    enum = RainbowEnumerator(colors)  # no OverflowError past the float range
+    for idx in itertools.product(*(range(len(c)) for c in colors)):
+        verts = [colors[ci][i] for ci, i in enumerate(idx)]
+        det = det_int([[a - b for a, b in zip(v, verts[0])] for v in verts[1:]])
+        assert enum.full_signs[idx] == (det > 0) - (det < 0)
+    assert enum.full_signs[(0,) * len(colors)] == e
+    if e == 0 or bits >= 60:  # the float error bound exceeds |det| = 1
+        assert enum.fallbacks > 0
+    # face signs against points that need w > 1, a vertex and a repeat
+    q = colors[0][0]
+    third = tuple(x + Fraction(1, 3) for x in q)
+    _assert_batch_matches_oracles(colors, [third, q, third])
 
 
 # ---------------------------------------------------------------------------
@@ -170,12 +253,12 @@ def test_perturb_anchor_moves_off_spanned_hyperplane():
     assert in_general_position(ps.union_points())
     assert not in_general_position(ps.union_points() + [p])
     enum = RainbowEnumerator([list(c) for c in ps.colors])
-    _, before_open = enum.containment_masks(p)
+    before_open = enum.containment_masks([p])[1][0]
     assert int(before_open.sum()) >= 1
     moved = perturb_anchor(p, ps, seed=7)
     assert moved != p
     assert in_general_position(ps.union_points() + [moved])
-    _, after_open = enum.containment_masks(moved)
+    after_open = enum.containment_masks([moved])[1][0]
     assert np.array_equal(before_open, before_open & after_open)
 
 
@@ -602,6 +685,34 @@ def test_pipeline_enumerates_the_whole_set_once(monkeypatch):
     assert built.count(ps.sizes()) == 1, built
 
 
+def test_select_scores_the_moved_anchor_once(monkeypatch):
+    # perturb_anchor and rainbow_hypergraph both ask for the moved anchor's
+    # masks on the whole-set enumerator; only the first request scores it.
+    requests, active, scored = [], [], []
+    masks, face_signs = RainbowEnumerator.containment_masks, RainbowEnumerator._face_signs
+
+    def recorded_masks(self, points):
+        requests.append((self, tuple(tuple(p) for p in points)))
+        active.append(requests[-1])
+        try:
+            return masks(self, points)
+        finally:
+            active.pop()
+
+    def recorded_face_signs(self, i, rows):
+        if i == 0 and active:  # not the full signs of __init__
+            scored.append(active[-1])
+        return face_signs(self, i, rows)
+
+    monkeypatch.setattr(RainbowEnumerator, "containment_masks", recorded_masks)
+    monkeypatch.setattr(RainbowEnumerator, "_face_signs", recorded_face_signs)
+    ps = random_labeled_set(2, 8, seed=3)
+    cert = run_pipeline(ps, PipelineParams(seed=3))
+    moved = (ps.rainbow_enumerator, (tuple(cert.point),))
+    assert requests.count(moved) >= 2  # 3 here: the anchor did not move
+    assert scored.count(moved) == 1
+
+
 def test_perturb_anchor_reuses_the_deep_point_verdict(scan_sizes):
     ps = random_labeled_set(2, 6, seed=8)
     scan_sizes.clear()
@@ -634,6 +745,26 @@ def test_run_pipeline_plane_end_to_end_with_oracle():
     exh_report = verify_certificate(ps, cert, mode="exhaustive")
     assert arr_report.ok and exh_report.ok  # joint soundness
     assert exh_report.fraction == 1
+
+
+@pytest.mark.parametrize(
+    "d, n, seed, digest",
+    [
+        (2, 25, 1, "5efd6ae8aeba421a24103ca3206ebd045ef81a8fbd38ef4bd3324ffddf16ee39"),
+        (2, 25, 2, "04ef1a5cc4d1caa38fff1625459446ee32a7735ac2086948f82fe77a5e8e1d35"),
+        (2, 25, 3, "772f10e0640fd1ab5af4f54003b9202cd034dbb4c9f288135cb4cc2bd83567a7"),
+        (3, 8, 1, "fb25bbe3600d9a1d7f3f42eaca091b2f8c2c4bfcbddd02e01b9c6de7846be519"),
+        (3, 8, 2, "e0808a2e79d26c0c2543fec4348fd4f33da03deea2b9793fd3ecb955d43619d1"),
+        (3, 8, 3, "c782fccd778182a1a0cd2528b500ddb308b3c0976869279c51f72a2e4fc5f314"),
+    ],
+    ids=["uniform-d2-n25-s1", "uniform-d2-n25-s2", "uniform-d2-n25-s3",
+         "uniform-d3-n8-s1", "uniform-d3-n8-s2", "uniform-d3-n8-s3"],
+)
+def test_certificates_are_pinned(d, n, seed, digest):
+    """Certificates keep their bytes: a change to a stage's decisions, its
+    candidates or its seeds shows here first."""
+    cert = run_pipeline(uniform_ball_set(d, n, seed=seed), PipelineParams(seed=seed))
+    assert sha256_hex(canonical_json_bytes(cert.to_json_dict())) == digest
 
 
 def test_run_pipeline_rejects_unequal_sizes():
