@@ -5,34 +5,29 @@ hot loop.  Orientation against a face is linear in the point q: it is the
 sign of c(face) . (1, q), with the signed cofactors of ``face_cofactors``.
 Per omitted color the enumerator keeps the table C of its n^d rainbow faces
 (common-denominator-scaled integers) and scores a batch of points, as integer
-rows h = (w, w den q) with w > 0, by one float64 product H C^T; the color-0
-table gives the full orientation signs.  Containment is a sign combination.
-
-Floats decide only proven signs.  With u = 2^-53 and n = d+1, converting an
-integer to float64 rounds it by a factor (1+e), |e| <= u (or overflows), each
-product adds one such factor and an n-term sum in any order, fused or not, at
-most n-1; so |fl(h.c) - h.c| <= g S, g = (n+2)u/(1-(n+2)u), S = sum |h_j c_j|.
-The float sum S' of |fl(h_j)| |fl(c_j)| rounds each term down by at most
-(1-u)^(n+2), and fl((n+3)u S') >= (n+3)u(1-u) S' >= g S because
-(n+3)(1-u)(1-(n+2)u)^2 >= n+2 for n < 2^20.  Every float is an integer, so
-nothing underflows.  A finite fl(h.c) above that bound in absolute value has
-the sign of h.c; any other entry is recomputed on Python ints and counted in
-``RainbowEnumerator.fallbacks``.
+rows h = (w, w den q) with w > 0, by the certified float filter
+``geometry.cofactor_signs`` (entries it recomputes exactly are counted in
+``RainbowEnumerator.fallbacks``); the color-0 table gives the full
+orientation signs.  Containment is a sign combination.
 """
 
 from __future__ import annotations
 
-from math import lcm, prod
+from math import prod
 
 import numpy as np
 
 from . import lp
 from .errors import PreconditionError
-from .geometry import face_cofactors, int_array
+from .geometry import (
+    BLOCK_CELLS,
+    cofactor_signs,
+    face_cofactors,
+    float_rows,
+    homogeneous_rows,
+    int_array,
+)
 from .rational import common_denominator, point_to_fractions
-
-# tensor cells per block of ``depths``, so its memory does not grow with the batch
-BLOCK_CELLS = 1 << 18
 
 
 def tuple_grid(point_arrays):
@@ -44,14 +39,6 @@ def tuple_grid(point_arrays):
         for j, a in enumerate(point_arrays)
     ]
     return np.stack(np.broadcast_arrays(*axes), axis=-2)
-
-
-def _float_rows(rows):
-    """float64 array of integer rows; an entry of 1024 bits or more becomes inf."""
-    try:
-        return np.array(rows, dtype=np.float64)
-    except OverflowError:
-        return np.array([[float(x) if x.bit_length() < 1024 else np.inf for x in r] for r in rows])
 
 
 class RainbowEnumerator:
@@ -75,26 +62,16 @@ class RainbowEnumerator:
         for i in range(self.dim + 1):
             faces = tuple_grid(int_colors[:i] + int_colors[i + 1 :])
             table = face_cofactors(faces).reshape(-1, self.dim + 1)
-            self._tables.append((table, _float_rows(table)))
+            self._tables.append((table, float_rows(table)))
         self.full_signs = self._face_signs(0, [(1, *p) for p in int_colors[0].tolist()])
         self._degenerate = [tuple(int(x) for x in idx) for idx in np.argwhere(self.full_signs == 0)]
         self._last = (None, None)  # (points, masks) of the latest batch
 
     def _face_signs(self, i, rows):
         """Signs of the homogeneous integer rows against color i's faces, shape
-        (len(rows), *sizes without i), filtered as in the module docstring."""
-        table, floats = self._tables[i]
-        h = _float_rows(rows)
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = h @ floats.T
-            bound = (self.dim + 4) * 2.0**-53 * (np.abs(h) @ np.abs(floats).T)
-            decided = np.isfinite(value) & (np.abs(value) > bound)
-        signs = (value > 0).astype(np.int8) - (value < 0)
-        undecided = np.argwhere(~decided)
-        self.fallbacks += len(undecided)
-        for b, f in undecided.tolist():
-            exact = sum(x * y for x, y in zip(rows[b], table[f].tolist()))
-            signs[b, f] = (exact > 0) - (exact < 0)
+        (len(rows), *sizes without i), from the certified float filter."""
+        signs, fallbacks = cofactor_signs(rows, *self._tables[i])
+        self.fallbacks += fallbacks
         return signs.reshape(len(rows), *self.sizes[:i], *self.sizes[i + 1 :])
 
     def containment_masks(self, points):
@@ -106,10 +83,7 @@ class RainbowEnumerator:
             return self._last[1]
         if any(len(p) != self.dim for p in points):
             raise PreconditionError("candidate dimension mismatch")
-        rows = []
-        for p in points:
-            w = lcm(self._den, *(c.denominator for c in p)) // self._den
-            rows.append((w, *((c * self._den * w).numerator for c in p)))
+        rows = homogeneous_rows(points, self._den)
         full = self.full_signs
         closed = np.repeat((full != 0)[None], len(points), axis=0)
         open_ = closed.copy()

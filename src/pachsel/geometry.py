@@ -1,5 +1,6 @@
-"""Exact geometric primitives: orientation, general position, the planar
-condition-(G) audit, simplex containment, and strict hyperplane separation.
+"""Exact geometric primitives: orientation, signs against spanned
+hyperplanes, general position, the planar condition-(G) audit, simplex
+containment, and strict hyperplane separation.
 
 All combinatorial predicates run on exact rational arithmetic (floats are
 converted losslessly).  Volume and angle estimation live in cones.py and are
@@ -13,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from .rational import (
     dot,
     is_exact,
     matrix_rank_fraction,
-    null_vector,
     point_to_fractions,
     scale_points_to_ints,
     to_fraction,
@@ -32,6 +32,9 @@ from .rational import (
 # Combinations per orientation_signs call in the exhaustive scans; bounds their
 # memory independently of the number of combinations.
 COMBINATION_BLOCK = 1 << 12
+# row x table cells per block of ``cofactor_signs`` (and of the callers that
+# score in blocks), so memory does not grow with the batch
+BLOCK_CELLS = 1 << 18
 
 
 def int_array(values) -> np.ndarray:
@@ -95,6 +98,59 @@ def face_cofactors(faces) -> np.ndarray:
     return np.stack([(-1) ** j * minors[tuple(c for c in cols if c != j)] for j in cols], -1)
 
 
+def homogeneous_rows(points, den):
+    """Integer rows h = (w, w den q), least w > 0, of rational points q against
+    a table of faces scaled by ``den``: h . c has the sign of c . (1, den q)."""
+    rows = []
+    for p in map(point_to_fractions, points):
+        w = lcm(den, *(c.denominator for c in p)) // den
+        rows.append((w, *((c * den * w).numerator for c in p)))
+    return rows
+
+
+def float_rows(rows):
+    """float64 array of integer rows; an entry of 1024 bits or more becomes inf."""
+    try:
+        return np.array(rows, dtype=np.float64)
+    except OverflowError:
+        return np.array([[float(x) if x.bit_length() < 1024 else np.inf for x in r] for r in rows])
+
+
+def cofactor_signs(rows, table, floats):
+    """Signs of h . c, integer rows h against a cofactor table (``floats`` is
+    ``float_rows(table)``), shape (len(rows), len(table)), in row blocks of
+    about BLOCK_CELLS cells; and how many were recomputed on Python ints.
+
+    Floats decide only proven signs.  With u = 2^-53 and n the row length,
+    converting an integer to float64 rounds it by a factor (1+e), |e| <= u (or
+    overflows), each product adds one such factor and an n-term sum in any
+    order, fused or not, at most n-1; so |fl(h.c) - h.c| <= g S, with
+    g = (n+2)u/(1-(n+2)u) and S = sum |h_j c_j|.  The float sum S' of
+    |fl(h_j)| |fl(c_j)| rounds each term down by at most (1-u)^(n+2), and
+    fl((n+3)u S') >= (n+3)u(1-u) S' >= g S as (n+3)(1-u)(1-(n+2)u)^2 >= n+2
+    for n < 2^20.  Every float is an integer, so nothing underflows.  A finite
+    fl(h.c) above that bound in absolute value has the sign of h.c; any other
+    entry (a zero, a near tie, an overflow) is recomputed exactly.
+    """
+    signs = np.empty((len(rows), len(table)), dtype=np.int8)
+    fallbacks = 0
+    step = max(1, BLOCK_CELLS // max(1, len(table)))
+    for s in range(0, len(rows), step):
+        block, out = rows[s : s + step], signs[s : s + step]
+        h = float_rows(block)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = h @ floats.T
+            bound = (floats.shape[-1] + 3) * 2.0**-53 * (np.abs(h) @ np.abs(floats).T)
+            decided = np.isfinite(value) & (np.abs(value) > bound)
+        out[...] = (value > 0).astype(np.int8) - (value < 0)
+        undecided = np.argwhere(~decided)
+        fallbacks += len(undecided)
+        for b, f in undecided.tolist():
+            exact = sum(x * y for x, y in zip(block[b], table[f].tolist()))
+            out[b, f] = (exact > 0) - (exact < 0)
+    return signs, fallbacks
+
+
 def combination_blocks(n, r):
     """Index arrays of at most COMBINATION_BLOCK rows that together list
     ``itertools.combinations(range(n), r)`` in order; the last may be empty."""
@@ -150,18 +206,6 @@ class OrientedHyperplane:
 
     def as_fractions(self) -> "OrientedHyperplane":
         return OrientedHyperplane(point_to_fractions(self.normal), to_fraction(self.offset))
-
-
-def hyperplane_cofactors(int_points):
-    """Integer (normal, offset) of the hyperplane through d points of Z^d.
-
-    (normal, -offset) is the null vector of the rows (p, 1), signed so that
-    normal.x - offset is, up to a sign fixed by d, the orientation determinant
-    of (points, x); it is zero when the points are affinely dependent.
-    """
-    s = (-1) ** (len(int_points) - 1)
-    *normal, last = null_vector([tuple(p) + (1,) for p in int_points])
-    return tuple(s * c for c in normal), -s * last
 
 
 @dataclass(frozen=True)
@@ -255,30 +299,37 @@ def find_general_position_violation(obj):
     return None
 
 
-def spanned_signs(points, point):
-    """Signs of ``point`` against the hyperplanes spanned by d of ``points``.
-
-    Returns (signs, witness): one int8 orientation sign per d-tuple of
-    ``combinations(range(len(points)), d)`` in that order, O(N^d) work, and
-    the first d-tuple whose hyperplane contains the point, or None.  With
-    ``points`` in general position (at least d of them) every dependent tuple
-    of ``points + [point]`` contains the point, so ``witness + (len(points),)``
-    is what ``find_general_position_violation(points + [point])`` returns.
-    """
-    n, d = len(points), len(point)
+def spanned_cofactors(points, d):
+    """Cofactor table of the hyperplanes spanned by d of the rational points,
+    one row per d-tuple of ``combinations(range(len(points)), d)`` in that
+    order: (table, den, tuples), with the points scaled to integers by den.
+    The table is expanded in blocks of COMBINATION_BLOCK faces."""
+    n = len(points)
     if n < d:
         raise PreconditionError(f"{n} points span no hyperplane in dimension {d}")
-    arr = int_array(scale_points_to_ints([*points, point])[0])
-    signs = np.concatenate(
-        [
-            orientation_signs(arr[np.column_stack([idx, np.full(len(idx), n)])])
-            for idx in combination_blocks(n, d)
-        ]
-    )
-    zeros = np.flatnonzero(signs == 0)
-    if not zeros.size:
-        return signs, None
-    return signs, next(itertools.islice(itertools.combinations(range(n), d), int(zeros[0]), None))
+    int_pts, den = scale_points_to_ints(points)
+    arr = int_array(int_pts)
+    blocks = [b for b in combination_blocks(n, d) if len(b)]
+    return np.concatenate([face_cofactors(arr[b]) for b in blocks]), den, np.concatenate(blocks)
+
+
+def spanned_signs(points, queries):
+    """Signs of each query point against the hyperplanes spanned by d of ``points``.
+
+    Returns (signs, witnesses): per query a row of int8 orientation signs,
+    query last, one per d-tuple of ``combinations(range(len(points)), d)`` in
+    that order, from one cofactor table and ``cofactor_signs``; and per query
+    the first d-tuple whose hyperplane contains it, or None.  With ``points``
+    in general position (at least d of them) every dependent tuple of
+    ``points + [q]`` contains q, so ``witness + (len(points),)`` is what
+    ``find_general_position_violation(points + [q])`` returns.
+    """
+    d = len(queries[0])
+    table, den, tuples = spanned_cofactors(points, d)
+    signs = cofactor_signs(homogeneous_rows(queries, den), table, float_rows(table))[0]
+    signs *= (-1) ** d  # moving the query from first to last
+    witnesses = [None if s.all() else tuple(tuples[np.argmin(s != 0)].tolist()) for s in signs]
+    return signs, witnesses
 
 
 def in_general_position(obj) -> bool:

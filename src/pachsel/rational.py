@@ -5,10 +5,10 @@ Python floats are admitted as inputs but are converted *losslessly* to
 Fraction (every float64 is a dyadic rational), so a float input never
 degrades a predicate to approximate arithmetic.
 
-Orientation signs come from one kernel, ``geometry.orientation_signs``, on
-points scaled by ``scale_points_to_ints``: int64 when the magnitude proves it
-exact, Python ints otherwise.  Determinants, ranks and null vectors share one
-fraction-free elimination, ``_echelon``.
+Orientations of point tuples come from ``geometry.orientation_signs``, signs
+against spanned hyperplanes from face-cofactor tables and the certified float
+filter ``geometry.cofactor_signs``.  Determinants, ranks and null vectors
+share one fraction-free elimination, ``_echelon``.
 """
 
 from __future__ import annotations

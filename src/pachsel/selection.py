@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import statistics
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import ceil, comb, prod
@@ -26,12 +25,16 @@ from .errors import (
     PreconditionError,
 )
 from .geometry import (
+    BLOCK_CELLS,
     LabeledPointSet,
     OrientedHyperplane,
+    cofactor_signs,
+    face_cofactors,
     find_general_position_violation,
-    hyperplane_cofactors,
+    float_rows,
+    homogeneous_rows,
     int_array,
-    orientation_signs,
+    spanned_cofactors,
     spanned_signs,
     strict_separation,
 )
@@ -121,18 +124,20 @@ def deep_rainbow_point(
     if prod(sizes) > budget:
         raise BudgetExceededError(f"{prod(sizes)} rainbow simplices exceed budget {budget}")
     point_set.require_general_position()
-    union = [point_to_fractions(p) for p in point_set.union_points()]
-    centroid = tuple(sum(p[k] for p in union) / len(union) for k in range(point_set.dim))
-    median = tuple(statistics.median(p[k] for p in union) for k in range(point_set.dim))
+    # candidates are exact means of the union scaled to integers by den
+    union, den = scale_points_to_ints(point_set.union_points())
+    dims, m = range(point_set.dim), len(union)
+    centroid = tuple(Fraction(sum(p[j] for p in union), m * den) for j in dims)
+    coords = [sorted(p[j] for p in union) for j in dims]
+    median = tuple(Fraction(c[(m - 1) // 2] + c[m // 2], 2 * den) for c in coords)
     labels = {centroid: "centroid"}  # distinct candidates in order, with their first labels
     labels.setdefault(median, "coordinate-median")
     rng = random.Random(seed)
     k = point_set.dim + 1
+    starts = np.cumsum((0,) + sizes).tolist()
     for t in range(random_candidates):
-        verts = [
-            point_to_fractions(point_set.point(ci, rng.randrange(sizes[ci]))) for ci in range(k)
-        ]
-        centroid = tuple(sum(v[j] for v in verts) / k for j in range(point_set.dim))
+        verts = [union[starts[ci] + rng.randrange(sizes[ci])] for ci in range(k)]
+        centroid = tuple(Fraction(sum(v[j] for v in verts), k * den) for j in dims)
         labels.setdefault(centroid, f"simplex-centroid-{t}")
     points = list(labels)
     enum = point_set.rainbow_enumerator
@@ -155,26 +160,30 @@ def _nudge_off_hyperplanes(anchor, points, seed):
 
     Preserving the nonzero spanned-hyperplane signs preserves, in particular,
     open containment in every simplex spanned by the points.  Steps start at
-    (max |coordinate| + 1) / 2^20 and halve.  Returns the anchor unchanged
-    when it is already off all hyperplanes; either way every spanned sign of
-    the returned point is nonzero.
+    (max |coordinate| + 1) / 2^20 and halve; all of them are scored in one
+    batch against the anchor's cofactor table, and the first that passes
+    wins.  Returns the anchor unchanged when it is already off all
+    hyperplanes; either way every spanned sign of the returned point is nonzero.
     """
     d = len(anchor)
     anchor_fr = point_to_fractions(anchor)
     all_pts = [point_to_fractions(p) for p in points]
-    base_signs, _ = spanned_signs(all_pts, anchor_fr)
+    table, den, _ = spanned_cofactors(all_pts, d)
+    floats = float_rows(table)
+    (base_signs,), _ = cofactor_signs(homogeneous_rows([anchor_fr], den), table, floats)
     if base_signs.all():
         return anchor_fr
     rng = random.Random(seed)
     magnitude = (max((abs(c) for p in all_pts for c in p), default=Fraction(1)) + 1) / (1 << 20)
-    for attempt in range(_PERTURB_RETRIES):
-        direction = _random_rational_vector(rng, d)
-        cand = tuple(a + magnitude * u for a, u in zip(anchor_fr, direction))
-        cand_signs, _ = spanned_signs(all_pts, cand)
-        if np.where(base_signs == 0, cand_signs != 0, cand_signs == base_signs).all():
-            return cand
-        magnitude /= 2
-    raise BudgetExceededError(f"anchor perturbation failed after {_PERTURB_RETRIES} attempts")
+    cands = [
+        tuple(a + magnitude / 2**t * u for a, u in zip(anchor_fr, _random_rational_vector(rng, d)))
+        for t in range(_PERTURB_RETRIES)
+    ]
+    signs, _ = cofactor_signs(homogeneous_rows(cands, den), table, floats)
+    passing = np.where(base_signs == 0, signs != 0, signs == base_signs).all(axis=1)
+    if not passing.any():
+        raise BudgetExceededError(f"anchor perturbation failed after {_PERTURB_RETRIES} attempts")
+    return cands[int(np.argmax(passing))]
 
 
 def perturb_anchor(anchor, point_set: LabeledPointSet, seed: int = 0) -> tuple:
@@ -441,37 +450,29 @@ def ham_sandwich_bisect(sets) -> OrientedHyperplane:
 
 
 def _spanned_bisecting_cut(sets) -> OrientedHyperplane:
-    """``ham_sandwich_bisect`` for a caller that vouches for general position."""
+    """``ham_sandwich_bisect`` for a caller that vouches for general position:
+    one cofactor table of all spans (``itertools.product`` order), scored in
+    blocks of about BLOCK_CELLS span x point cells; row c is -c[1:].x = c[0]/den."""
     d = len(sets)
     if d > 3:
         raise PreconditionError("enumerative ham-sandwich supports d <= 3")
     if any(len(s) == 0 for s in sets):
         raise PreconditionError("empty set cannot be bisected")
     int_points, den = scale_points_to_ints([p for s in sets for p in s])
-    points = int_array(int_points)
-    bounds = np.cumsum([0] + [len(s) for s in sets])
-    firsts, *others = (points[bounds[i] : bounds[i + 1]] for i in range(d))
-    for i0 in range(len(firsts)):
-        # signs[c, q]: side of point q against the c-th spanned hyperplane
-        # through firsts[i0], spans in itertools.product order.  General
-        # position makes every span affinely independent.
-        grid = tuple_grid([firsts[i0 : i0 + 1], *others, points])
-        signs = orientation_signs(grid).reshape(-1, len(points))
-        ok = np.ones(len(signs), dtype=bool)
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            pos = (signs[:, lo:hi] > 0).sum(axis=1)
-            neg = (signs[:, lo:hi] < 0).sum(axis=1)
-            need = (pos + neg) // 2
-            ok &= (pos >= need) & (neg >= need)
-        hits = np.flatnonzero(ok)
+    starts = np.cumsum([0] + [len(s) for s in sets[:-1]])
+    # General position makes every span affinely independent.
+    table = face_cofactors(tuple_grid(np.split(int_array(int_points), starts[1:])))
+    table = table.reshape(-1, d + 1)
+    floats, rows = float_rows(table), [(1, *p) for p in int_points]
+    step = max(1, BLOCK_CELLS // len(int_points))
+    for start in range(0, len(table), step):
+        signs, _ = cofactor_signs(rows, table[start : start + step], floats[start : start + step])
+        # a set is bisected iff its positive and negative counts differ by at most 1
+        balance = np.add.reduceat(signs.astype(np.int64), starts, axis=0)
+        hits = np.flatnonzero((np.abs(balance) <= 1).all(axis=0))
         if hits.size:
-            rest = np.unravel_index(hits[0], [len(o) for o in others])
-            span = [int_points[bounds[0] + i0]]
-            span += [int_points[bounds[i] + int(j)] for i, j in enumerate(rest, start=1)]
-            normal, offset = hyperplane_cofactors(span)
-            return OrientedHyperplane(
-                tuple(Fraction(n) for n in normal), Fraction(offset, den)
-            )
+            c = table[start + hits[0]].tolist()
+            return OrientedHyperplane(tuple(Fraction(-x) for x in c[1:]), Fraction(c[0], den))
     raise GeneralPositionError("no spanned bisecting cut found; inputs degenerate")
 
 
@@ -568,7 +569,7 @@ def few_separations(
     ]
     union = [p for part in current for _, p in part]
     point_set.require_general_position()
-    _, violation = spanned_signs(union, anchor)
+    _, (violation,) = spanned_signs(union, [anchor])
     if violation is not None:
         raise GeneralPositionError(
             "subsets and anchor are not in general position", violation + (len(union),)
@@ -688,8 +689,8 @@ def shrink_to_generic(
         tuple(index_sets[ci][i] for i in kept_local[ci]) for ci in range(d + 1)
     )
     new_colors = [[colors[ci][i] for i in kept_local[ci]] for ci in range(d + 1)]
-    _, open2 = RainbowEnumerator(new_colors).containment_masks([anchor])
-    if not bool(open2.all()):
+    # the kept colors' simplices are a sub-box of the selected colors' ones
+    if not bool(open_[0][np.ix_(*kept_local)].all()):
         raise InternalInvariantError(
             "anchor not interior to all simplices after removing the boundary family"
         )

@@ -17,7 +17,6 @@ from pachsel.geometry import (
     OrientedHyperplane,
     face_cofactors,
     find_general_position_violation,
-    hyperplane_cofactors,
     int_array,
     in_general_position,
     orientation,
@@ -271,7 +270,8 @@ def test_general_position_small_sets():
 def new_point_instances(draw):
     """A union in general position in d = 1..3 and a query point that is
     random, planted on a spanned hyperplane or equal to an input point, on the
-    int64 path or scaled by 2^62 onto the object path."""
+    int64 path, scaled by 2^62 onto the object path or by 2^1100 past the
+    float range, where every filtered sign falls back to Python ints."""
     d = draw(st.integers(1, 3))
     coord = st.integers(-1 << 10, 1 << 10)
     union = draw(st.lists(st.tuples(*[coord] * d), min_size=d, max_size=d + 5, unique=True))
@@ -286,7 +286,7 @@ def new_point_instances(draw):
         w = [draw(st.integers(-2, 2)) for _ in span[1:]]
         w = [1 - sum(w)] + w
         q = tuple(sum(c * p[x] for c, p in zip(w, span)) for x in range(d))
-    scale = draw(st.sampled_from([1, 1 << 62]))
+    scale = draw(st.sampled_from([1, 1 << 62, 1 << 1100]))
     return [tuple(scale * c for c in p) for p in union], tuple(scale * c for c in q)
 
 
@@ -294,10 +294,11 @@ def new_point_instances(draw):
 @given(new_point_instances())
 def test_spanned_violation_matches_full_scan(instance):
     union, q = instance
-    signs, witness = spanned_signs(union, q)
+    (signs,), (witness,) = spanned_signs(union, [q])
     full = find_general_position_violation(union + [q])
     assert (None if witness is None else witness + (len(union),)) == full
-    assert len(signs) == len(list(itertools.combinations(union, len(q))))
+    spans = list(itertools.combinations(union, len(q)))
+    assert signs.tolist() == orientation_signs([[*span, q] for span in spans]).tolist()
     assert bool(signs.all()) == (full is None)
 
 
@@ -687,12 +688,18 @@ def test_separation_farkas_duality_small(rng):
             assert separated == (not inside)
 
 
+def _cofactor_plane(int_points):
+    """Integer (normal, offset) of the face-cofactor plane -c[1:] . x = c[0]."""
+    c = face_cofactors(np.array(int_points)).tolist()
+    return tuple(-x for x in c[1:]), c[0]
+
+
 def test_hyperplane_through_points():
-    h = OrientedHyperplane(*hyperplane_cofactors([(1, 0), (0, 1)]))
+    h = OrientedHyperplane(*_cofactor_plane([(1, 0), (0, 1)]))
     assert h.side((1, 0)) == 0 and h.side((0, 1)) == 0
     assert h.side((0, 0)) != 0
     # a repeated point spans no hyperplane: the normal is zero
-    assert hyperplane_cofactors([(0, 0), (0, 0)])[0] == (0, 0)
+    assert _cofactor_plane([(0, 0), (0, 0)])[0] == (0, 0)
 
 
 def _det_laplace(rows):
@@ -716,7 +723,7 @@ def test_hyperplane_through_rational_points_is_the_fraction_cofactor_plane(rng, 
             (-1) ** k * _det_laplace([r[:k] + r[k + 1 :] for r in diffs]) for k in range(d)
         )
         int_pts, den = scale_points_to_ints(pts)
-        int_normal, int_offset = hyperplane_cofactors(int_pts)
+        int_normal, int_offset = _cofactor_plane(int_pts)
         assert int_normal == tuple(n * den ** (d - 1) for n in normal)
         assert int_offset == sum(n * x for n, x in zip(normal, pts[0])) * den**d
 

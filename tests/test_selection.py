@@ -19,13 +19,15 @@ from pachsel.errors import (
 )
 from pachsel.geometry import (
     LabeledPointSet,
+    OrientedHyperplane,
     in_general_position,
     point_in_simplex,
     satisfies_condition_G,
+    spanned_signs,
 )
 from pachsel import selection
 from pachsel.io import canonical_json_bytes, sha256_hex
-from pachsel.rational import det_int
+from pachsel.rational import det_int, null_vector, scale_points_to_ints
 from pachsel.selection import (
     GenericPachConfiguration,
     PachCertificate,
@@ -260,6 +262,43 @@ def test_perturb_anchor_moves_off_spanned_hyperplane():
     assert in_general_position(ps.union_points() + [moved])
     after_open = enum.containment_masks([moved])[1][0]
     assert np.array_equal(before_open, before_open & after_open)
+
+
+def _reference_nudge(anchor, points, seed):
+    """One spanned_signs call per retry: the candidate that passes first and
+    how many failed before it."""
+    (base,), _ = spanned_signs(points, [anchor])
+    rng = random.Random(seed)
+    magnitude = (max(abs(Fraction(c)) for p in points for c in p) + 1) / (1 << 20)
+    for attempt in range(selection._PERTURB_RETRIES):
+        direction = selection._random_rational_vector(rng, len(anchor))
+        cand = tuple(a + magnitude * u for a, u in zip(anchor, direction))
+        (signs,), _ = spanned_signs(points, [cand])
+        if np.where(base == 0, signs != 0, signs == base).all():
+            return cand, attempt
+        magnitude /= 2
+    return None, attempt
+
+
+def test_nudge_scores_every_retry_against_one_table(monkeypatch):
+    # The origin lies on the line y = 0 spanned by (-4, 0) and (4, 0), between
+    # the lines y = +-2^-30, so steps past 2^-30 cross one of those.
+    e = Fraction(1, 1 << 30)
+    points = [(-4, 0), (4, 0), (-3, e), (3, e), (-2, -e), (2, -e)]
+    assert in_general_position(points)
+    anchor = (Fraction(0), Fraction(0))
+    expected, failed = _reference_nudge(anchor, points, seed=3)
+    assert failed > 0
+    tables = []
+    spanned_cofactors = selection.spanned_cofactors
+
+    def counted(*args):
+        tables.append(args)
+        return spanned_cofactors(*args)
+
+    monkeypatch.setattr(selection, "spanned_cofactors", counted)
+    assert selection._nudge_off_hyperplanes(anchor, points, seed=3) == expected
+    assert len(tables) == 1
 
 
 def test_perturb_anchor_requires_open_margin():
@@ -529,6 +568,47 @@ def test_few_separations_space_branch_oracle():
     assert all(len(y) >= 1 for y in res.index_sets)  # 6 / 2^3, rounded up
     fraction = naive_closed_containment_fraction(ps, res.index_sets, p)
     assert fraction == (1 if res.all_contain else 0)
+
+
+def _reference_bisecting_cut(sets):
+    """Spans in product order, each plane from ``null_vector`` and its side
+    counts from ``OrientedHyperplane.side``; the first bisecting one."""
+    d = len(sets)
+    int_points, den = scale_points_to_ints([p for s in sets for p in s])
+    starts = np.cumsum([0] + [len(s) for s in sets]).tolist()
+    int_sets = [int_points[lo:hi] for lo, hi in zip(starts, starts[1:])]
+    sign = (-1) ** (d - 1)
+    for span in itertools.product(*int_sets):
+        *normal, last = null_vector([tuple(p) + (1,) for p in span])
+        h = OrientedHyperplane(
+            tuple(Fraction(sign * c) for c in normal), Fraction(-sign * last, den)
+        )
+        sides = [[h.side(q) for q in s] for s in sets]
+        if all(min(x.count(1), x.count(-1)) >= (len(x) - x.count(0)) // 2 for x in sides):
+            return h
+    return None
+
+
+@st.composite
+def bisection_instances(draw):
+    """d = 1..3 sets of 1-4 points in general position, scaled by 1, by 2^62
+    (object path) or by 2^1100 (past the float range), over denominator 1 or 3."""
+    d = draw(st.integers(1, 3))
+    coord = st.integers(-1 << 10, 1 << 10)
+    sets = [
+        draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=4, unique=True))
+        for _ in range(d)
+    ]
+    assume(in_general_position([p for s in sets for p in s]))
+    scale = draw(st.sampled_from([1, 1 << 62, 1 << 1100]))
+    den = draw(st.sampled_from([1, 3]))
+    return [[tuple(Fraction(scale * c, den) for c in p) for p in s] for s in sets]
+
+
+@settings(max_examples=120, deadline=None)
+@given(bisection_instances())
+def test_spanned_bisecting_cut_matches_per_span_reference(sets):
+    assert selection._spanned_bisecting_cut(sets) == _reference_bisecting_cut(sets)
 
 
 def test_ham_sandwich_rejects_degenerate_input():
@@ -814,6 +894,22 @@ def test_shrink_size_underflow():
     ps = LabeledPointSet.create(1, [[(0,)], [(2,)]])
     with pytest.raises(PreconditionError):
         shrink_to_generic(ps, ((0,), (0,)), (2,), seed=1)  # boundary + singleton colors
+
+
+def test_shrink_builds_one_enumerator_for_the_selected_colors(monkeypatch):
+    # The kept colors' masks are a sub-box of the selected colors' masks; the
+    # only other enumerator is the configuration's own check of the moved point.
+    built = []
+    init = RainbowEnumerator.__init__
+
+    def recorded(self, colors):
+        init(self, colors)
+        built.append(self.sizes)
+
+    monkeypatch.setattr(RainbowEnumerator, "__init__", recorded)
+    ps = LabeledPointSet.create(1, [[(0,), (2,)], [(4,), (6,)]])
+    cfg = shrink_to_generic(ps, ((0, 1), (0, 1)), (4,), seed=5)
+    assert built == [(2, 2), tuple(len(y) for y in cfg.index_sets)]
 
 
 @st.composite
