@@ -7,9 +7,9 @@ after build; queries are pure.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -162,10 +162,9 @@ def dump_counterexample_bundle(arrangement, corner_points, point, reason: str) -
     """Write a reproducible JSON bundle for a failed covering instance.
 
     Destination directory comes from PACHSEL_COUNTEREXAMPLE_DIR (default cwd).
+    The file is named by the sha256 of the bundle's canonical JSON, so distinct
+    bundles never overwrite each other and a repeated one lands on itself.
     """
-    directory = os.environ.get("PACHSEL_COUNTEREXAMPLE_DIR", ".")
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, f"pachsel-counterexample-{int(time.time() * 1000)}.json")
     bundle = {
         "reason": reason,
         "hyperplanes": [
@@ -175,6 +174,10 @@ def dump_counterexample_bundle(arrangement, corner_points, point, reason: str) -
         "corner_points": [[format_scalar(c) for c in y] for y in corner_points],
         "point": [format_scalar(c) for c in point],
     }
+    digest = hashlib.sha256(json.dumps(bundle, sort_keys=True, separators=(",", ":")).encode())
+    directory = os.environ.get("PACHSEL_COUNTEREXAMPLE_DIR", ".")
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, f"pachsel-counterexample-{digest.hexdigest()}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(bundle, fh, sort_keys=True, indent=2)
     return path

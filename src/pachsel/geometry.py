@@ -21,6 +21,7 @@ import numpy as np
 from . import lp
 from .errors import DimensionMismatchError, GeneralPositionError, PreconditionError
 from .rational import (
+    det_int,
     dot,
     is_exact,
     matrix_rank_fraction,
@@ -29,8 +30,8 @@ from .rational import (
     to_fraction,
 )
 
-# Combinations per orientation_signs call in the exhaustive scans; bounds their
-# memory independently of the number of combinations.
+# Faces per face_cofactors call while a spanned table is built; bounds the
+# expansion's memory independently of the number of faces.
 COMBINATION_BLOCK = 1 << 12
 # row x table cells per block of ``cofactor_signs`` (and of the callers that
 # score in blocks), so memory does not grow with the batch
@@ -62,28 +63,6 @@ def _minors(m):
             expanded[cols] = det
         minors = expanded
     return minors
-
-
-def orientation_signs(tuples) -> np.ndarray:
-    """Exact orientation signs of integer point tuples, batched.
-
-    ``tuples`` has shape (..., k+1, k): each tuple is k+1 points of Z^k, given
-    as an integer or object (Python int) array or as nested Python ints.  The
-    int8 result of shape (...) holds the sign of det[p_1 - p_0, ..., p_k - p_0],
-    the cofactor expansion of the k x k difference matrix.  With
-    B = 2 max|coordinate| no minor or partial sum exceeds k! B^k, so the
-    expansion runs in int64 when k! B^k < 2^63 and on Python ints otherwise.
-    """
-    a = tuples if isinstance(tuples, np.ndarray) else int_array(tuples)
-    k = a.shape[-1]
-    if a.ndim < 2 or a.shape[-2] != k + 1:
-        raise DimensionMismatchError(f"orientation tuples need shape (..., k+1, k), got {a.shape}")
-    if k == 0:
-        return np.ones(a.shape[:-2], dtype=np.int8)
-    bound = 2 * max(int(a.max()), -int(a.min())) if a.size else 0
-    a = a.astype(np.int64 if factorial(k) * bound**k < 1 << 63 else object, copy=False)
-    det = _minors(a[..., 1:, :] - a[..., :1, :])[tuple(range(k))]
-    return np.greater(det, 0).astype(np.int8) - np.less(det, 0)
 
 
 def face_cofactors(faces) -> np.ndarray:
@@ -166,7 +145,8 @@ def orientation(points) -> int:
     """Sign of the orientation determinant of d+1 points in R^d.
 
     Exact for integer, rational and float inputs alike: the points are scaled
-    to integers by their common denominator, which keeps the sign.
+    to integers by their common denominator, which keeps the sign, and the
+    determinant of their differences is one Bareiss ``det_int``.
     """
     k = len(points)
     d = k - 1
@@ -176,7 +156,8 @@ def orientation(points) -> int:
                 f"orientation of {k} points needs dimension {d}, got point of dimension {len(p)}"
             )
     int_pts, _ = scale_points_to_ints(points)
-    return int(orientation_signs(int_pts))
+    det = det_int([[a - b for a, b in zip(p, int_pts[0])] for p in int_pts[1:]])
+    return (det > 0) - (det < 0)
 
 
 @dataclass(frozen=True)
@@ -225,7 +206,9 @@ class LabeledPointSet:
             raise PreconditionError(
                 f"expected {self.dim + 1} colors for dimension {self.dim}, got {len(self.colors)}"
             )
-        for pts in self.colors:
+        for i, pts in enumerate(self.colors):
+            if not pts:
+                raise PreconditionError(f"color {i} is empty")
             for p in pts:
                 if len(p) != self.dim:
                     raise DimensionMismatchError("point dimension mismatch")
@@ -248,9 +231,9 @@ class LabeledPointSet:
     @cached_property
     def general_position_violation(self):
         """First dependent tuple of ``union_points()`` indices, or None: one
-        O(N^{d+1}) scan per instance, kept for every stage handed this set
-        (not a field: equality and hashing ignore it).  A point added later is
-        checked in O(N^d) with ``spanned_signs``."""
+        scan of the C(N,d) spanned cofactor table per instance, kept for every
+        stage handed this set (not a field: equality and hashing ignore it).  A
+        point added later is checked in O(N^d) with ``spanned_signs``."""
         return find_general_position_violation(self)
 
     @cached_property
@@ -279,23 +262,31 @@ def _point_list(obj):
 def find_general_position_violation(obj):
     """First affinely dependent (<= d+1)-tuple of the given points, or None.
 
-    Affine dependence is monotone under supersets, so scanning all
-    (d+1)-subsets in lexicographic order suffices once the collection has
-    more than d+1 points.
+    Affine dependence is monotone under supersets, so with more than d+1
+    points it suffices to find the lexicographically first dependent
+    (d+1)-tuple (q, face).  Its faces are the rows of one
+    ``spanned_cofactors`` table, and those whose first index exceeds q form
+    a suffix of it, so each q is one row against that suffix under
+    ``cofactor_signs`` and the first zero names the tuple.  No cell pairs a
+    point with a face that contains it, an exact zero the filter would
+    recompute on Python ints.
     """
     d, pts = _point_list(obj)
     n = len(pts)
-    int_pts, _ = scale_points_to_ints(pts)
     if n <= d + 1:
+        int_pts, _ = scale_points_to_ints(pts)
         rows = [[a - b for a, b in zip(p, int_pts[0])] for p in int_pts[1:]]
         if rows and matrix_rank_fraction(rows) < n - 1:
             return tuple(range(n))
         return None
-    arr = int_array(int_pts)
-    for idx in combination_blocks(n, d + 1):
-        bad = np.flatnonzero(orientation_signs(arr[idx]) == 0)
-        if bad.size:
-            return tuple(int(i) for i in idx[bad[0]])
+    table, den, faces = spanned_cofactors(pts, d)
+    floats = float_rows(table)
+    starts = np.searchsorted(faces[:, 0], np.arange(1, n - d + 1)).tolist()
+    for q, (row, s) in enumerate(zip(homogeneous_rows(pts[: n - d], den), starts)):
+        (signs,), _ = cofactor_signs([row], table[s:], floats[s:])
+        zeros = np.flatnonzero(signs == 0)
+        if zeros.size:
+            return (q, *faces[s + zeros[0]].tolist())
     return None
 
 
@@ -476,6 +467,8 @@ def point_in_simplex(point, vertices, mode: str = "closed") -> bool:
     closed: membership in the convex hull (degenerate simplices allowed,
     decided by an exact convex-combination LP).  open: interior membership
     via d+1 orientation signs; degenerate simplices have empty interior.
+    Every sign is one ``det_int``, so this reference stays independent of the
+    cofactor filter.
     """
     if mode not in ("closed", "open"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -484,11 +477,10 @@ def point_in_simplex(point, vertices, mode: str = "closed") -> bool:
         raise DimensionMismatchError("simplex needs d+1 vertices")
     if any(len(v) != d for v in vertices):
         raise DimensionMismatchError("simplex vertices must have the point's dimension")
-    int_pts, _ = scale_points_to_ints([point, *vertices])
-    p, verts = int_pts[0], int_pts[1:]
+    verts = list(vertices)
     # The full simplex, then the simplex with vertex i replaced by the point.
-    tuples = [verts] + [verts[:i] + [p] + verts[i + 1 :] for i in range(d + 1)]
-    s_full, *signs = orientation_signs(tuples).tolist()
+    tuples = [verts] + [verts[:i] + [point] + verts[i + 1 :] for i in range(d + 1)]
+    s_full, *signs = map(orientation, tuples)
     if s_full == 0:
         if mode == "open":
             return False

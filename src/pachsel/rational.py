@@ -5,10 +5,11 @@ Python floats are admitted as inputs but are converted *losslessly* to
 Fraction (every float64 is a dyadic rational), so a float input never
 degrades a predicate to approximate arithmetic.
 
-Orientations of point tuples come from ``geometry.orientation_signs``, signs
-against spanned hyperplanes from face-cofactor tables and the certified float
-filter ``geometry.cofactor_signs``.  Determinants, ranks and null vectors
-share one fraction-free elimination, ``_echelon``.
+Batched orientation signs, general position included, are signs against
+spanned hyperplanes: face-cofactor tables under the certified float filter
+``geometry.cofactor_signs``.  The orientation of a single tuple is one
+``det_int``.  Determinants, ranks and null vectors share one fraction-free
+elimination, ``_echelon``.
 """
 
 from __future__ import annotations
@@ -91,9 +92,9 @@ def _echelon(rows):
 
 
 def det_int(rows) -> int:
-    """Exact determinant of a square integer matrix."""
+    """Exact determinant of a square integer matrix (1 for the empty one)."""
     m, pivots, sign = _echelon(rows)
-    return sign * m[-1][-1] if len(pivots) == len(m) else 0
+    return sign * (m[-1][-1] if m else 1) if len(pivots) == len(m) else 0
 
 
 def matrix_rank_fraction(rows) -> int:

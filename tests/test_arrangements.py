@@ -175,6 +175,13 @@ def test_counterexample_bundle_dump(tmp_path, monkeypatch):
         bundle = json.load(fh)
     assert bundle["reason"] == "manual test"
     assert bundle["point"] == ["1/2"]
+    # named by content: distinct bundles get distinct files, a repeat its old name
+    paths = [
+        dump_counterexample_bundle(arr, [(2,), (-1,)], (Fraction(k, 7),), "manual test")
+        for k in range(5)
+    ]
+    assert len(set(paths)) == 5 and len(list(tmp_path.iterdir())) == 6
+    assert dump_counterexample_bundle(arr, [(2,), (-1,)], (Fraction(1, 2),), "manual test") == path
 
 
 def test_cover_agrees_with_closed_simplex_membership():

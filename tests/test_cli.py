@@ -318,6 +318,9 @@ _FLOAT_POINTS_2D = b'[[0.5, 0], [0, 0.25]], [[-0.5, 0], [0, -0.25]], [[0.2, 0.12
         ("measure", b'{"dim": 1, "colors": [[{"point": ["0"], "weight": "1/0"}], '
          b'[{"point": ["1"], "weight": "1"}]]}'),
         ("select", b'{"dim": 1, "exact": true, "colors": ' + b"[" * 200_000 + b"]" * 200_000 + b"}"),
+        ("select", b'{"dim": 2, "exact": true, "colors": [[], [], []]}'),
+        ("select", b'{"dim": 1, "exact": true, "colors": [[["0"], ["2"]], []]}'),
+        ("deep", b'{"dim": 1, "exact": true, "colors": [[["0"], ["2"]], []]}'),
     ],
     ids=[
         "non-utf8-select", "non-utf8-deep", "exact-infinity", "exact-1e999", "float-nan",
@@ -325,7 +328,8 @@ _FLOAT_POINTS_2D = b'[[0.5, 0], [0, 0.25]], [[-0.5, 0], [0, -0.25]], [[0.2, 0.12
         "simplex-nan", "simplex-nan-string", "simplex-bool",
         "simplex-ragged", "simplex-string-vertex", "float-dim", "bool-dim", "string-exact",
         "string-point", "measure-float-dim", "measure-string-point", "exact-zero-denominator",
-        "measure-zero-denominator", "deeply-nested",
+        "measure-zero-denominator", "deeply-nested", "all-colors-empty", "empty-color-select",
+        "empty-color-deep",
     ],
 )
 def test_bad_input_files_exit_2(workdir, capsys, command, content):
@@ -406,6 +410,8 @@ def test_exit_codes(workdir):
     pio.dump_json({"dim": 1, "exact": True, "colors": [[["0"], ["2"]], [["1"], ["3"]]]}, pts)
     for budget in (0, -5):
         assert run(["select", "--in", pts, "--out", workdir / "c.json", "--witness-budget", budget]) == 3
+    # precondition: no points to generate
+    assert run(["gen", "--dim", 2, "--shape", "uniform-ball", "--n", 0, "--out", workdir / "g.json"]) == 3
     # precondition: a grid ball of dimension below 1
     assert run(["gen", "--dim", -1, "--shape", "grid-ball", "--eps", "1/2", "--out", workdir / "g.json"]) == 3
     # precondition: eps above 1/2^d, which few-separations cannot keep

@@ -20,7 +20,6 @@ from pachsel.geometry import (
     int_array,
     in_general_position,
     orientation,
-    orientation_signs,
     point_in_simplex,
     satisfies_condition_G,
     spanned_signs,
@@ -94,7 +93,7 @@ def _det_sign(tup):
 def orientation_batches(draw):
     """Tuples of k+1 integer points in Z^k, some planted degenerate."""
     k = draw(st.integers(1, 4))
-    hi = 1 << draw(st.sampled_from([4, 20, 31, 62, 80]))
+    hi = 1 << draw(st.sampled_from([4, 20, 31, 62, 80, 1100]))
     coord = st.one_of(st.sampled_from([-hi, 0, hi]), st.integers(-hi, hi))
     batch = []
     for _ in range(draw(st.integers(1, 6))):
@@ -114,10 +113,14 @@ def orientation_batches(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(orientation_batches())
-def test_orientation_signs_match_det_int(batch):
-    signs = orientation_signs(batch)
-    assert signs.dtype == np.int8 and signs.shape == (len(batch),)
-    assert signs.tolist() == [_det_sign(t) for t in batch]
+def test_orientation_and_scan_match_det_int(batch):
+    for tup in batch:
+        sign = _det_sign(tup)
+        assert orientation(tup) == sign
+        # Repeating t_0 makes the set dependent; the scan's first dependent
+        # tuple is the whole of t exactly when t is dependent.
+        first = find_general_position_violation(tup + [tup[0]])
+        assert (first == tuple(range(len(tup)))) == (sign == 0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -131,10 +134,11 @@ def test_face_cofactors_give_orientation_against_the_face(batch):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
-@pytest.mark.parametrize("bits", [20, 31, 62, 80])
-def test_orientation_signs_at_extreme_coordinates(k, bits):
+@pytest.mark.parametrize("bits", [20, 31, 62, 80, 1100])
+def test_orientation_and_scan_at_extreme_coordinates(k, bits):
     # Corner simplices reach |det| = (2 * 2^bits)^k, which wraps in int64 for
-    # all but the smallest cases; the kernel must switch to Python ints there.
+    # all but the smallest cases and passes the float range at 2^1100, where
+    # every filtered sign of the scan falls back to Python ints.
     hi = 1 << bits
     corner = [(-hi,) * k] + [
         tuple(hi if x == i else -hi for x in range(k)) for i in range(k)
@@ -142,9 +146,11 @@ def test_orientation_signs_at_extreme_coordinates(k, bits):
     swapped = [corner[1], corner[0]] + corner[2:]
     flat = corner[:-1] + [corner[-2]]
     batch = [corner, swapped, flat]
-    assert orientation_signs(batch).tolist() == [1, -1, 0]
-    assert orientation_signs(np.array(batch, dtype=object)).tolist() == [1, -1, 0]
+    assert [orientation(t) for t in batch] == [1, -1, 0]
     assert [_det_sign(t) for t in batch] == [1, -1, 0]
+    # corner is independent, so the first dependent tuple of corner + [corner[-2]]
+    # is the first that holds both copies of corner[-2]
+    assert find_general_position_violation(corner + [corner[-2]]) == (*range(k), k + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -244,20 +250,49 @@ def test_general_position_agrees_with_naive_on_random_instances():
 
 
 def test_general_position_scan_crosses_block_boundary():
+    # The spanned table is expanded in blocks of COMBINATION_BLOCK faces; the
+    # witness's face (95, 99) lies past the first block.
     rng = random.Random(11)
-    pts = general_position_points(rng, 75, 2)
-    pts[74] = tuple((a + b) / 2 for a, b in zip(pts[30], pts[50]))  # (30, 50, 74) collinear
-    combos = list(itertools.combinations(range(75), 3))
-    assert combos.index((30, 50, 74)) >= COMBINATION_BLOCK
+    pts = general_position_points(rng, 100, 2)
+    pts[99] = tuple((a + b) / 2 for a, b in zip(pts[30], pts[95]))  # (30, 95, 99) collinear
+    assert list(itertools.combinations(range(100), 2)).index((95, 99)) >= COMBINATION_BLOCK
     ints, _ = scale_points_to_ints(pts)
 
     def cross(i, j, k):
         (ax, ay), (bx, by), (cx, cy) = ints[i], ints[j], ints[k]
         return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
-    naive = next(c for c in combos if cross(*c) == 0)
-    assert naive == (30, 50, 74)
+    naive = next(c for c in itertools.combinations(range(100), 3) if cross(*c) == 0)
+    assert naive == (30, 95, 99)
     assert find_general_position_violation(pts) == naive
+
+
+@st.composite
+def scan_instances(draw):
+    """More than d+1 points in d = 1..3, some replaced by an integer affine
+    combination of d points (a repeat when the weights pick one), divided by
+    1 or 3 and scaled by 1, 2^62 or 2^1100."""
+    d = draw(st.integers(1, 3))
+    coord = st.integers(-1 << 10, 1 << 10)
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=d + 2, max_size=d + 7))
+    index = st.integers(0, len(pts) - 1)
+    for _ in range(draw(st.integers(0, 2))):
+        span = draw(st.lists(index, min_size=d, max_size=d, unique=True))
+        w = [draw(st.integers(-2, 2)) for _ in span[1:]]
+        w = [1 - sum(w)] + w
+        pts[draw(index)] = tuple(sum(c * pts[i][x] for c, i in zip(w, span)) for x in range(d))
+    scale = Fraction(draw(st.sampled_from([1, 1 << 62, 1 << 1100])), draw(st.sampled_from([1, 3])))
+    return [tuple(scale * c for c in p) for p in pts]
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_instances())
+def test_general_position_scan_matches_det_int_scan(points):
+    # reference: every (d+1)-tuple in lexicographic order, one det_int each
+    ints, _ = scale_points_to_ints(points)
+    tuples = itertools.combinations(range(len(ints)), len(ints[0]) + 1)
+    first = next((t for t in tuples if _det_sign([ints[i] for i in t]) == 0), None)
+    assert find_general_position_violation(points) == first
 
 
 def test_general_position_small_sets():
@@ -297,8 +332,8 @@ def test_spanned_violation_matches_full_scan(instance):
     (signs,), (witness,) = spanned_signs(union, [q])
     full = find_general_position_violation(union + [q])
     assert (None if witness is None else witness + (len(union),)) == full
-    spans = list(itertools.combinations(union, len(q)))
-    assert signs.tolist() == orientation_signs([[*span, q] for span in spans]).tolist()
+    spans = itertools.combinations(union, len(q))
+    assert signs.tolist() == [_det_sign([*span, q]) for span in spans]
     assert bool(signs.all()) == (full is None)
 
 
