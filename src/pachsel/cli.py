@@ -322,6 +322,8 @@ def cmd_bench(args) -> int:
     import os
 
     dims = _parse_dims(args.dims)
+    if args.instances < 0:
+        raise PreconditionError("--instances must be >= 0")
     os.makedirs(args.out_dir, exist_ok=True)
     rows = []
     for d in dims:

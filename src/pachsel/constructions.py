@@ -234,15 +234,14 @@ def corner_volumes_mc(arrangement, samples: int, seed: int):
     )
     offsets = np.array([float(h.offset) for h in arrangement.hyperplanes], dtype=float)
     beta = unit_ball_volume(d)
-    hits = np.zeros(d + 1, dtype=np.int64)
+    # Bit j of a sample's side code is set iff it lies on the positive closed
+    # side of plane j; corner i counts the codes whose other bits are all set.
+    bits = 1 << np.arange(d + 1)
+    full = (1 << (d + 1)) - 1
+    counts = np.zeros(full + 1, dtype=np.int64)
     for x in _ball_chunks(seed, samples, d):
-        positive = (x @ normals.T) >= offsets  # positive closed side per plane
-        for i in range(d + 1):
-            mask = np.ones(len(x), dtype=bool)
-            for j in range(d + 1):
-                if j != i:
-                    mask &= positive[:, j]
-            hits[i] += int(mask.sum())
+        counts += np.bincount(((x @ normals.T) >= offsets) @ bits, minlength=full + 1)
+    hits = counts[full] + counts[full ^ bits]
     fractions = hits / samples
     volumes = beta * fractions
     sigmas = beta * np.sqrt(fractions * (1 - fractions) / samples)

@@ -19,7 +19,12 @@ from math import factorial, lcm
 import numpy as np
 
 from . import lp
-from .errors import DimensionMismatchError, GeneralPositionError, PreconditionError
+from .errors import (
+    DimensionMismatchError,
+    GeneralPositionError,
+    InternalInvariantError,
+    PreconditionError,
+)
 from .rational import (
     det_int,
     dot,
@@ -504,5 +509,5 @@ def strict_separation(point, points):
     normal, offset, _margin = result
     h = OrientedHyperplane(normal, offset)
     if h.side(point) >= 0 or any(h.side(s) <= 0 for s in points):
-        raise AssertionError("separation LP returned an invalid hyperplane")
+        raise InternalInvariantError("separation LP returned an invalid hyperplane")
     return h

@@ -30,6 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
+from .errors import InternalInvariantError
 from .rational import to_fraction
 
 
@@ -79,7 +80,7 @@ def _run_simplex(tableau, basis) -> int:
                 if leave < 0 or b * la < lb * a or (b * la == lb * a and basis[i] < basis[leave]):
                     leave, lb, la = i, b, a
         if leave < 0:
-            raise AssertionError("simplex reported unbounded")
+            raise InternalInvariantError("simplex reported unbounded")
         den = _pivot(tableau, basis, leave, enter, den)
         iteration += 1
 

@@ -55,7 +55,7 @@ def scale_points_to_ints(points):
     """
     pts = [point_to_fractions(p) for p in points]
     den = common_denominator(pts)
-    scaled = [tuple((c * den).numerator for c in p) for p in pts]
+    scaled = [tuple(c.numerator * (den // c.denominator) for c in p) for p in pts]
     return scaled, den
 
 

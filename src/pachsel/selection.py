@@ -120,6 +120,8 @@ def deep_rainbow_point(
     Precondition: the set is in general position, decided here once per
     ``LabeledPointSet`` and reused by later stages handed the same instance.
     """
+    if random_candidates < 0:
+        raise PreconditionError("random_candidates must be >= 0")
     sizes = point_set.sizes()
     if prod(sizes) > budget:
         raise BudgetExceededError(f"{prod(sizes)} rainbow simplices exceed budget {budget}")

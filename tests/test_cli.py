@@ -361,6 +361,69 @@ def test_internal_invariant_failure_exits_1(workdir, capsys, monkeypatch):
     assert "1  internal invariant failed (a bug)" in cli.build_parser().epilog
 
 
+def _unbounded_simplex(run_simplex):
+    """Give the tableau a new column with the most negative cost and no
+    positive entry, so the ratio test finds no leaving row."""
+
+    def wrapped(tableau, basis):
+        costs = tableau[-1][:-1]
+        for row in tableau[:-1]:
+            row.insert(-1, 0)
+        tableau[-1].insert(-1, min(costs) - 1)
+        return run_simplex(tableau, basis)
+
+    return wrapped
+
+
+def _flipped_separation(separate):
+    """Return the separating hyperplane with the wrong orientation."""
+
+    def wrapped(point, points):
+        normal, offset, margin = separate(point, points)
+        return tuple(-c for c in normal), -offset, margin
+
+    return wrapped
+
+
+@pytest.mark.parametrize(
+    "attr, breaker, message",
+    [
+        ("_run_simplex", _unbounded_simplex, "simplex reported unbounded"),
+        (
+            "max_margin_separation",
+            _flipped_separation,
+            "separation LP returned an invalid hyperplane",
+        ),
+    ],
+)
+def test_lp_invariant_failures_exit_1(workdir, capsys, monkeypatch, attr, breaker, message):
+    from pachsel import lp
+
+    pts = workdir / "pts.json"
+    # the separating arrangement of this instance solves two separation LPs
+    assert run(["gen", "--dim", 1, "--shape", "uniform-ball", "--n", 4, "--out", pts]) == 0
+    monkeypatch.setattr(lp, attr, breaker(getattr(lp, attr)))
+    assert run(["select", "--in", pts, "--out", workdir / "cert.json"]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["bench", "--dims", "2", "--instances", "-1", "--out-dir", "{dir}/b"],
+        ["deep", "--in", "{pts}", "--random-candidates", "-5"],
+        ["select", "--in", "{pts}", "--out", "{dir}/c.json", "--random-candidates", "-5"],
+    ],
+    ids=["bench-instances", "deep-random-candidates", "select-random-candidates"],
+)
+def test_negative_counts_exit_3(workdir, capsys, args):
+    pts = workdir / "pts.json"
+    pio.dump_json({"dim": 1, "exact": True, "colors": [[["0"], ["2"]], [["1"], ["3"]]]}, pts)
+    assert run([a.format(dir=workdir, pts=pts) for a in args]) == 3
+    assert "must be >= 0" in capsys.readouterr().err
+    assert not (workdir / "b").exists()
+
+
 @pytest.mark.parametrize("command", ["select", "deep"])
 @pytest.mark.parametrize(
     "colors, witness",

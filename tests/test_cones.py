@@ -1,8 +1,11 @@
 import math
 from dataclasses import asdict
+from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from pachsel.cones import (
     BoundTable,
@@ -378,3 +381,97 @@ def test_solid_angle_mc_regular_simplex_is_pinned(d, hits):
     ``np.all(axis=1)`` inside-test did; the column-wise test must not move a
     single sample."""
     assert solid_angle_mc(regular_simplex(d), 0, 10**6, 11).mean == hits / 10**6
+
+
+def _random_simplex(d, seed):
+    return Simplex.create(np.random.default_rng(seed).standard_normal((d + 1, d)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(2, 4),
+    simplex_seed=st.integers(0, 2**32 - 1),
+    samples=st.one_of(st.integers(1, 8), st.sampled_from([1_000, 70_000])),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(d=2, simplex_seed=0, samples=1, seed=0)
+@example(d=4, simplex_seed=1, samples=2, seed=7)
+def test_msa_mc_vertices_are_solid_angle_mc_at_the_same_seed(d, simplex_seed, samples, seed):
+    """msa_mc tests one stream against every vertex cone: each per-vertex
+    estimate is the whole McEstimate solid_angle_mc returns at that vertex and
+    seed, across chunk boundaries too, and the minimum goes to the lowest
+    index among ties (frequent at a handful of samples)."""
+    simplex = _random_simplex(d, simplex_seed)
+    assume(not simplex.is_degenerate())
+    est = msa_mc(simplex, samples, seed)
+    expected = tuple(solid_angle_mc(simplex, i, samples, seed) for i in range(d + 1))
+    assert est.per_vertex == expected
+    means = [e.mean for e in expected]
+    assert est.vertex == means.index(min(means))
+    assert (est.value, est.std_error) == (expected[est.vertex].mean, expected[est.vertex].std_error)
+
+
+def test_msa_mc_ties_go_to_the_lowest_index():
+    # one sample: every vertex mean is 0 or 1, so the minimum is shared
+    est = msa_mc(regular_simplex(3), 1, seed=0)
+    means = [e.mean for e in est.per_vertex]
+    assert means.count(est.value) >= 2
+    assert est.vertex == means.index(est.value)
+
+
+def _exact_vertex_angle(simplex, i):
+    """Normalized solid angle at vertex i: the angle over 2 pi at d=2, the
+    Van Oosterom--Strackee spherical triangle at d=3."""
+    apex = simplex.vertices[i]
+    others = np.delete(simplex.vertices, i, axis=0)
+    if simplex.dim == 3:
+        return spherical_triangle_solid_angle(apex, others)
+    a, b = others - apex
+    return math.atan2(abs(a[0] * b[1] - a[1] * b[0]), float(a @ b)) / (2 * math.pi)
+
+
+_Z_SAMPLES = 200_000
+_Z_EXAMPLES = 60
+_Z_FALSE_ALARM = 1e-3
+# Bonferroni over at most 4 vertex checks per example: a correct estimator
+# fails some check with probability at most _Z_FALSE_ALARM on fresh seeds.
+_Z_BOUND = NormalDist().inv_cdf(1 - _Z_FALSE_ALARM / (2 * 4 * _Z_EXAMPLES))
+
+
+@settings(max_examples=_Z_EXAMPLES, derandomize=True, deadline=None)
+@given(d=st.integers(2, 3), simplex_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**32 - 1))
+def test_msa_mc_vertices_match_closed_forms(d, simplex_seed, seed):
+    """z-test of every msa_mc vertex estimate against its exact angle at d=2
+    and d=3.  The |z| bound (about 3.9) is Bonferroni over every check the
+    test can make, for a family-wise false-alarm rate of 1e-3 per run of the
+    test.  The exact standard error is used, and vertices whose expected hit
+    count n min(p, 1-p) is below 100 are not drawn, so that the normal
+    approximation of the binomial tail holds; examples are derandomized, so
+    the verdict is fixed."""
+    simplex = _random_simplex(d, simplex_seed)
+    assume(not simplex.is_degenerate())
+    exact = [_exact_vertex_angle(simplex, i) for i in range(d + 1)]
+    assume(min(exact) * _Z_SAMPLES >= 100)
+    est = msa_mc(simplex, _Z_SAMPLES, seed)
+    for e, p in zip(est.per_vertex, exact):
+        z = (e.mean - p) / math.sqrt(p * (1 - p) / _Z_SAMPLES)
+        assert abs(z) <= _Z_BOUND, (e, p, z)
+
+
+def test_msa_search_trials_draw_distinct_streams(monkeypatch):
+    """Each trial's msa_mc is one stream at its own seed, distinct from the
+    regular simplex's and from every other trial's; per-vertex seeds seed+i
+    used to hand trial k+1 the stream of trial k's vertex 1."""
+    from pachsel import cones
+
+    seeds = []
+    chunk_rngs = cones._chunk_rngs
+
+    def recording(seed, samples):
+        seeds.append(seed)
+        return chunk_rngs(seed, samples)
+
+    monkeypatch.setattr(cones, "_chunk_rngs", recording)
+    cones.msa_regular_comparison_search(3, trials=6, samples=1_000, seed=5)
+    assert len(seeds) == 1 + 6
+    assert len(set(seeds)) == len(seeds)

@@ -1,13 +1,17 @@
 import math
 from dataclasses import asdict
 from fractions import Fraction
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from pachsel.cones import _ball_chunks, unit_ball_volume
 from pachsel.constructions import (
     CornerVolumeReport,
     GridBallConfig,
     corner_volume_audit,
+    corner_volumes_mc,
     discretize_measure,
     gaussian_set,
     generate_grid_ball,
@@ -17,7 +21,7 @@ from pachsel.constructions import (
     upper_bound_witness,
 )
 from pachsel.errors import InputValidationError, PreconditionError
-from pachsel.geometry import in_general_position, satisfies_condition_G
+from pachsel.geometry import OrientedHyperplane, in_general_position, satisfies_condition_G
 from pachsel.io import pointset_sha256
 from pachsel.rational import squared_norm, to_fraction
 from pachsel.selection import (
@@ -26,6 +30,8 @@ from pachsel.selection import (
     certificate_configuration,
     run_pipeline,
 )
+
+from conftest import random_arrangement
 
 
 def _cube_index(point, eps):
@@ -108,6 +114,53 @@ def test_generated_files_are_pinned(generate, digest):
     """Generated sets keep their bytes: a change to a generator's draws, its
     retry loop or its gate shows here first."""
     assert pointset_sha256(generate()) == digest
+
+
+def _corner_volumes_by_mask(arrangement, samples, seed):
+    """Reference for ``corner_volumes_mc``: the per-corner boolean loop it
+    replaced, on the same ``_ball_chunks`` stream."""
+    d = arrangement.dim
+    normals = np.array(
+        [[float(c) for c in h.normal] for h in arrangement.hyperplanes], dtype=float
+    )
+    offsets = np.array([float(h.offset) for h in arrangement.hyperplanes], dtype=float)
+    beta = unit_ball_volume(d)
+    hits = np.zeros(d + 1, dtype=np.int64)
+    for x in _ball_chunks(seed, samples, d):
+        positive = (x @ normals.T) >= offsets  # positive closed side per plane
+        for i in range(d + 1):
+            mask = np.ones(len(x), dtype=bool)
+            for j in range(d + 1):
+                if j != i:
+                    mask &= positive[:, j]
+            hits[i] += int(mask.sum())
+    fractions = hits / samples
+    volumes = beta * fractions
+    sigmas = beta * np.sqrt(fractions * (1 - fractions) / samples)
+    return volumes, sigmas
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_corner_volumes_mc_matches_per_corner_masks(d):
+    """Side codes and one bincount count every corner exactly as the mask
+    loop did, so volumes and sigmas are bit-identical, across chunks too.
+    With every plane flipped the central simplex is on all positive sides,
+    so the all-ones side code, which counts toward every corner, occurs."""
+    for seed in range(6):
+        arrangement = random_arrangement(d, 100 * d + seed)
+        flipped = SimpleNamespace(
+            dim=d,
+            hyperplanes=[
+                OrientedHyperplane(tuple(-c for c in h.normal), -h.offset)
+                for h in arrangement.hyperplanes
+            ],
+        )
+        samples = 70_000 if seed == 0 else 5_000
+        for arr in (arrangement, flipped):
+            volumes, sigmas = corner_volumes_mc(arr, samples, seed)
+            ref_volumes, ref_sigmas = _corner_volumes_by_mask(arr, samples, seed)
+            assert np.array_equal(volumes, ref_volumes)
+            assert np.array_equal(sigmas, ref_sigmas)
 
 
 def test_corner_volume_audit_interval_vacuous_but_true():
