@@ -42,6 +42,7 @@ from .rational import format_scalar
 from .selection import (
     PachCertificate,
     PipelineParams,
+    VerificationReport,
     deep_rainbow_point,
     run_pipeline,
     verify_certificate,
@@ -226,7 +227,12 @@ def cmd_verify(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed certificate: {exc}") from exc
     mode = "arrangement" if args.arrangement else "exhaustive"
-    report = verify_certificate(ps, cert, mode=mode)
+    input_hash = pio.pointset_sha256(ps)
+    if cert.input_sha256 != input_hash:
+        detail = f"input_sha256 {cert.input_sha256!r} is not the point set's {input_hash}"
+        report = VerificationReport(mode, False, Fraction(0), None, detail)
+    else:
+        report = verify_certificate(ps, cert, mode=mode)
     verdict = report.to_json_dict()
     if args.out:
         pio.dump_json(verdict, args.out)

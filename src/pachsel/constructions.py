@@ -13,7 +13,7 @@ from math import ceil, lcm, sqrt
 
 import numpy as np
 
-from .cones import Simplex, _ball_chunks, msa_mc, unit_ball_volume
+from .cones import Simplex, _ball_points, _blocks, _map_chunks, msa_mc, unit_ball_volume
 from .errors import (
     BudgetExceededError,
     InputValidationError,
@@ -238,9 +238,15 @@ def corner_volumes_mc(arrangement, samples: int, seed: int):
     # side of plane j; corner i counts the codes whose other bits are all set.
     bits = 1 << np.arange(d + 1)
     full = (1 << (d + 1)) - 1
-    counts = np.zeros(full + 1, dtype=np.int64)
-    for x in _ball_chunks(seed, samples, d):
-        counts += np.bincount(((x @ normals.T) >= offsets) @ bits, minlength=full + 1)
+
+    def step(rng, m):
+        x = _ball_points(rng, m, d)
+        return sum(
+            np.bincount(((x[rows] @ normals.T) >= offsets) @ bits, minlength=full + 1)
+            for rows in _blocks(m)
+        )
+
+    counts = sum(_map_chunks(step, seed, samples))
     hits = counts[full] + counts[full ^ bits]
     fractions = hits / samples
     volumes = beta * fractions

@@ -10,6 +10,7 @@ import pytest
 import pachsel
 from pachsel import io as pio
 from pachsel.cli import main
+from pachsel.constructions import uniform_ball_set
 
 
 def run(args):
@@ -196,10 +197,21 @@ def _short_point(data):
     data["p"] = data["p"][:-1]
 
 
+def _integer_input_hash(data):
+    data["input_sha256"] = 5
+
+
+def _other_input_hash(data):
+    # the hash of another point set of the same shape
+    data["input_sha256"] = pio.pointset_sha256(uniform_ball_set(2, 10, seed=5))
+
+
 @pytest.mark.parametrize("mode", ["--exhaustive", "--arrangement"])
 @pytest.mark.parametrize(
     "mutate, detail",
     [
+        (_integer_input_hash, "input_sha256 5 is not the point set's"),
+        (_other_input_hash, "is not the point set's"),
         (_false_fractions, "fractions"),
         (_vacuous_false_fractions, "fractions"),
         (_repeated_index, "repeats an index"),

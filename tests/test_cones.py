@@ -1,4 +1,6 @@
 import math
+import threading
+import tracemalloc
 from dataclasses import asdict
 from statistics import NormalDist
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from pachsel import cones
 from pachsel.cones import (
     BoundTable,
     Simplex,
@@ -462,8 +465,6 @@ def test_msa_search_trials_draw_distinct_streams(monkeypatch):
     """Each trial's msa_mc is one stream at its own seed, distinct from the
     regular simplex's and from every other trial's; per-vertex seeds seed+i
     used to hand trial k+1 the stream of trial k's vertex 1."""
-    from pachsel import cones
-
     seeds = []
     chunk_rngs = cones._chunk_rngs
 
@@ -475,3 +476,95 @@ def test_msa_search_trials_draw_distinct_streams(monkeypatch):
     cones.msa_regular_comparison_search(3, trials=6, samples=1_000, seed=5)
     assert len(seeds) == 1 + 6
     assert len(set(seeds)) == len(seeds)
+
+
+def _estimator_calls(samples, seed):
+    """One call of each Monte Carlo estimator in this module at ``samples``."""
+    quad = SimplicialCone.create((0, 0), [(1, 0), (0, 1)])
+    return {
+        "solid_angle_mc": lambda: solid_angle_mc(RIGHT, 0, samples, seed),
+        "msa_mc": lambda: msa_mc(RIGHT, samples, seed),
+        "restricted_volume_mc": lambda: restricted_volume_mc(quad, samples, seed),
+        "round_cone_restricted_volume_mc": lambda: round_cone_restricted_volume_mc(
+            2, 0.5, samples, seed
+        ),
+        "normal_fan_cover_check": lambda: normal_fan_cover_check(RIGHT, samples, seed),
+        "acute_cone_admissible_deviation": lambda: acute_cone_admissible_deviation(
+            quad, quad, samples, seed
+        ),
+    }
+
+
+@pytest.mark.parametrize("estimator", sorted(_estimator_calls(1, 0)))
+@pytest.mark.parametrize("samples", [0, -5])
+def test_estimators_reject_fewer_than_one_sample(estimator, samples):
+    with pytest.raises(PreconditionError, match="samples must be >= 1"):
+        _estimator_calls(samples, 3)[estimator]()
+
+
+def _at_workers(workers, call):
+    """``call()`` with the chunk map seeing ``workers`` usable cores."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cones, "_usable_cores", lambda: workers)
+        return call()
+
+
+# Below one chunk, and chunk counts that leave a short last chunk.
+_MAP_SAMPLES = st.one_of(
+    st.integers(1, 3_000), st.sampled_from([cones._CHUNK + 1, 3 * cones._CHUNK + 17])
+)
+
+
+@settings(max_examples=12, deadline=None)
+@given(d=st.integers(1, 3), instance_seed=st.integers(0, 2**32 - 1), samples=_MAP_SAMPLES,
+       seed=st.integers(0, 2**32 - 1))
+@example(d=3, instance_seed=0, samples=3 * cones._CHUNK + 17, seed=1)
+def test_estimates_do_not_depend_on_the_worker_count(d, instance_seed, samples, seed):
+    """The chunk map deals chunks to 1, 2 or 3 threads; every estimate is
+    combined from per-chunk integer counts or maxima, so it is bit-identical."""
+    rng = np.random.default_rng(instance_seed)
+    simplex = Simplex.create(rng.standard_normal((d + 1, d)))
+    gens = np.abs(rng.standard_normal((d, d))) + 0.05
+    base = SimplicialCone.create(np.zeros(d), gens)
+    pert = SimplicialCone.create(np.zeros(d), gens + 0.01 * rng.random((d, d)))
+    assume(not simplex.is_degenerate() and not base.is_degenerate() and not pert.is_degenerate())
+
+    def estimates():
+        return (
+            msa_mc(simplex, samples, seed),
+            normal_fan_cover_check(simplex, samples, seed),
+            acute_cone_admissible_deviation(base, pert, samples, seed),
+        )
+
+    serial, *threaded = (_at_workers(w, estimates) for w in (1, 2, 3))
+    assert all(t == serial for t in threaded)
+
+
+def test_an_exception_in_a_helper_chunk_reaches_the_caller():
+    raised_in = []
+
+    def step(rng, m):
+        if m == 5:  # the short second chunk, dealt to the helper thread
+            raised_in.append(threading.current_thread())
+            raise ValueError("chunk failed")
+        return m
+
+    with pytest.raises(ValueError, match="chunk failed"):
+        _at_workers(2, lambda: cones._map_chunks(step, 0, cones._CHUNK + 5))
+    assert raised_in and raised_in[0] is not threading.current_thread()
+
+
+def _traced_peak_mib(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_msa_mc_memory_stays_flat():
+    """Chunks and 2^13-row blocks bound the temporaries: 10^6 samples at d=3
+    peak near 4 MiB with two threads, not at the 23 MiB of one draw.  Each
+    thread holds one chunk, so the thread count is pinned."""
+    assert _at_workers(2, lambda: _traced_peak_mib(lambda: msa_mc(TETRA, 10**6, 5))) < 5

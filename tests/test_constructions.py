@@ -1,12 +1,16 @@
 import math
+import tracemalloc
 from dataclasses import asdict
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from pachsel.cones import _ball_chunks, unit_ball_volume
+from pachsel import cones
+from pachsel.cones import _ball_points, _chunk_rngs, unit_ball_volume
 from pachsel.constructions import (
     CornerVolumeReport,
     GridBallConfig,
@@ -118,7 +122,7 @@ def test_generated_files_are_pinned(generate, digest):
 
 def _corner_volumes_by_mask(arrangement, samples, seed):
     """Reference for ``corner_volumes_mc``: the per-corner boolean loop it
-    replaced, on the same ``_ball_chunks`` stream."""
+    replaced, on the same stream of ``_ball_points`` chunks."""
     d = arrangement.dim
     normals = np.array(
         [[float(c) for c in h.normal] for h in arrangement.hyperplanes], dtype=float
@@ -126,7 +130,8 @@ def _corner_volumes_by_mask(arrangement, samples, seed):
     offsets = np.array([float(h.offset) for h in arrangement.hyperplanes], dtype=float)
     beta = unit_ball_volume(d)
     hits = np.zeros(d + 1, dtype=np.int64)
-    for x in _ball_chunks(seed, samples, d):
+    for rng, m in _chunk_rngs(seed, samples):
+        x = _ball_points(rng, m, d)
         positive = (x @ normals.T) >= offsets  # positive closed side per plane
         for i in range(d + 1):
             mask = np.ones(len(x), dtype=bool)
@@ -161,6 +166,49 @@ def test_corner_volumes_mc_matches_per_corner_masks(d):
             ref_volumes, ref_sigmas = _corner_volumes_by_mask(arr, samples, seed)
             assert np.array_equal(volumes, ref_volumes)
             assert np.array_equal(sigmas, ref_sigmas)
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_corner_volumes_mc_rejects_fewer_than_one_sample(samples):
+    with pytest.raises(PreconditionError, match="samples must be >= 1"):
+        corner_volumes_mc(random_arrangement(2, 1), samples, 0)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    arrangement_seed=st.integers(0, 10**6),
+    samples=st.one_of(
+        st.integers(1, 3_000), st.sampled_from([cones._CHUNK + 1, 3 * cones._CHUNK + 17])
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(d=3, arrangement_seed=0, samples=3 * cones._CHUNK + 17, seed=1)
+def test_corner_volumes_mc_does_not_depend_on_the_worker_count(d, arrangement_seed, samples, seed):
+    arrangement = random_arrangement(d, arrangement_seed)
+    results = []
+    for workers in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cones, "_usable_cores", lambda: workers)
+            results.append(corner_volumes_mc(arrangement, samples, seed))
+    for volumes, sigmas in results[1:]:
+        assert np.array_equal(volumes, results[0][0])
+        assert np.array_equal(sigmas, results[0][1])
+
+
+def test_corner_volumes_mc_memory_stays_flat(monkeypatch):
+    """10^6 ball samples at d=3 peak near 8 MiB with two threads: each thread
+    holds one 2^16-sample chunk, so the thread count is pinned, and products
+    run over 2^13-row blocks."""
+    monkeypatch.setattr(cones, "_usable_cores", lambda: 2)
+    arrangement = random_arrangement(3, 4)
+    tracemalloc.start()
+    try:
+        corner_volumes_mc(arrangement, 10**6, 5)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak < 10
 
 
 def test_corner_volume_audit_interval_vacuous_but_true():
