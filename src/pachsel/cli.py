@@ -18,7 +18,7 @@ import io as _stdio
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import io as pio
@@ -135,62 +135,6 @@ def _load_pointset(path) -> LabeledPointSet:
     return pio.pointset_from_json_dict(pio.load_json(path))
 
 
-def _replicate_unequal(ps: LabeledPointSet, seed: int, spread: Fraction):
-    """Equalize color sizes by uniform-weight discretization (replicate each
-    point to the least common size, then perturb into general position).
-    Returns (new set, per-color original index of each new point)."""
-    weighted = [
-        [(p, Fraction(1, len(pts))) for p in pts] for pts in ps.colors
-    ]
-    new_ps = discretize_measure(ps.dim, weighted, spread, seed=seed)
-    origin = []
-    for pts in ps.colors:
-        s = new_ps.sizes()[0]
-        copies = s // len(pts)
-        origin.append([i // copies for i in range(s)])
-    return new_ps, origin
-
-
-def _select_unequal(ps, params, input_hash, seed):
-    """Replication route for unequal color sizes.
-
-    The pipeline runs on a perturbed replicated instance; the deduplicated
-    certificate is then re-verified exhaustively against the original points
-    (shrinking the replication spread until that verification passes).
-    """
-    sizes = ps.sizes()
-    spread = Fraction(1, 1 << 20)
-    for _attempt in range(3):
-        work_ps, origin = _replicate_unequal(ps, seed, spread)
-        cert = run_pipeline(work_ps, params, input_sha256=input_hash)
-        dedup = tuple(
-            tuple(sorted({origin[ci][i] for i in idxs}))
-            for ci, idxs in enumerate(cert.index_sets)
-        )
-        candidate = replace(
-            cert,
-            index_sets=dedup,
-            fractions=tuple(Fraction(len(dedup[ci]), sizes[ci]) for ci in range(len(sizes))),
-            verified="exhaustive",
-            stages=cert.stages
-            + (
-                {
-                    "stage": "deduplicate",
-                    "spread": str(spread),
-                    "note": "replicated instance deduplicated to original indices",
-                },
-            ),
-        )
-        report = verify_certificate(ps, candidate, mode="exhaustive")
-        if report.ok:
-            return candidate
-        spread /= 1 << 10
-    raise BudgetExceededError(
-        "replication route failed: deduplicated certificate does not verify "
-        "against the original points even at the smallest spread"
-    )
-
-
 def cmd_select(args) -> int:
     ps = _load_pointset(args.infile)
     input_hash = pio.pointset_sha256(ps)
@@ -202,10 +146,7 @@ def cmd_select(args) -> int:
         random_candidates=args.random_candidates,
         verify="arrangement" if args.no_verify else "exhaustive",
     )
-    if len(set(ps.sizes())) == 1:
-        cert = run_pipeline(ps, params, input_sha256=input_hash)
-    else:
-        cert = _select_unequal(ps, params, input_hash, args.seed)
+    cert = run_pipeline(ps, params, input_sha256=input_hash)
     pio.dump_json(cert.to_json_dict(), args.out)
     print(
         json.dumps(

@@ -11,7 +11,7 @@ import itertools
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import ceil, comb, prod
+from math import ceil, comb, floor, prod
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .errors import (
     GeneralPositionError,
     InputValidationError,
     InternalInvariantError,
+    ParseError,
     PreconditionError,
 )
 from .geometry import (
@@ -114,8 +115,12 @@ def deep_rainbow_point(
 
     Scores the distinct candidate points in one batched enumeration: the
     centroid, the coordinate-wise median, and ``random_candidates`` seeded
-    random rainbow-simplex centroids.  The winner's depth/total ratio
-    is reported so callers can compare against the first-selection constant.
+    random rainbow-simplex centroids.  Only candidates interior to some
+    rainbow simplex compete, since the anchor needs that margin: an input
+    point (the point of a one-point color is a vertex of every rainbow
+    simplex) can have the full closed depth and none.  The winner's
+    depth/total ratio is reported so callers can compare against the
+    first-selection constant.
 
     Precondition: the set is in general position, decided here once per
     ``LabeledPointSet`` and reused by later stages handed the same instance.
@@ -144,7 +149,8 @@ def deep_rainbow_point(
     points = list(labels)
     enum = point_set.rainbow_enumerator
     closed, open_ = enum.depths(points)
-    best = int(np.argmax(closed))  # the first strict maximum in candidate order
+    # the first strict maximum in candidate order among those with an open margin
+    best = int(np.argmax(np.where(open_ > 0, closed, -1)))
     p = points[best]
     return DeepPointResult(p, int(closed[best]), int(open_[best]), enum.total, labels[p], len(points))
 
@@ -236,7 +242,7 @@ class RegularityParams:
 
 @dataclass(frozen=True)
 class RegularityStep:
-    size_before: int
+    size_before: int  # smallest part size
     size_after: int
     density_before: Fraction
     density_after: Fraction
@@ -245,8 +251,8 @@ class RegularityStep:
 
 @dataclass(frozen=True)
 class RegularityResult:
-    parts: tuple  # point indices per color, equal sizes
-    size: int
+    parts: tuple  # point indices per color; equal starting parts stay equal
+    size: int  # smallest part size
     density: Fraction
     status: str  # "exhaustive-clean" | "sampled-clean"
     trials: int
@@ -263,15 +269,15 @@ def _block_density(h, block):
     return Fraction(cnt, prod(len(b) for b in block))
 
 
-def _greedy_trim(h, block, target):
-    """Trim each part of a block to ``target`` vertices without losing density.
+def _greedy_trim(h, block, targets):
+    """Trim part i of a block to ``targets[i]`` vertices without losing density.
 
     Keeping the top-degree vertices of one part preserves at least the
     average edge share; parts are processed in order, recomputing degrees.
     """
     block = [list(b) for b in block]
     k = len(block)
-    for i in range(k):
+    for i, target in enumerate(targets):
         if len(block[i]) == target:
             continue
         sub = h.edges[np.ix_(*block)]
@@ -284,7 +290,12 @@ def _greedy_trim(h, block, target):
 
 
 def _restrict(h, parts, witness, source):
-    """One restriction step: pick the densest non-witness block, equalize sizes."""
+    """One restriction step: pick the densest block other than the
+    all-witness one, then trim it proportionally to the parts.
+
+    With sigma = min_j |B_j|/|P_j|, part i keeps max(1, floor(sigma |P_i|))
+    vertices, at most |B_i|; on equal parts that is min_j |B_j| for all.
+    """
     k = len(parts)
     density_before = _block_density(h, parts)
     complements = [
@@ -305,14 +316,15 @@ def _restrict(h, parts, witness, source):
     if best is None:
         raise InternalInvariantError("no candidate block in restriction step")
     _, block = best
-    target = min(len(b) for b in block)
-    trimmed = _greedy_trim(h, block, target)
+    sigma = min(Fraction(len(b), len(p)) for b, p in zip(block, parts))
+    targets = [max(1, floor(sigma * len(p))) for p in parts]
+    trimmed = _greedy_trim(h, block, targets)
     density_after = _block_density(h, trimmed)
     if density_after < density_before:
         raise InternalInvariantError("restriction decreased density")
     step = RegularityStep(
-        size_before=len(parts[0]),
-        size_after=target,
+        size_before=min(len(p) for p in parts),
+        size_after=min(targets),
         density_before=density_before,
         density_after=density_after,
         witness_source=source,
@@ -320,38 +332,39 @@ def _restrict(h, parts, witness, source):
     return trimmed, step
 
 
-def _find_zero_edge_witness(h, parts, t, budget, rng):
-    """Zero-edge tuple of size-t subsets, with the guarantee actually used.
+def _find_zero_edge_witness(h, parts, ts, budget, rng):
+    """Zero-edge tuple of subsets of sizes ``ts``, with the guarantee actually used.
 
     Returns (witness or None, source string, trials).  Exhaustive only when
     the tuple count is within ``_EXHAUSTIVE_WITNESS_CAP``; otherwise
     ``budget`` random samples.  Candidates are tested in doubling blocks, in
     the order of a one-at-a-time search, by one fancy index that gathers each
-    block's sub-boxes as (B, t, ..., t); a sampled hit replays the draws up
-    to the witness, so ``rng`` ends where that search would leave it.
+    block's sub-boxes as (B, t_0, ..., t_d); a sampled hit replays the draws
+    up to the witness, so ``rng`` ends where that search would leave it.
     """
     k = len(parts)
-    n_tuples = comb(len(parts[0]), t) ** k
+    n_tuples = prod(comb(len(part), t) for part, t in zip(parts, ts))
 
     def draw():
-        return tuple(tuple(sorted(rng.sample(part, t))) for part in parts)
+        return tuple(tuple(sorted(rng.sample(part, t))) for part, t in zip(parts, ts))
 
     if n_tuples <= _EXHAUSTIVE_WITNESS_CAP:
         source, trials = "exhaustive", n_tuples
-        combos = itertools.product(*[itertools.combinations(part, t) for part in parts])
+        combos = itertools.product(*map(itertools.combinations, parts, ts))
     else:
         source, trials = "sampled", budget
         combos = (draw() for _ in range(budget))
-    cap = max(1, min(_WITNESS_MAX_ROWS, _WITNESS_BLOCK_CELLS // t**k))
+    cap = max(1, min(_WITNESS_MAX_ROWS, _WITNESS_BLOCK_CELLS // prod(ts)))
+    # color j's indices broadcast along axis j + 1 of the gathered cells
+    shapes = [(-1,) + (1,) * j + (t,) + (1,) * (k - 1 - j) for j, t in enumerate(ts)]
     rows, tried = _WITNESS_FIRST_ROWS, 0
     while True:
         state = rng.getstate()
         block = list(itertools.islice(combos, min(rows, cap)))
         if not block:
             return None, source, trials
-        idx = np.array(block)  # idx[b, j]: the t indices candidate b takes from color j
-        shapes = [(-1,) + (1,) * j + (t,) + (1,) * (k - 1 - j) for j in range(k)]
-        cells = h.edges[tuple(idx[:, j].reshape(shape) for j, shape in enumerate(shapes))]
+        idx = [np.array([c[j] for c in block]).reshape(shape) for j, shape in enumerate(shapes)]
+        cells = h.edges[tuple(idx)]
         free = np.flatnonzero(~cells.reshape(len(block), -1).any(axis=1))
         if free.size:
             hit = int(free[0])
@@ -371,49 +384,51 @@ def weak_regularity(
     initial_parts=None,
     forced_witness=None,
 ) -> RegularityResult:
-    """Constructive weak regularity: equal-size parts of density >= beta such
-    that no found tuple of eps-fraction subsets is edge-free.
+    """Constructive weak regularity: parts of density >= beta such that no
+    found tuple of subsets of sizes t_i = max(1, ceil(eps |P_i|)) is edge-free.
 
     Whenever a zero-edge witness tuple is found the parts restrict to the
-    densest block (density gain >= 1/(1 - eps^k)) and the search repeats; the
-    returned report says whether the final clean witness search was
-    exhaustive or sampled, which is the guarantee actually established.
-    Parts are point indices per color, the hypergraph's own index space:
-    ``initial_parts`` (default: every point) sets the start, and
-    ``forced_witness`` lets a caller inject an externally discovered
-    zero-edge tuple before searching.
+    densest other block (density gain >= 1/(1 - prod t_i/|P_i|)), trimmed
+    proportionally to the parts, and the search repeats until a search comes
+    back clean or every t_i >= |P_i|.  The returned report says whether the
+    final clean witness search was exhaustive or sampled, which is the
+    guarantee actually established.  Parts may have any sizes; equal parts
+    stay equal.  They are point indices per color, the hypergraph's own
+    index space: ``initial_parts`` (default: every point) sets the start,
+    and ``forced_witness`` lets a caller inject an externally discovered
+    zero-edge tuple, trimmed to the t_i, before searching.
     """
     eps = to_fraction(params.epsilon)
     if initial_parts is None:
         parts = tuple(tuple(range(n)) for n in h.sizes)
     else:
         parts = tuple(tuple(p) for p in initial_parts)
-    sizes = {len(p) for p in parts}
-    if len(sizes) != 1:
-        raise PreconditionError("parts must have equal sizes")
     density = _block_density(h, parts)
     if density < to_fraction(params.beta):
         raise PreconditionError(f"density {density} below the floor {params.beta}")
     rng = random.Random(params.seed)
     steps = []
+
+    def witness_sizes():
+        return tuple(max(1, ceil(eps * len(p))) for p in parts)
+
     if forced_witness is not None:
-        t = max(1, ceil(eps * len(parts[0])))
-        trimmed_witness = tuple(tuple(sorted(w)[:t]) for w in forced_witness)
-        if any(len(w) != t for w in trimmed_witness):
-            raise PreconditionError("forced witness parts are smaller than eps * s")
+        ts = witness_sizes()
+        trimmed_witness = tuple(tuple(sorted(w)[:t]) for w, t in zip(forced_witness, ts))
+        if any(len(w) != t for w, t in zip(trimmed_witness, ts)):
+            raise PreconditionError("forced witness parts are smaller than eps * |P_i|")
         if h.sub_edge_count(trimmed_witness) != 0:
             raise PreconditionError("forced witness spans an edge")
         parts, step = _restrict(h, parts, trimmed_witness, "forced")
         steps.append(step)
     while True:
-        s = len(parts[0])
-        t = max(1, ceil(eps * s))
-        if t >= s:
+        ts = witness_sizes()
+        if all(t >= len(p) for t, p in zip(ts, parts)):
             # A witness would be the whole tuple, which has positive density.
             status, trials = "exhaustive-clean", 0
             break
         witness, source, count = _find_zero_edge_witness(
-            h, parts, t, params.witness_budget, rng
+            h, parts, ts, params.witness_budget, rng
         )
         if witness is None:
             status = "exhaustive-clean" if source == "exhaustive" else "sampled-clean"
@@ -423,7 +438,7 @@ def weak_regularity(
         steps.append(step)
     return RegularityResult(
         parts=parts,
-        size=len(parts[0]),
+        size=min(len(p) for p in parts),
         density=_block_density(h, parts),
         status=status,
         trials=trials,
@@ -803,6 +818,8 @@ class PachCertificate:
     def from_json_dict(cls, data: dict) -> "PachCertificate":
         from .io import arrangement_from_json_dict, int_from_json, list_from_json, scalar_from_json
 
+        if data["verified"] not in ("exhaustive", "arrangement"):
+            raise ParseError(f"verified {data['verified']!r} is not 'exhaustive' or 'arrangement'")
         return cls(
             input_sha256=data["input_sha256"],
             point=tuple(scalar_from_json(c) for c in list_from_json(data["p"], "p")),
@@ -813,7 +830,7 @@ class PachCertificate:
             ),
             verified=data["verified"],
             seed=int_from_json(data["seed"], "seed"),
-            stages=tuple(data["stages"]),
+            stages=tuple(list_from_json(data["stages"], "stages")),
         )
 
 
@@ -952,10 +969,6 @@ def run_pipeline(
     params = params or PipelineParams()
     d = point_set.dim
     sizes = point_set.sizes()
-    if len(set(sizes)) != 1:
-        raise PreconditionError(
-            "colors must have equal sizes; replicate/discretize unequal inputs first"
-        )
     eps = to_fraction(params.epsilon) if params.epsilon is not None else default_epsilon(d)
     if eps > Fraction(1, 2**d):
         raise PreconditionError(
@@ -1006,8 +1019,7 @@ def run_pipeline(
         )
         few = few_separations(point_set, reg.parts, anchor, seed=params.seed + 3 + loops)
         min_kept = min(len(y) for y in few.index_sets)
-        threshold = eps * reg.size
-        if any(len(y) < threshold for y in few.index_sets):
+        if any(len(y) < eps * len(p) for y, p in zip(few.index_sets, reg.parts)):
             raise InternalInvariantError("few-separations kept less than the eps fraction")
         stages.append(
             {

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -73,28 +74,26 @@ def test_gen_measure_file(workdir):
     assert ps.sizes() == (2, 2)
 
 
-def test_select_unequal_sizes_replicates_and_dedupes(workdir, capsys):
-    pts = workdir / "uneq.json"
-    pio.dump_json(
-        {
-            "dim": 1,
-            "exact": True,
-            "colors": [
-                [["0"], ["1"], ["2"]],
-                [["10"], ["11"]],
-            ],
-        },
-        pts,
-    )
-    cert = workdir / "uneq_cert.json"
+def test_select_unequal_sizes_run_the_pipeline(workdir, capsys):
+    """Sizes (5, 6, 7) select directly, with no replicated instance."""
+    colors = uniform_ball_set(2, 7, seed=1).colors
+    ps = pachsel.LabeledPointSet.create(2, [c[:n] for c, n in zip(colors, (5, 6, 7))])
+    pts, cert = workdir / "uneq.json", workdir / "uneq_cert.json"
+    pio.dump_json(pio.pointset_to_json_dict(ps), pts)
+    start = time.perf_counter()
     assert run(["select", "--in", pts, "--out", cert, "--seed", 3]) == 0
+    assert time.perf_counter() - start < 1.0
     data = pio.load_json(cert)
-    assert any(s.get("stage") == "deduplicate" for s in data["stages"])
-    sizes = [3, 2]
-    for ci, idxs in enumerate(data["Y"]):
-        assert idxs and all(0 <= i < sizes[ci] for i in idxs)
-    # the deduplicated certificate holds for the *original* points
+    assert not any(s["stage"] == "deduplicate" for s in data["stages"])
+    assert data["verified"] == "exhaustive"
+    assert [Fraction(f) for f in data["fractions"]] == [
+        Fraction(len(y), n) for y, n in zip(data["Y"], (5, 6, 7))
+    ]
     assert run(["verify", "--in", pts, "--cert", cert, "--exhaustive"]) == 0
+    assert run(["verify", "--in", pts, "--cert", cert, "--arrangement"]) == 0
+    # without the exhaustive pass the certificate says what checked it
+    assert run(["select", "--in", pts, "--out", cert, "--seed", 3, "--no-verify"]) == 0
+    assert pio.load_json(cert)["verified"] == "arrangement"
 
 
 def test_select_accepts_float_point_sets(workdir):
@@ -252,6 +251,17 @@ def _float_seed(cert):
     cert["seed"] += 0.5
 
 
+def _verified(value):
+    def replace_verified(cert):
+        cert["verified"] = value
+
+    return replace_verified
+
+
+def _string_stages(cert):
+    cert["stages"] = "abc"
+
+
 def _long_normal(cert):
     cert["arrangement"]["hyperplanes"][0]["normal"].append("1")
 
@@ -279,6 +289,9 @@ def _arrangement_dim(value):
         _string_fractions,
         _string_normal,
         _float_seed,
+        _verified(5),
+        _verified("bogus"),
+        _string_stages,
         _long_normal,
         _short_normal,
         _arrangement_dim(7),
@@ -286,7 +299,8 @@ def _arrangement_dim(value):
     ],
     ids=[
         "fractional", "float", "string", "bool", "string-point", "string-fractions",
-        "string-normal", "float-seed", "long-normal", "short-normal", "dim-7", "string-dim",
+        "string-normal", "float-seed", "int-verified", "bogus-verified", "string-stages",
+        "long-normal", "short-normal", "dim-7", "string-dim",
     ],
 )
 def test_verify_rejects_non_integer_indices(workdir, capsys, planar_certificate, mode, mutate):

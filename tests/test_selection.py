@@ -1,11 +1,11 @@
 import itertools
 import random
-from math import comb
+from math import comb, prod
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pachsel.constructions import uniform_ball_set
@@ -365,12 +365,25 @@ def test_weak_regularity_rejects_low_density():
 def test_weak_regularity_step_invariants_random():
     for seed in (3, 4, 5):
         ps, h = _complete_hypergraph(2, 7, seed=30 + seed)
-        res = weak_regularity(h, RegularityParams(Fraction(1, 4), h.density, seed=seed))
-        dens = [h.density] + [s.density_after for s in res.steps]
-        assert all(b >= a for a, b in zip(dens, dens[1:]))
-        assert res.density == dens[-1]
-        assert res.status in ("exhaustive-clean", "sampled-clean")
-        assert len({len(p) for p in res.parts}) == 1
+        rng = random.Random(seed)
+        unequal = tuple(
+            tuple(sorted(rng.sample(range(7), rng.randint(3, 7)))) for _ in range(3)
+        )
+        for start in (None, unequal):
+            parts = start or tuple(tuple(range(n)) for n in h.sizes)
+            density = selection._block_density(h, parts)
+            res = weak_regularity(
+                h, RegularityParams(Fraction(1, 4), density, seed=seed), initial_parts=start
+            )
+            dens = [density] + [s.density_after for s in res.steps]
+            assert all(b >= a for a, b in zip(dens, dens[1:]))
+            assert res.density == dens[-1]
+            assert res.status in ("exhaustive-clean", "sampled-clean")
+            assert all(s.size_after <= s.size_before for s in res.steps)
+            assert all(set(r) <= set(p) for r, p in zip(res.parts, parts))
+            assert res.size == min(len(p) for p in res.parts)
+            if len({len(p) for p in parts}) == 1:
+                assert len({len(p) for p in res.parts}) == 1
 
 
 def test_weak_regularity_forced_witness():
@@ -395,45 +408,47 @@ def test_weak_regularity_forced_witness():
         )
 
 
-def _per_tuple_witness(h, parts, t, budget, rng):
+def _per_tuple_witness(h, parts, ts, budget, rng):
     """The zero-edge witness search one candidate tuple at a time."""
-    k = len(parts)
-    n_tuples = comb(len(parts[0]), t) ** k
+    n_tuples = prod(comb(len(part), t) for part, t in zip(parts, ts))
     if n_tuples <= selection._EXHAUSTIVE_WITNESS_CAP:
-        for combo in itertools.product(*[itertools.combinations(part, t) for part in parts]):
+        combos = itertools.product(*[itertools.combinations(part, t) for part, t in zip(parts, ts)])
+        for combo in combos:
             if h.sub_edge_count(combo) == 0:
                 return tuple(combo), "exhaustive", n_tuples
         return None, "exhaustive", n_tuples
     for trial in range(budget):
-        combo = tuple(tuple(sorted(rng.sample(part, t))) for part in parts)
+        combo = tuple(tuple(sorted(rng.sample(part, t))) for part, t in zip(parts, ts))
         if h.sub_edge_count(combo) == 0:
             return combo, "sampled", trial + 1
     return None, "sampled", budget
 
 
-def _assert_witness_searches_agree(h, parts, t, budget, seed):
+def _assert_witness_searches_agree(h, parts, ts, budget, seed):
     fast_rng, slow_rng = random.Random(seed), random.Random(seed)
-    fast = selection._find_zero_edge_witness(h, parts, t, budget, fast_rng)
-    assert fast == _per_tuple_witness(h, parts, t, budget, slow_rng)
+    fast = selection._find_zero_edge_witness(h, parts, ts, budget, fast_rng)
+    assert fast == _per_tuple_witness(h, parts, ts, budget, slow_rng)
     assert fast_rng.getstate() == slow_rng.getstate()
     return fast
 
 
 @pytest.mark.parametrize("sampled", [False, True], ids=["exhaustive", "sampled"])
 def test_batched_witness_search_matches_per_tuple_loop(monkeypatch, sampled):
+    """Each part has its own size s_i and witness size t_i."""
     if sampled:
         monkeypatch.setattr(selection, "_EXHAUSTIVE_WITNESS_CAP", 0)
     rng = random.Random(41)
     found = 0
     for trial in range(60):
         k = rng.choice((3, 4))
-        n = rng.randint(4, 6 if k == 3 else 5)
-        h = RainbowHypergraph(np.random.default_rng(trial).random((n,) * k) < rng.choice((0.6, 0.9, 0.97)))
-        s = rng.randint(2, n)
-        parts = tuple(tuple(sorted(rng.sample(range(n), s))) for _ in range(k))
-        t = rng.randint(1, s - 1)
-        witness, source, _ = _assert_witness_searches_agree(h, parts, t, rng.randint(1, 400), trial)
+        ns = [rng.randint(4, 6 if k == 3 else 5) for _ in range(k)]
+        h = RainbowHypergraph(np.random.default_rng(trial).random(ns) < rng.choice((0.6, 0.9, 0.97)))
+        parts = tuple(tuple(sorted(rng.sample(range(n), rng.randint(2, n)))) for n in ns)
+        ts = tuple(rng.randint(1, len(part) - 1) for part in parts)
+        witness, source, _ = _assert_witness_searches_agree(h, parts, ts, rng.randint(1, 400), trial)
         assert source == ("sampled" if sampled else "exhaustive")
+        if witness is not None:
+            assert tuple(len(w) for w in witness) == ts
         found += witness is not None
     assert 10 < found < 50  # both outcomes are exercised
 
@@ -460,7 +475,9 @@ def test_batched_witness_search_finds_a_zero_tuple_at_a_block_edge(monkeypatch, 
         edges = np.ones((n,) * k, dtype=bool)
         edges[np.ix_(*combo)] = False
         # a budget just past the witness ends the second block early
-        witness, _, trials = _assert_witness_searches_agree(RainbowHypergraph(edges), parts, t, position + 3, 7)
+        witness, _, trials = _assert_witness_searches_agree(
+            RainbowHypergraph(edges), parts, (t,) * k, position + 3, 7
+        )
         assert witness == combo
         if sampled:
             assert trials == position + 1
@@ -847,10 +864,27 @@ def test_certificates_are_pinned(d, n, seed, digest):
     assert sha256_hex(canonical_json_bytes(cert.to_json_dict())) == digest
 
 
-def test_run_pipeline_rejects_unequal_sizes():
-    ps = LabeledPointSet.create(1, [[(0,), (1,)], [(2,)]])
-    with pytest.raises(PreconditionError):
-        run_pipeline(ps)
+@st.composite
+def unequal_sets(draw):
+    """A random set in general position whose colors have unequal sizes."""
+    d = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(1, (9, 7, 5)[d - 1]), min_size=d + 1, max_size=d + 1))
+    assume(len(set(sizes)) > 1)
+    ps = random_labeled_set(d, max(sizes), seed=draw(st.integers(0, 10**6)))
+    return LabeledPointSet.create(d, [c[:n] for c, n in zip(ps.colors, sizes)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(unequal_sets(), st.integers(0, 100))
+# the coordinate median is the one-point color's point: full closed depth, no open margin
+@example(LabeledPointSet.create(1, [[(0,)], [(-3,), (-1,), (1,), (2,)]]), 0)
+def test_run_pipeline_unequal_sizes(ps, seed):
+    """Unequal colors run through the same pipeline, with no replication."""
+    cert = run_pipeline(ps, PipelineParams(seed=seed))
+    assert all(cert.index_sets)
+    assert cert.fractions == tuple(Fraction(len(y), n) for y, n in zip(cert.index_sets, ps.sizes()))
+    for mode in ("exhaustive", "arrangement"):
+        assert verify_certificate(ps, cert, mode=mode).ok
 
 
 def test_run_pipeline_rejects_eps_above_halving_fraction():
