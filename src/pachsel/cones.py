@@ -72,6 +72,8 @@ def _map_chunks(step, seed, samples):
     in any chunk reaches the caller."""
     if samples < 1:
         raise PreconditionError("samples must be >= 1")
+    if seed < 0:
+        raise PreconditionError("seed must be >= 0")
     chunks = list(_chunk_rngs(seed, samples))
     workers = min(_usable_cores(), len(chunks))
     if workers == 1:
@@ -128,7 +130,8 @@ def _ball_points(rng, m, d):
     """m uniform points of the unit d-ball from ``rng``: a Gaussian direction
     scaled to radius U^(1/d)."""
     u = rng.standard_normal((m, d))
-    norms = np.linalg.norm(u, axis=1)
+    # the squared columns summed left to right, as np.linalg.norm adds them
+    norms = np.sqrt(sum((u[:, j] * u[:, j] for j in range(1, d)), u[:, 0] * u[:, 0]))
     norms[norms == 0] = 1.0
     radii = rng.random(m) ** (1.0 / d)
     u *= (radii / norms)[:, None]

@@ -8,7 +8,9 @@ Per omitted color the enumerator keeps the table C of its n^d rainbow faces
 rows h = (w, w den q) with w > 0, by the certified float filter
 ``geometry.cofactor_signs`` (entries it recomputes exactly are counted in
 ``RainbowEnumerator.fallbacks``); the color-0 table gives the full
-orientation signs.  Containment is a sign combination.
+orientation signs.  Containment is a sign combination; at d=2 a depth
+(the number of containing simplices) is a sum of products of the three
+face-sign tables, without the n^3 mask.
 """
 
 from __future__ import annotations
@@ -23,11 +25,17 @@ from .geometry import (
     BLOCK_CELLS,
     cofactor_signs,
     face_cofactors,
-    float_rows,
+    float_table,
     homogeneous_rows,
     int_array,
 )
 from .rational import common_denominator, point_to_fractions
+
+# multiply-adds per matrix product of ``_product_depths``: below OpenBLAS's
+# threading threshold, where two BLAS threads on two busy cores stall
+_GEMM_CELLS = 1 << 18
+# float32 holds every integer below 2^24 exactly (float64 below 2^53)
+_FLOAT32_EXACT = 1 << 24
 
 
 def tuple_grid(point_arrays):
@@ -62,7 +70,7 @@ class RainbowEnumerator:
         for i in range(self.dim + 1):
             faces = tuple_grid(int_colors[:i] + int_colors[i + 1 :])
             table = face_cofactors(faces).reshape(-1, self.dim + 1)
-            self._tables.append((table, float_rows(table)))
+            self._tables.append((table, float_table(table)))
         self.full_signs = self._face_signs(0, [(1, *p) for p in int_colors[0].tolist()])
         self._degenerate = [tuple(int(x) for x in idx) for idx in np.argwhere(self.full_signs == 0)]
         self._last = (None, None)  # (points, masks) of the latest batch
@@ -103,12 +111,52 @@ class RainbowEnumerator:
 
     def depths(self, points):
         """Closed and open containment counts of each point, as two int arrays,
-        scored in blocks of about BLOCK_CELLS tensor cells."""
-        step, counts = max(1, BLOCK_CELLS // self.total), []
-        for s in range(0, len(points), step):
-            masks = self.containment_masks(points[s : s + step])
-            counts.append([m.reshape(len(m), -1).sum(axis=1) for m in masks])
+        scored in blocks of about BLOCK_CELLS cells.
+
+        At d=2 with no degenerate rainbow simplex the counts are products of
+        the three face-sign tables (``_product_depths``), O(n^2) cells
+        instead of the n^3 cells of ``containment_masks``; otherwise they are
+        sums of the masks."""
+        if self.dim == 2 and not self._degenerate:  # four 0/1 tables per face cell
+            score, cells = self._product_depths, 4 * sum(len(t) for t, _ in self._tables)
+        else:
+            score, cells = self._mask_depths, self.total
+        step = max(1, BLOCK_CELLS // cells)
+        counts = [score(points[s : s + step]) for s in range(0, len(points), step)]
         return tuple(np.concatenate(c) for c in zip(*counts))
+
+    def _mask_depths(self, points):
+        return [m.reshape(len(m), -1).sum(axis=1) for m in self.containment_masks(points)]
+
+    def _product_depths(self, points):
+        """Depths at d=2 from the face signs s_i, each with its (-1)^i.
+
+        For a nondegenerate simplex s_i = sign(full) sign(lambda_i), and the
+        barycentric lambda_i sum to 1, so q is in the closed simplex iff all
+        s_i >= 0 or all s_i <= 0, never both; the open simplex takes strict
+        signs.  Over 0/1 tables P_i[., .] of one such condition (P_0 indexed
+        by the color-1 and color-2 points, P_1 by colors 0 and 2, P_2 by 0
+        and 1), the count is sum_{a,b} P_2[a,b] (P_1 P_0^T)[a,b].  Every
+        partial sum is an integer of at most ``total``, so the float type is
+        chosen to hold such integers exactly, and each product of a candidate
+        is split into row blocks of about _GEMM_CELLS multiply-adds, below
+        OpenBLAS's threading threshold."""
+        if any(len(p) != self.dim for p in points):
+            raise PreconditionError("candidate dimension mismatch")
+        rows = homogeneous_rows(points, self._den)
+        dtype = np.float32 if self.total < _FLOAT32_EXACT else np.float64
+        # per table, stacked first: s >= 0 and s <= 0 (closed), s > 0 and s < 0 (open)
+        p0, p1, p2 = (
+            np.stack([s >= 0, s <= 0, s > 0, s < 0]).astype(dtype)
+            for s in (self._face_signs(i, rows) * (-1) ** i for i in range(3))
+        )
+        p0t, step = p0.swapaxes(-1, -2), max(1, _GEMM_CELLS // (self.sizes[1] * self.sizes[2]))
+        count = np.zeros((4, len(points)), dtype=dtype)
+        for a in range(0, self.sizes[0], step):
+            block = np.matmul(p1[..., a : a + step, :], p0t) * p2[..., a : a + step, :]
+            count += block.sum(axis=(-2, -1))
+        count = count.astype(np.int64)
+        return [count[0] + count[1], count[2] + count[3]]
 
     def containment_counts(self, point):
         """(closed count, open count, total) for one candidate point."""

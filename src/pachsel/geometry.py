@@ -100,9 +100,17 @@ def float_rows(rows):
         return np.array([[float(x) if x.bit_length() < 1024 else np.inf for x in r] for r in rows])
 
 
+def float_table(table):
+    """``float_rows(table)`` and its absolute values, stacked as (2, *shape):
+    the float side of a cofactor table, kept beside it so that
+    ``cofactor_signs`` does not recompute |c| on every call."""
+    floats = float_rows(table)
+    return np.stack([floats, np.abs(floats)])
+
+
 def cofactor_signs(rows, table, floats):
     """Signs of h . c, integer rows h against a cofactor table (``floats`` is
-    ``float_rows(table)``), shape (len(rows), len(table)), in row blocks of
+    ``float_table(table)``), shape (len(rows), len(table)), in row blocks of
     about BLOCK_CELLS cells; and how many were recomputed on Python ints.
 
     Floats decide only proven signs.  With u = 2^-53 and n the row length,
@@ -123,8 +131,8 @@ def cofactor_signs(rows, table, floats):
         block, out = rows[s : s + step], signs[s : s + step]
         h = float_rows(block)
         with np.errstate(over="ignore", invalid="ignore"):
-            value = h @ floats.T
-            bound = (floats.shape[-1] + 3) * 2.0**-53 * (np.abs(h) @ np.abs(floats).T)
+            value = h @ floats[0].T
+            bound = (floats.shape[-1] + 3) * 2.0**-53 * (np.abs(h) @ floats[1].T)
             decided = np.isfinite(value) & (np.abs(value) > bound)
         out[...] = (value > 0).astype(np.int8) - (value < 0)
         undecided = np.argwhere(~decided)
@@ -285,10 +293,10 @@ def find_general_position_violation(obj):
             return tuple(range(n))
         return None
     table, den, faces = spanned_cofactors(pts, d)
-    floats = float_rows(table)
+    floats = float_table(table)
     starts = np.searchsorted(faces[:, 0], np.arange(1, n - d + 1)).tolist()
     for q, (row, s) in enumerate(zip(homogeneous_rows(pts[: n - d], den), starts)):
-        (signs,), _ = cofactor_signs([row], table[s:], floats[s:])
+        (signs,), _ = cofactor_signs([row], table[s:], floats[:, s:])
         zeros = np.flatnonzero(signs == 0)
         if zeros.size:
             return (q, *faces[s + zeros[0]].tolist())
@@ -322,7 +330,7 @@ def spanned_signs(points, queries):
     """
     d = len(queries[0])
     table, den, tuples = spanned_cofactors(points, d)
-    signs = cofactor_signs(homogeneous_rows(queries, den), table, float_rows(table))[0]
+    signs = cofactor_signs(homogeneous_rows(queries, den), table, float_table(table))[0]
     signs *= (-1) ** d  # moving the query from first to last
     witnesses = [None if s.all() else tuple(tuples[np.argmin(s != 0)].tolist()) for s in signs]
     return signs, witnesses

@@ -32,7 +32,7 @@ from .geometry import (
     cofactor_signs,
     face_cofactors,
     find_general_position_violation,
-    float_rows,
+    float_table,
     homogeneous_rows,
     int_array,
     spanned_cofactors,
@@ -177,7 +177,7 @@ def _nudge_off_hyperplanes(anchor, points, seed):
     anchor_fr = point_to_fractions(anchor)
     all_pts = [point_to_fractions(p) for p in points]
     table, den, _ = spanned_cofactors(all_pts, d)
-    floats = float_rows(table)
+    floats = float_table(table)
     (base_signs,), _ = cofactor_signs(homogeneous_rows([anchor_fr], den), table, floats)
     if base_signs.all():
         return anchor_fr
@@ -336,46 +336,49 @@ def _find_zero_edge_witness(h, parts, ts, budget, rng):
     """Zero-edge tuple of subsets of sizes ``ts``, with the guarantee actually used.
 
     Returns (witness or None, source string, trials).  Exhaustive only when
-    the tuple count is within ``_EXHAUSTIVE_WITNESS_CAP``; otherwise
-    ``budget`` random samples.  Candidates are tested in doubling blocks, in
-    the order of a one-at-a-time search, by one fancy index that gathers each
-    block's sub-boxes as (B, t_0, ..., t_d); a sampled hit replays the draws
-    up to the witness, so ``rng`` ends where that search would leave it.
+    the tuple count is within ``_EXHAUSTIVE_WITNESS_CAP`` (trials is that
+    count); otherwise ``budget`` random samples (trials counts them up to
+    the witness).  Candidates are tested in doubling blocks by a fancy index
+    that gathers each block's sub-boxes as (B, t_0, ..., t_d).  A sampled
+    block draws from the numpy generator ``rng``, part by part, uniform keys
+    of shape (B, |P_i|) and keeps the positions of the t_i smallest, in
+    increasing order: B uniform t_i-subsets of each part.
     """
     k = len(parts)
     n_tuples = prod(comb(len(part), t) for part, t in zip(parts, ts))
+    sampled = n_tuples > _EXHAUSTIVE_WITNESS_CAP
+    source, total = ("sampled", budget) if sampled else ("exhaustive", n_tuples)
+    # product() stores its inputs: only an exhaustive search may build it
+    combos = None if sampled else itertools.product(*map(itertools.combinations, parts, ts))
+    arrays = [np.array(part) for part in parts]
 
-    def draw():
-        return tuple(tuple(sorted(rng.sample(part, t))) for part, t in zip(parts, ts))
+    def draw(size):
+        if sampled:
+            picks = [np.argpartition(rng.random((size, len(a))), t - 1) for a, t in zip(arrays, ts)]
+            return [a[np.sort(p[:, :t])] for a, p, t in zip(arrays, picks, ts)]
+        block = list(itertools.islice(combos, size))
+        return [np.array([c[j] for c in block]).reshape(size, t) for j, t in enumerate(ts)]
 
-    if n_tuples <= _EXHAUSTIVE_WITNESS_CAP:
-        source, trials = "exhaustive", n_tuples
-        combos = itertools.product(*map(itertools.combinations, parts, ts))
-    else:
-        source, trials = "sampled", budget
-        combos = (draw() for _ in range(budget))
     cap = max(1, min(_WITNESS_MAX_ROWS, _WITNESS_BLOCK_CELLS // prod(ts)))
     # color j's indices broadcast along axis j + 1 of the gathered cells
     shapes = [(-1,) + (1,) * j + (t,) + (1,) * (k - 1 - j) for j, t in enumerate(ts)]
+    cell_axes = tuple(range(1, k + 1))
     rows, tried = _WITNESS_FIRST_ROWS, 0
-    while True:
-        state = rng.getstate()
-        block = list(itertools.islice(combos, min(rows, cap)))
-        if not block:
-            return None, source, trials
-        idx = [np.array([c[j] for c in block]).reshape(shape) for j, shape in enumerate(shapes)]
-        cells = h.edges[tuple(idx)]
-        free = np.flatnonzero(~cells.reshape(len(block), -1).any(axis=1))
+    while tried < total:
+        size = min(rows, cap, total - tried)
+        chosen = draw(size)  # per part, the (size, t_i) chosen indices
+        index = [i.reshape(shape) for i, shape in zip(chosen, shapes)]
+        # first the slices at each candidate's first last-color index: most
+        # candidates of a dense hypergraph show an edge there already
+        first = h.edges[tuple(index[:-1]) + (index[-1][..., :1],)]
+        alive = np.flatnonzero(~first.any(axis=cell_axes))
+        free = alive[~h.edges[tuple(i[alive] for i in index)].any(axis=cell_axes)]
         if free.size:
             hit = int(free[0])
-            if source == "sampled":  # replay the draws up to the witness
-                rng.setstate(state)
-                for _ in range(hit + 1):
-                    draw()
-                trials = tried + hit + 1
-            return block[hit], source, trials
-        tried += len(block)
-        rows *= 2
+            witness = tuple(tuple(i[hit].tolist()) for i in chosen)
+            return witness, source, tried + hit + 1 if sampled else n_tuples
+        tried, rows = tried + size, rows * 2
+    return None, source, tried
 
 
 def weak_regularity(
@@ -406,7 +409,8 @@ def weak_regularity(
     density = _block_density(h, parts)
     if density < to_fraction(params.beta):
         raise PreconditionError(f"density {density} below the floor {params.beta}")
-    rng = random.Random(params.seed)
+    # the witness generator's seed: an injective map of any int to one >= 0
+    rng = np.random.default_rng(2 * params.seed if params.seed >= 0 else -2 * params.seed - 1)
     steps = []
 
     def witness_sizes():
@@ -480,10 +484,11 @@ def _spanned_bisecting_cut(sets) -> OrientedHyperplane:
     # General position makes every span affinely independent.
     table = face_cofactors(tuple_grid(np.split(int_array(int_points), starts[1:])))
     table = table.reshape(-1, d + 1)
-    floats, rows = float_rows(table), [(1, *p) for p in int_points]
+    floats, rows = float_table(table), [(1, *p) for p in int_points]
     step = max(1, BLOCK_CELLS // len(int_points))
     for start in range(0, len(table), step):
-        signs, _ = cofactor_signs(rows, table[start : start + step], floats[start : start + step])
+        block = slice(start, start + step)
+        signs, _ = cofactor_signs(rows, table[block], floats[:, block])
         # a set is bisected iff its positive and negative counts differ by at most 1
         balance = np.add.reduceat(signs.astype(np.int64), starts, axis=0)
         hits = np.flatnonzero((np.abs(balance) <= 1).all(axis=0))

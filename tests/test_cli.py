@@ -10,6 +10,7 @@ import pytest
 
 import pachsel
 from pachsel import io as pio
+from pachsel import selection
 from pachsel.cli import main
 from pachsel.constructions import uniform_ball_set
 
@@ -557,6 +558,30 @@ def test_angle_command(workdir, capsys):
     assert set(data) == {"mean", "std_error", "samples", "seed", "vertex"}
     for vertex in (7, -1):
         assert run(["angle", "--simplex", simplex, "--vertex", vertex, "--samples", 1000]) == 3
+
+
+def test_angle_refuses_a_negative_seed(workdir, capsys):
+    simplex = workdir / "s.json"
+    pio.dump_json({"vertices": [[0, 0], [1, 0], [0, 1]]}, simplex)
+    assert run(["angle", "--simplex", simplex, "--samples", 1000, "--seed", -1]) == 3
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
+def test_select_takes_a_negative_seed(workdir, monkeypatch):
+    """The witness generator's seed is a non-negative map of the seed; the
+    search is forced to sample, so the generator draws."""
+    monkeypatch.setattr(selection, "_EXHAUSTIVE_WITNESS_CAP", 0)
+    pts, cert = workdir / "pts.json", workdir / "cert.json"
+    assert run(["gen", "--dim", 2, "--shape", "uniform-ball", "--n", 10, "--seed", 3, "--out", pts]) == 0
+    assert run(["select", "--in", pts, "--out", cert, "--seed", -5]) == 0
+    assert pio.load_json(cert)["seed"] == -5
+    assert run(["verify", "--in", pts, "--cert", cert, "--exhaustive"]) == 0
+
+
+def test_bench_takes_a_negative_seed(workdir):
+    out_dir = workdir / "bench"
+    assert run(["bench", "--dims", "2", "--n", 6, "--instances", 1, "--seed", -5000, "--out-dir", out_dir]) == 0
+    assert len(os.listdir(out_dir)) == 2  # one record and the aggregate
 
 
 def test_deep_command(workdir, capsys):

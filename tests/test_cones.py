@@ -502,6 +502,45 @@ def test_estimators_reject_fewer_than_one_sample(estimator, samples):
         _estimator_calls(samples, 3)[estimator]()
 
 
+@pytest.mark.parametrize("estimator", sorted(_estimator_calls(1, 0)))
+def test_estimators_reject_a_negative_seed(estimator):
+    with pytest.raises(PreconditionError, match="seed must be >= 0"):
+        _estimator_calls(10, -1)[estimator]()
+
+
+class _ZeroRowGenerator:
+    """A generator whose Gaussian draws have row 7 set to zero."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def standard_normal(self, shape):
+        u = self._rng.standard_normal(shape)
+        u[7] = 0.0
+        return u
+
+    def random(self, size):
+        return self._rng.random(size)
+
+
+def _ball_points_by_linalg_norm(rng, m, d):
+    """``_ball_points`` with its row norms from ``np.linalg.norm``."""
+    u = rng.standard_normal((m, d))
+    norms = np.linalg.norm(u, axis=1)
+    norms[norms == 0] = 1.0
+    u *= (rng.random(m) ** (1.0 / d) / norms)[:, None]
+    return u
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_ball_points_match_the_linalg_norm_form(d):
+    """The summed squared columns give ``np.linalg.norm``'s row norms bit for
+    bit, on a full chunk with one zero row, which stays at the origin."""
+    x = cones._ball_points(_ZeroRowGenerator(d), cones._CHUNK, d)
+    assert np.array_equal(x, _ball_points_by_linalg_norm(_ZeroRowGenerator(d), cones._CHUNK, d))
+    assert not x[7].any() and np.all(np.einsum("ij,ij->i", x, x) <= 1.0)
+
+
 def _at_workers(workers, call):
     """``call()`` with the chunk map seeing ``workers`` usable cores."""
     with pytest.MonkeyPatch.context() as mp:

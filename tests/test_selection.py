@@ -118,6 +118,52 @@ def test_containment_handles_degenerate_simplices():
 
 
 @st.composite
+def planar_sets_with_planted_candidates(draw):
+    """A d=2 set in general position, possibly with unequal color sizes, and
+    candidates planted at its points, on rainbow edges and on the lines
+    through them beyond the edge, beside random points."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=3, max_size=3))
+    ps = random_labeled_set(2, max(sizes), seed=draw(st.integers(0, 10**6)), den=64)
+    colors = [list(c[:n]) for c, n in zip(ps.colors, sizes)]
+    cands = [draw(st.sampled_from(colors[i])) for i in range(3)]
+    for _ in range(4):
+        i, j = draw(st.lists(st.integers(0, 2), min_size=2, max_size=2, unique=True))
+        a, b = draw(st.sampled_from(colors[i])), draw(st.sampled_from(colors[j]))
+        lam = draw(st.fractions(-2, 3, max_denominator=8))
+        cands.append(tuple(x + lam * (y - x) for x, y in zip(a, b)))
+    box = st.fractions(-3, 3, max_denominator=64)
+    cands += [(draw(box), draw(box)) for _ in range(2)]
+    return colors, cands
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    planar_sets_with_planted_candidates(),
+    st.sampled_from([enumeration.BLOCK_CELLS, 1]),
+    st.sampled_from([enumeration._GEMM_CELLS, 1]),
+    st.sampled_from([enumeration._FLOAT32_EXACT, 0]),
+)
+def test_planar_product_depths_match_mask_sums(instance, block_cells, gemm_cells, float32_exact):
+    """At d=2 ``depths`` multiplies face-sign tables; its closed and open counts
+    equal the sums of ``containment_masks``, also one candidate and one row per
+    product, and in float64."""
+    colors, cands = instance
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enumeration, "BLOCK_CELLS", block_cells)
+        mp.setattr(enumeration, "_GEMM_CELLS", gemm_cells)
+        mp.setattr(enumeration, "_FLOAT32_EXACT", float32_exact)
+        enum = RainbowEnumerator(colors)
+        assert not enum._degenerate  # so the product path scores them
+        depths = enum.depths(cands)
+    masks = enum.containment_masks(cands)
+    for counts, mask in zip(depths, masks):
+        assert counts.dtype == np.int64
+        assert counts.tolist() == mask.reshape(len(cands), -1).sum(axis=1).tolist()
+    closed, open_ = depths
+    assert (closed[:3] > open_[:3]).all()  # an input point is a vertex: closed, not open
+
+
+@st.composite
 def planted_colors(draw):
     """Colors whose first rainbow simplex has orientation determinant e in
     {-1, 0, 1} next to coordinates of about 2^bits (2^1100 is past float64)."""
@@ -408,6 +454,24 @@ def test_weak_regularity_forced_witness():
         )
 
 
+def _sampled_candidates(rng, parts, ts, budget):
+    """The candidates of a sampled witness search in trial order: blocks of
+    the batched search's doubling sizes, each drawn from ``rng`` as keys of
+    shape (B, |P_i|) per part, with a part's t_i smallest keys found by a full
+    sort instead of a partition."""
+    cap = max(1, min(selection._WITNESS_MAX_ROWS, selection._WITNESS_BLOCK_CELLS // prod(ts)))
+    rows, trial = selection._WITNESS_FIRST_ROWS, 0
+    while trial < budget:
+        size = min(rows, cap, budget - trial)
+        keys = [rng.random((size, len(part))) for part in parts]
+        for b in range(size):
+            yield tuple(
+                tuple(part[j] for j in sorted(np.argsort(k[b])[:t].tolist()))
+                for part, k, t in zip(parts, keys, ts)
+            )
+        trial, rows = trial + size, rows * 2
+
+
 def _per_tuple_witness(h, parts, ts, budget, rng):
     """The zero-edge witness search one candidate tuple at a time."""
     n_tuples = prod(comb(len(part), t) for part, t in zip(parts, ts))
@@ -417,18 +481,17 @@ def _per_tuple_witness(h, parts, ts, budget, rng):
             if h.sub_edge_count(combo) == 0:
                 return tuple(combo), "exhaustive", n_tuples
         return None, "exhaustive", n_tuples
-    for trial in range(budget):
-        combo = tuple(tuple(sorted(rng.sample(part, t))) for part, t in zip(parts, ts))
+    for trial, combo in enumerate(_sampled_candidates(rng, parts, ts, budget), 1):
         if h.sub_edge_count(combo) == 0:
-            return combo, "sampled", trial + 1
+            return combo, "sampled", trial
     return None, "sampled", budget
 
 
 def _assert_witness_searches_agree(h, parts, ts, budget, seed):
-    fast_rng, slow_rng = random.Random(seed), random.Random(seed)
+    fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     fast = selection._find_zero_edge_witness(h, parts, ts, budget, fast_rng)
     assert fast == _per_tuple_witness(h, parts, ts, budget, slow_rng)
-    assert fast_rng.getstate() == slow_rng.getstate()
+    assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
     return fast
 
 
@@ -465,22 +528,37 @@ def test_batched_witness_search_finds_a_zero_tuple_at_a_block_edge(monkeypatch, 
     parts = tuple(tuple(range(n)) for _ in range(k))
     first_block = selection._WITNESS_FIRST_ROWS
     for position in (first_block - 1, first_block):
+        # a budget just past the witness ends the second block early
+        budget = position + 3
         if sampled:  # the candidate the generator draws at that trial
-            rng = random.Random(7)
-            for _ in range(position + 1):
-                combo = tuple(tuple(sorted(rng.sample(part, t))) for part in parts)
+            combos = _sampled_candidates(np.random.default_rng(7), parts, (t,) * k, budget)
         else:
             combos = itertools.product(*[itertools.combinations(part, t) for part in parts])
-            combo = next(itertools.islice(combos, position, None))
+        combo = next(itertools.islice(combos, position, None))
         edges = np.ones((n,) * k, dtype=bool)
         edges[np.ix_(*combo)] = False
-        # a budget just past the witness ends the second block early
         witness, _, trials = _assert_witness_searches_agree(
-            RainbowHypergraph(edges), parts, (t,) * k, position + 3, 7
+            RainbowHypergraph(edges), parts, (t,) * k, budget, 7
         )
         assert witness == combo
         if sampled:
             assert trials == position + 1
+
+
+def test_sampled_witness_stream_is_pinned(monkeypatch):
+    """The sampled search's draws at a fixed seed.  Every pinned certificate's
+    sampled search comes back clean, so no certificate pin sees them: a
+    change to the block sizes, the key draws or the subset pick shows here.
+    Zero edges fill the box of indices below 4 in every part; the witness is
+    the 231st candidate, in the third block."""
+    monkeypatch.setattr(selection, "_EXHAUSTIVE_WITNESS_CAP", 0)
+    edges = np.ones((8, 8, 8), dtype=bool)
+    edges[:4, :4, :4] = False
+    parts = tuple(tuple(range(8)) for _ in range(3))
+    result = selection._find_zero_edge_witness(
+        RainbowHypergraph(edges), parts, (2, 2, 2), 2000, np.random.default_rng(2024)
+    )
+    assert result == (((0, 3), (0, 1), (1, 2)), "sampled", 231)
 
 
 def test_regularity_params_validation():
