@@ -13,8 +13,10 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import InternalInvariantError, PreconditionError
-from .geometry import OrientedHyperplane, orientation, point_in_simplex, strict_separation
+from .geometry import OrientedHyperplane, orientation, plane_signs, point_in_simplex, strict_separation
 from .rational import format_scalar, null_vector, point_to_fractions, scale_points_to_ints, vec_sub
 
 
@@ -32,9 +34,8 @@ class CornerRegion:
     ray_directions: tuple  # h_i - h_j for j != index
 
     def contains(self, point, strict: bool = False) -> bool:
-        if strict:
-            return all(h.side(point) > 0 for _, h in self.halfspaces)
-        return all(h.side(point) >= 0 for _, h in self.halfspaces)
+        (signs,) = plane_signs([point], [h for _, h in self.halfspaces])
+        return bool((signs > 0).all() if strict else (signs >= 0).all())
 
 
 @dataclass(frozen=True)
@@ -59,9 +60,8 @@ class HyperplaneArrangement:
 
     def central_simplex_contains(self, point, strict: bool = True) -> bool:
         """Membership in Delta(H) = intersection of the negative halfspaces."""
-        if strict:
-            return all(h.side(point) < 0 for h in self.hyperplanes)
-        return all(h.side(point) <= 0 for h in self.hyperplanes)
+        (signs,) = plane_signs([point], self.hyperplanes)
+        return bool((signs < 0).all() if strict else (signs <= 0).all())
 
 
 def build_arrangement(hyperplanes) -> HyperplaneArrangement:
@@ -88,16 +88,14 @@ def build_arrangement(hyperplanes) -> HyperplaneArrangement:
                 f"normals of the hyperplanes other than {i} are linearly dependent"
             )
         vertices.append(tuple(Fraction(c, last) for c in v))
-    for i in range(d + 1):
-        if planes[i].value(vertices[i]) == 0:
-            raise PreconditionError("all d+1 hyperplanes pass through one point")
+    # h_i is the only vertex off H_i; its side determines the flip.
+    flips = np.diagonal(plane_signs(vertices, planes))
+    if not flips.all():
+        raise PreconditionError("all d+1 hyperplanes pass through one point")
     if orientation(vertices) == 0:
         raise InternalInvariantError("arrangement vertices are affinely dependent")
-    oriented = []
-    for i in range(d + 1):
-        # h_i is the only vertex off H_i; its side determines the flip.
-        oriented.append(planes[i].flipped() if planes[i].value(vertices[i]) > 0 else planes[i])
-    return HyperplaneArrangement(d, tuple(oriented), tuple(vertices))
+    oriented = tuple(h.flipped() if f > 0 else h for h, f in zip(planes, flips))
+    return HyperplaneArrangement(d, oriented, tuple(vertices))
 
 
 @dataclass(frozen=True)
@@ -110,46 +108,35 @@ class DichotomyResult:
         return self.branch == "inside"
 
 
-def _check_dichotomy_preconditions(point, arrangement, subsets):
-    d = arrangement.dim
-    if len(subsets) != d + 1:
-        raise PreconditionError(f"need d+1 = {d + 1} point subsets")
-    for i, h in enumerate(arrangement.hyperplanes):
-        if h.side(point) == 0:
-            raise PreconditionError(f"point lies on hyperplane {i}")
-        p_side = h.side(point)
-        for j, pts in enumerate(subsets):
-            if j == i:
-                continue
-            for k, y in enumerate(pts):
-                if h.side(y) == p_side or h.side(y) == 0:
-                    raise PreconditionError(
-                        f"hyperplane {i} does not strictly separate the point from "
-                        f"subset {j} (offending point index {k})"
-                    )
-
-
 def separation_dichotomy(point, arrangement: HyperplaneArrangement, subsets) -> DichotomyResult:
     """Either the point is in the central simplex and every subset sits
     strictly inside its corner region, or a single hyperplane strictly
     separates the point from the union of the subsets.
 
-    Precondition (checked): H_i strictly separates the point from the union
-    of the subsets other than i, and the point avoids every hyperplane.
+    Precondition (checked, plane by plane, on one sign matrix of the point
+    and the union): H_i strictly separates the point from the subsets other
+    than i, and the point avoids every hyperplane.  So with the point on the
+    negative side of every H_i, each subset i is strictly inside corner i.
     """
-    point = point_to_fractions(point)
-    subsets = [tuple(point_to_fractions(y) for y in pts) for pts in subsets]
-    _check_dichotomy_preconditions(point, arrangement, subsets)
-    if arrangement.central_simplex_contains(point, strict=True):
-        for i, pts in enumerate(subsets):
-            corner = arrangement.corner(i)
-            for y in pts:
-                if not corner.contains(y, strict=True):
-                    raise InternalInvariantError(
-                        f"point of subset {i} not interior to its corner region"
-                    )
-        return DichotomyResult("inside")
+    d = arrangement.dim
+    if len(subsets) != d + 1:
+        raise PreconditionError(f"need d+1 = {d + 1} point subsets")
     union = [y for pts in subsets for y in pts]
+    owners = [(j, k) for j, pts in enumerate(subsets) for k in range(len(pts))]
+    color = np.array([j for j, _ in owners], dtype=np.int64)
+    signs = plane_signs([point, *union], arrangement.hyperplanes)
+    for i, side in enumerate(signs[0].tolist()):
+        if side == 0:
+            raise PreconditionError(f"point lies on hyperplane {i}")
+        bad = np.flatnonzero((color != i) & (signs[1:, i] != -side))
+        if bad.size:
+            j, k = owners[bad[0]]
+            raise PreconditionError(
+                f"hyperplane {i} does not strictly separate the point from "
+                f"subset {j} (offending point index {k})"
+            )
+    if (signs[0] < 0).all():
+        return DichotomyResult("inside")
     witness = strict_separation(point, union)
     if witness is None:
         raise InternalInvariantError(

@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import reduce
-from math import exp, gamma, log, pi, sqrt
+from math import asin, exp, gamma, log, pi, sqrt
 
 import numpy as np
 
@@ -392,16 +392,34 @@ def spherical_cap_fraction(d: int, gamma_dist: float) -> float:
     """Normalized solid angle of the round cone cut at distance gamma_dist.
 
     Fraction of the unit sphere with x_1 >= gamma_dist, equal to the volume
-    fraction of (cone ∩ ball); incomplete-beta closed form.
+    fraction of (cone ∩ ball): I_x(a, 1/2) / 2 with a = (d-1)/2 and
+    x = 1 - gamma_dist^2.  Upward from I_x(1/2, 1/2) = (2/pi) arcsin(sqrt x)
+    or I_x(1, 1/2) = 1 - gamma_dist, I_x(a+1, 1/2) = I_x(a, 1/2) - t_a with
+    t_1/2 = 2 sqrt(x) gamma_dist / pi, t_1 = x gamma_dist / 2 and
+    t_{a+1} = t_a x (a + 1/2) / (a + 1).  A result below 1/4 would carry the
+    cancellation of the subtractions, so it is summed as the tail
+    sum_k t_{a+k} instead.
     """
     if d < 2:
         raise PreconditionError("round cones need d >= 2")
     if not 0.0 <= gamma_dist <= 1.0:
         raise PreconditionError("gamma must lie in [0, 1]")
-    from scipy.special import betainc  # imported here: scipy dominates import time
-
     x = 1.0 - gamma_dist * gamma_dist
-    return 0.5 * float(betainc((d - 1) / 2.0, 0.5, x))
+    if d % 2 == 0:
+        a, term, value = 0.5, 2.0 * sqrt(x) * gamma_dist / pi, 2.0 / pi * asin(sqrt(x))
+    else:
+        a, term, value = 1.0, x * gamma_dist / 2.0, 1.0 - gamma_dist
+    while a < (d - 1) / 2.0:
+        value -= term
+        term *= x * (a + 0.5) / (a + 1.0)
+        a += 1.0
+    if value < 0.25:
+        value = 0.0
+        while term > value * 2.0**-60:
+            value += term
+            term *= x * (a + 0.5) / (a + 1.0)
+            a += 1.0
+    return 0.5 * value
 
 
 def round_cone_cut_distance(d: int, volume: float) -> float:

@@ -157,8 +157,3 @@ class RainbowEnumerator:
             count += block.sum(axis=(-2, -1))
         count = count.astype(np.int64)
         return [count[0] + count[1], count[2] + count[3]]
-
-    def containment_counts(self, point):
-        """(closed count, open count, total) for one candidate point."""
-        closed, open_ = self.depths([point])
-        return int(closed[0]), int(open_[0]), self.total

@@ -1,6 +1,6 @@
 """Exact geometric primitives: orientation, signs against spanned
-hyperplanes, general position, the planar condition-(G) audit, simplex
-containment, and strict hyperplane separation.
+hyperplanes and explicit planes, general position, the planar condition-(G)
+audit, simplex containment, and strict hyperplane separation.
 
 All combinatorial predicates run on exact rational arithmetic (floats are
 converted losslessly).  Volume and angle estimation live in cones.py and are
@@ -27,7 +27,6 @@ from .errors import (
 )
 from .rational import (
     det_int,
-    dot,
     is_exact,
     matrix_rank_fraction,
     point_to_fractions,
@@ -143,6 +142,29 @@ def cofactor_signs(rows, table, floats):
     return signs, fallbacks
 
 
+def plane_table(planes):
+    """Integer rows c = L (-offset, normal) of explicit planes normal.x = offset,
+    L > 0 the lcm of the plane's denominators, and the L's: against a
+    ``homogeneous_rows(points, 1)`` row h = (w, w q), h . c = w L (normal.q - offset)."""
+    scaled = [scale_points_to_ints([(-h.offset, *h.normal)]) for h in planes]
+    return int_array([row for (row,), _ in scaled]), [scale for _, scale in scaled]
+
+
+def plane_signs(points, planes):
+    """(N, k) int8 signs of normal.q - offset, each point q against each
+    explicit plane: one ``cofactor_signs`` call."""
+    table, _ = plane_table(planes)
+    return cofactor_signs(homogeneous_rows(points, 1), table, float_table(table))[0]
+
+
+def plane_values(points, plane):
+    """Exact normal.q - offset of each point, Fraction(h . c, w L) from the
+    integer rows of ``plane_signs``."""
+    (c,), (scale,) = plane_table([plane])
+    c, rows = c.tolist(), homogeneous_rows(points, 1)
+    return [Fraction(sum(x * y for x, y in zip(h, c)), h[0] * scale) for h in rows]
+
+
 def combination_blocks(n, r):
     """Index arrays of at most COMBINATION_BLOCK rows that together list
     ``itertools.combinations(range(n), r)`` in order; the last may be empty."""
@@ -187,13 +209,6 @@ class OrientedHyperplane:
     @property
     def dim(self) -> int:
         return len(self.normal)
-
-    def value(self, point):
-        return dot(self.normal, point) - self.offset
-
-    def side(self, point) -> int:
-        v = self.value(point)
-        return (v > 0) - (v < 0)
 
     def flipped(self) -> "OrientedHyperplane":
         return OrientedHyperplane(tuple(-c for c in self.normal), -self.offset)
@@ -504,7 +519,7 @@ def point_in_simplex(point, vertices, mode: str = "closed") -> bool:
 
 
 def strict_separation(point, points):
-    """Hyperplane H with H.value(point) < 0 < H.value(s) for all s, or None.
+    """Hyperplane H with point on its negative and every s on its positive side, or None.
 
     None (infeasible) occurs exactly when the point lies in the closed convex
     hull of ``points``; this is a normal return, not a failure.
@@ -516,6 +531,6 @@ def strict_separation(point, points):
         return None
     normal, offset, _margin = result
     h = OrientedHyperplane(normal, offset)
-    if h.side(point) >= 0 or any(h.side(s) <= 0 for s in points):
+    if plane_signs([point, *points], [h])[:, 0].tolist() != [-1] + [1] * len(points):
         raise InternalInvariantError("separation LP returned an invalid hyperplane")
     return h

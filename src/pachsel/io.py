@@ -170,8 +170,11 @@ def arrangement_from_json_dict(data: dict) -> HyperplaneArrangement:
             )
             for h in data["hyperplanes"]
         ]
+        oriented = bool_from_json(data["oriented"], "oriented")
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed arrangement JSON: {exc}") from exc
+    if not oriented:
+        raise ParseError('arrangement "oriented" is false, expected true')
     for h in planes:
         if h.dim != dim:
             raise ParseError(f"hyperplane normal has {h.dim} coordinates, arrangement dim is {dim}")

@@ -5,9 +5,9 @@ Python floats are admitted as inputs but are converted *losslessly* to
 Fraction (every float64 is a dyadic rational), so a float input never
 degrades a predicate to approximate arithmetic.
 
-Batched orientation signs, general position included, are signs against
-spanned hyperplanes: face-cofactor tables under the certified float filter
-``geometry.cofactor_signs``.  The orientation of a single tuple is one
+Batched orientation signs (general position included) and signs against
+explicit planes are integer rows against cofactor tables under the certified
+float filter ``geometry.cofactor_signs``; a single tuple's orientation is one
 ``det_int``.  Determinants, ranks and null vectors share one fraction-free
 elimination, ``_echelon``.
 """
@@ -121,10 +121,6 @@ def random_fraction(rng, lo, hi) -> Fraction:
     lo_f, hi_f = to_fraction(lo), to_fraction(hi)
     k = rng.randint(0, 1 << 20)
     return lo_f + (hi_f - lo_f) * Fraction(k, 1 << 20)
-
-
-def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
 
 
 def vec_sub(u, v):

@@ -35,6 +35,8 @@ from .geometry import (
     float_table,
     homogeneous_rows,
     int_array,
+    plane_signs,
+    plane_values,
     spanned_cofactors,
     spanned_signs,
     strict_separation,
@@ -513,14 +515,6 @@ class FewSeparationsResult:
         return self.branch == _BRANCH_ALL
 
 
-def _shift_toward(cut: OrientedHyperplane, anchor, keep_points):
-    """Shift a cut toward the anchor by half the smallest off-cut margin."""
-    vp = cut.value(anchor)
-    margin = min([abs(vp)] + [abs(v) for v in map(cut.value, keep_points) if v != 0])
-    sigma = 1 if vp > 0 else -1
-    return OrientedHyperplane(cut.normal, cut.offset + sigma * margin / 2)
-
-
 def _arrangement_in_general_position(planes, point, colors, seed):
     """The arrangement of d+1 separating hyperplanes, in general position.
 
@@ -541,7 +535,7 @@ def _arrangement_in_general_position(planes, point, colors, seed):
     rng = random.Random(seed)
     slacks = []
     for h, pts in zip(planes, protected):
-        slack = min(abs(h.value(q)) for q in pts)
+        slack = min(map(abs, plane_values(pts, h)))
         reach = max(
             sum(abs(to_fraction(c)) for c in q) + 1 for q in pts
         )
@@ -559,7 +553,7 @@ def _arrangement_in_general_position(planes, point, colors, seed):
                 )
             )
         sides_ok = all(
-            all(hj.side(q) == h.side(q) for q in pts)
+            np.array_equal(*plane_signs(pts, [h, hj]).T)
             for h, hj, pts in zip(planes, jittered, protected)
         )
         if not sides_ok:
@@ -601,19 +595,23 @@ def few_separations(
         others = [i for i in range(d + 1) if i != j]
         # Subsets of a set in general position: no rescan.
         cut = _spanned_bisecting_cut([[p for _, p in current[i]] for i in others])
-        if cut.side(anchor) == 0:
+        vp, *values = plane_values([anchor] + [p for i in others for _, p in current[i]], cut)
+        if vp == 0:
             # Impossible once the union with the anchor is in general position:
             # the cut is spanned by d input points.
             raise GeneralPositionError("anchor lies on a spanned ham-sandwich cut")
-        off_points = [p for i in others for _, p in current[i]]
-        shifted = _shift_toward(cut, anchor, off_points)
-        anchor_side = shifted.side(anchor)
+        # Shift the cut toward the anchor by half the smallest off-cut margin:
+        # the anchor stays on side sigma, and a point goes to the other side
+        # iff sigma v <= 0, the cut's own spanning points included.
+        sigma = 1 if vp > 0 else -1
+        margin = min([abs(vp)] + [abs(v) for v in values if v != 0])
+        rest = iter(values)  # zip draws from current[i] first, so none is skipped
         for i in others:
-            kept = [(idx, p) for idx, p in current[i] if shifted.side(p) == -anchor_side]
+            kept = [(idx, p) for (idx, p), v in zip(current[i], rest) if sigma * v <= 0]
             if 2 * len(kept) < len(current[i]):
                 raise InternalInvariantError("halving round kept fewer than half")
             current[i] = kept
-        separators.append(shifted)
+        separators.append(OrientedHyperplane(cut.normal, cut.offset + sigma * margin / 2))
     index_result = tuple(tuple(sorted(idx for idx, _ in part)) for part in current)
     subsets = [[p for _, p in part] for part in current]
     arrangement = _arrangement_in_general_position(separators, anchor, subsets, seed)

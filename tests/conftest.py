@@ -9,10 +9,22 @@ from pachsel.geometry import (
     in_general_position,
 )
 from pachsel.arrangements import build_arrangement
+from pachsel.rational import vec_sub
 
 
 def random_rational_point(rng, d, den=1 << 16, box=2):
     return tuple(Fraction(rng.randint(-box * den, box * den), den) for _ in range(d))
+
+
+def value(h, q):
+    """Fraction reference for normal.q - offset, one point at a time."""
+    return sum(Fraction(a) * Fraction(b) for a, b in zip(h.normal, q)) - Fraction(h.offset)
+
+
+def side(h, q):
+    """Fraction reference for the side of q against h: the sign of ``value``."""
+    v = value(h, q)
+    return (v > 0) - (v < 0)
 
 
 def random_points(rng, n, d, den=1 << 16, box=2):
@@ -52,6 +64,67 @@ def random_arrangement(d, seed, coeff=20):
             return build_arrangement(planes)
         except Exception:
             continue
+
+
+def reference_dichotomy(point, arrangement, subsets):
+    """Fraction re-check of ``separation_dichotomy``, one point and plane at a
+    time: ("inside" | "outside", None), or (None, the precondition message).
+    On the inside branch it also asserts that every subset sits strictly
+    inside its corner region, which the precondition implies."""
+    d, planes = arrangement.dim, arrangement.hyperplanes
+    if len(subsets) != d + 1:
+        return None, f"need d+1 = {d + 1} point subsets"
+    for i, h in enumerate(planes):
+        p_side = side(h, point)
+        if p_side == 0:
+            return None, f"point lies on hyperplane {i}"
+        for j, pts in enumerate(subsets):
+            for k, y in enumerate(pts):
+                if j != i and side(h, y) != -p_side:
+                    return None, (
+                        f"hyperplane {i} does not strictly separate the point from "
+                        f"subset {j} (offending point index {k})"
+                    )
+    if any(side(h, point) > 0 for h in planes):
+        return "outside", None
+    for i, pts in enumerate(subsets):
+        assert all(side(h, y) > 0 for j, h in enumerate(planes) if j != i for y in pts)
+    return "inside", None
+
+
+def random_dichotomy_instance(d, seed):
+    """(arrangement, point, subsets) for ``separation_dichotomy``: the point
+    inside the central simplex, outside it, at a vertex or on a plane, and
+    one to three points per subset on the far side of every H_j (j != i)
+    from the point, sometimes moved onto a plane or to a random place."""
+    rng = random.Random(seed)
+    arr = random_arrangement(d, seed)
+    verts, planes = arr.vertices, arr.hyperplanes
+
+    kind = rng.randrange(5)
+    if kind <= 1:  # an affine combination: of all vertices with positive
+        # weights (inside), or of those on H_0 (h_j, j != 0) with any weights
+        weights = [Fraction(rng.randint(1 - 50 * kind, 50)) for _ in verts[kind:]]
+        if sum(weights) == 0:
+            weights[0] += 1
+        point = tuple(sum(w * v[k] for w, v in zip(weights, verts[kind:])) / sum(weights) for k in range(d))
+    elif kind == 2:  # at a vertex, on d planes
+        point = rng.choice(verts)
+    else:
+        point = random_rational_point(rng, d, den=7, box=20)
+    subsets = []
+    for i in range(d + 1):
+        # h_i + mu_j s_j (h_i - h_j) is on side s_j of H_j and on H_k, k != i, j
+        signs = {j: -side(h, point) or rng.choice((-1, 1)) for j, h in enumerate(planes) if j != i}
+        pts = []
+        for _ in range(rng.randint(1, 3)):
+            mu = {j: Fraction(rng.randint(0 if rng.random() < 0.05 else 1, 64), 16) for j in signs}
+            rays = [(mu[j] * s, vec_sub(verts[i], verts[j])) for j, s in signs.items()]
+            pts.append(tuple(c + sum(w * r[k] for w, r in rays) for k, c in enumerate(verts[i])))
+        if rng.random() < 0.1:
+            pts[rng.randrange(len(pts))] = random_rational_point(rng, d, den=7, box=20)
+        subsets.append(pts)
+    return arr, point, subsets
 
 
 def random_cover_instance(d, seed):

@@ -8,11 +8,13 @@ from pachsel.arrangements import (
     dump_counterexample_bundle,
     separation_dichotomy,
 )
+from pachsel.constructions import uniform_ball_set
 from pachsel.errors import PreconditionError
 from pachsel.geometry import OrientedHyperplane as H
 from pachsel.geometry import point_in_simplex, strict_separation
+from pachsel.selection import PipelineParams, run_pipeline
 
-from conftest import random_arrangement
+from conftest import random_arrangement, random_dichotomy_instance, reference_dichotomy, side, value
 
 
 def interval_arrangement():
@@ -56,9 +58,9 @@ def test_vertices_satisfy_defining_equalities_exactly():
         for i, h_i in enumerate(arr.vertices):
             for j, plane in enumerate(arr.hyperplanes):
                 if j != i:
-                    assert plane.value(h_i) == 0
+                    assert value(plane, h_i) == 0
                 else:
-                    assert plane.value(h_i) != 0
+                    assert value(plane, h_i) != 0
 
 
 def test_apex_is_unique_arrangement_vertex_in_corner():
@@ -103,8 +105,8 @@ def test_dichotomy_outside_with_verified_witness():
     res = separation_dichotomy((-1,), arr, [[(2,)], [(Fraction(1, 2),)]])
     assert not res.inside
     w = res.witness
-    assert w.side((-1,)) < 0
-    assert w.side((2,)) > 0 and w.side((Fraction(1, 2),)) > 0
+    assert side(w, (-1,)) < 0
+    assert side(w, (2,)) > 0 and side(w, (Fraction(1, 2),)) > 0
     # agrees with a fresh strict separation of the union
     again = strict_separation((-1,), [(2,), (Fraction(1, 2),)])
     assert again is not None
@@ -117,10 +119,10 @@ def test_dichotomy_outside_plane_configuration():
     res = separation_dichotomy(p, arr, subsets)
     assert not res.inside
     w = res.witness
-    assert w.side(p) < 0
+    assert side(w, p) < 0
     for pts in subsets:
         for y in pts:
-            assert w.side(y) > 0
+            assert side(w, y) > 0
 
 
 def test_dichotomy_branches_exhaustive_and_exclusive():
@@ -189,3 +191,45 @@ def test_cover_agrees_with_closed_simplex_membership():
     ys = [(5, -1), (-1, 5), (-1, -1)]
     p = (Fraction(1, 10), Fraction(1, 10))
     assert corners_cover_simplex(arr, ys, p) == point_in_simplex(p, ys, "closed")
+
+
+
+def _assert_dichotomy_matches_reference(point, arr, subsets):
+    """Same branch, or the same precondition message, as ``reference_dichotomy``;
+    an outside witness strictly separates the point from the union."""
+    expected = reference_dichotomy(point, arr, subsets)
+    try:
+        res = separation_dichotomy(point, arr, subsets)
+    except PreconditionError as exc:
+        assert (None, str(exc)) == expected
+        return expected
+    assert (res.branch, None) == expected
+    if not res.inside:
+        assert side(res.witness, point) < 0
+        assert all(side(res.witness, y) > 0 for pts in subsets for y in pts)
+    return expected
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_dichotomy_matches_fraction_reference(d):
+    outcomes = set()
+    for seed in range(150):
+        arr, point, subsets = random_dichotomy_instance(d, seed)
+        branch, message = _assert_dichotomy_matches_reference(point, arr, subsets)
+        outcomes.add(branch or ("on a plane" if "lies on" in message else "not separated"))
+    assert outcomes == {"inside", "outside", "on a plane", "not separated"}
+
+
+@pytest.mark.parametrize("d, n, seed", [(2, 25, 1), (2, 25, 2), (2, 25, 3), (3, 8, 1), (3, 8, 2), (3, 8, 3)])
+def test_dichotomy_matches_fraction_reference_on_pinned_certificates(d, n, seed):
+    """The instances of ``test_certificates_are_pinned``: the certified point
+    is inside; moved far away, to a vertex or onto a selected point, it
+    breaks the precondition, with the same message."""
+    ps = uniform_ball_set(d, n, seed=seed)
+    cert = run_pipeline(ps, PipelineParams(seed=seed))
+    arr = cert.arrangement
+    subsets = [[ps.point(ci, i) for i in idxs] for ci, idxs in enumerate(cert.index_sets)]
+    points = [cert.point, (100,) * d, arr.vertices[0], subsets[0][0]]
+    outcomes = [_assert_dichotomy_matches_reference(p, arr, subsets) for p in points]
+    assert outcomes[0] == ("inside", None)
+    assert all(branch is None for branch, _ in outcomes[1:])

@@ -311,6 +311,22 @@ def test_verify_rejects_non_integer_indices(workdir, capsys, planar_certificate,
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["--exhaustive", "--arrangement"])
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda arr: arr.update(oriented=False), '"oriented" is false'),
+        (lambda arr: arr.pop("oriented"), "malformed arrangement JSON: 'oriented'"),
+    ],
+    ids=["false", "missing"],
+)
+def test_verify_refuses_an_unoriented_arrangement(workdir, capsys, planar_certificate, mode, mutate, message):
+    pts, data = planar_certificate
+    bad = _write_mutated(workdir, data, lambda cert: mutate(cert["arrangement"]))
+    assert run(["verify", "--in", pts, "--cert", bad, mode]) == 2
+    assert message in capsys.readouterr().err
+
+
 _POINTS_2D = b'[["1/2", "0"], ["0", "1/3"]], [["-1/2", "0"], ["0", "-1/3"]], [["1/5", "1/7"], '
 # The same shape in JSON numbers: with [1, 0.5] last it loads and selects.
 _FLOAT_POINTS_2D = b'[[0.5, 0], [0, 0.25]], [[-0.5, 0], [0, -0.25]], [[0.2, 0.125], '
@@ -539,13 +555,23 @@ def test_module_entry_point_runs_command():
 
 def test_cli_import_leaves_scipy_unloaded():
     src = Path(pachsel.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, pachsel.cli; print('scipy' in sys.modules)"],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    for code, out in [
+        ("import sys, pachsel.cli; print('scipy' in sys.modules)", "False"),
+        # scipy blocked: the cap fraction behind the round-cone bound needs none;
+        # at d=3 the cap is (1 - gamma)/2, so gamma = 1 - 3/(4 pi) and the bound pi gamma^2
+        (
+            "import sys; sys.modules['scipy'] = None; from math import pi; from pachsel.cones "
+            "import round_cone_polar_volume_bound as b; print(abs(b(3, 0.5) - pi * (1 - 3 / (4 * pi)) ** 2) < 1e-8)",
+            "True",
+        ),
+    ]:
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == out
 
 
 def test_angle_command(workdir, capsys):

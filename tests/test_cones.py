@@ -248,6 +248,14 @@ def test_round_cone_cut_distance_closed_form_d3():
     assert bound == pytest.approx(0.25 * unit_ball_volume(2), abs=1e-8)
 
 
+@pytest.mark.parametrize("d", range(2, 41))
+def test_spherical_cap_fraction_matches_betainc(d):
+    betainc = pytest.importorskip("scipy.special").betainc
+    for gamma in np.linspace(0.0, 1.0, 201).tolist():
+        expected = 0.5 * float(betainc((d - 1) / 2, 0.5, 1.0 - gamma * gamma))
+        assert spherical_cap_fraction(d, gamma) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 def test_round_cone_bound_limits_and_monotonicity():
     beta = unit_ball_volume(3)
     near_half = beta / 2 * (1 - 1e-9)

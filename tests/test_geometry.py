@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pachsel import lp
@@ -20,6 +20,8 @@ from pachsel.geometry import (
     int_array,
     in_general_position,
     orientation,
+    plane_signs,
+    plane_values,
     point_in_simplex,
     satisfies_condition_G,
     spanned_signs,
@@ -33,7 +35,7 @@ from pachsel.rational import (
     vec_sub,
 )
 
-from conftest import general_position_points, random_points
+from conftest import general_position_points, random_points, side, value
 
 
 small_fraction = st.fractions(
@@ -689,8 +691,8 @@ def test_convex_combination_coefficients_are_valid():
 def test_strict_separation_line_example():
     h = strict_separation((0,), [(1,), (2,)])
     assert h is not None
-    assert h.side((0,)) < 0
-    assert h.side((1,)) > 0 and h.side((2,)) > 0
+    assert side(h, (0,)) < 0
+    assert side(h, (1,)) > 0 and side(h, (2,)) > 0
 
 
 def test_strict_separation_infeasible_cases():
@@ -731,8 +733,8 @@ def _cofactor_plane(int_points):
 
 def test_hyperplane_through_points():
     h = OrientedHyperplane(*_cofactor_plane([(1, 0), (0, 1)]))
-    assert h.side((1, 0)) == 0 and h.side((0, 1)) == 0
-    assert h.side((0, 0)) != 0
+    assert side(h, (1, 0)) == 0 and side(h, (0, 1)) == 0
+    assert side(h, (0, 0)) != 0
     # a repeated point spans no hyperplane: the normal is zero
     assert _cofactor_plane([(0, 0), (0, 0)])[0] == (0, 0)
 
@@ -766,9 +768,45 @@ def test_hyperplane_through_rational_points_is_the_fraction_cofactor_plane(rng, 
 def test_oriented_hyperplane_flip_consistency():
     h = OrientedHyperplane((Fraction(1), Fraction(-2)), Fraction(3, 7))
     p = (5, 1)
-    assert h.side(p) == -h.flipped().side(p)
+    assert side(h, p) == -side(h.flipped(), p)
     with pytest.raises(PreconditionError):
         OrientedHyperplane((0, 0), 1)
+
+
+@st.composite
+def plane_batches(draw):
+    """Explicit planes and points with numerators and denominators of up to
+    4, 40, 70 or 1100 bits (int64 rows, rows past 2^63, rows past the float
+    range), and points planted on the planes."""
+    d = draw(st.integers(1, 3))
+    bits = draw(st.sampled_from([4, 40, 70, 1100]))
+    scalar = st.builds(Fraction, st.integers(-(1 << bits), 1 << bits), st.integers(1, 1 << bits))
+    vector = st.lists(scalar, min_size=d, max_size=d)
+    planes = [
+        OrientedHyperplane(tuple(normal), draw(scalar))
+        for normal in draw(st.lists(vector.filter(any), min_size=1, max_size=4))
+    ]
+    points = draw(st.lists(vector, min_size=1, max_size=6))
+    for q in draw(st.lists(vector, max_size=3)):
+        h = draw(st.sampled_from(planes))
+        k = next(i for i, c in enumerate(h.normal) if c)
+        q[k] = 0
+        q[k] = (h.offset - sum(c * x for c, x in zip(h.normal, q))) / h.normal[k]
+        points.append(q)
+    return planes, [tuple(q) for q in draw(st.permutations(points))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(plane_batches())
+# on the plane x + y = 1, but fl(h) . fl(c) = -1: the float filter must defer
+@example(([OrientedHyperplane((1, 1), 1)], [(2**60 + 1, -(2**60))]))
+def test_plane_signs_and_values_match_fraction_reference(batch):
+    planes, points = batch
+    signs = plane_signs(points, planes)
+    assert signs.dtype == np.int8
+    assert signs.tolist() == [[side(h, q) for h in planes] for q in points]
+    for h in planes:
+        assert plane_values(points, h) == [value(h, q) for q in points]
 
 
 def test_labeled_point_set_validation():

@@ -48,7 +48,7 @@ from pachsel.selection import (
     weak_regularity,
 )
 
-from conftest import naive_closed_containment_fraction, random_labeled_set
+from conftest import naive_closed_containment_fraction, random_labeled_set, side, value
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +86,9 @@ def test_containment_counts_match_naive_loop(monkeypatch):
         ps = random_labeled_set(d, n, seed=10 + d)
         colors = [list(c) for c in ps.colors]
         p = tuple(Fraction(rng.randint(-64, 64), 64) for _ in range(d))
-        closed, open_, total = RainbowEnumerator(colors).containment_counts(p)
+        enum = RainbowEnumerator(colors)
+        (closed,), (open_,) = enum.depths([p])
+        total = enum.total
         naive_closed = naive_open = 0
         for verts in itertools.product(*colors):
             if point_in_simplex(p, list(verts), "closed"):
@@ -107,7 +109,9 @@ def test_containment_counts_match_naive_loop(monkeypatch):
 
 def test_containment_handles_degenerate_simplices():
     colors = [[(0, 0), (2, 2)], [(1, 1)], [(3, 3), (0, 1)]]  # collinear combos exist
-    closed, open_, total = RainbowEnumerator(colors).containment_counts((1, 1))
+    enum = RainbowEnumerator(colors)
+    (closed,), (open_,) = enum.depths([(1, 1)])
+    total = enum.total
     assert total == 4
     assert open_ == 0  # p is a vertex or on degenerate simplices only
     assert closed >= 1  # p equals the color-1 point, in every closed hull
@@ -580,8 +584,8 @@ def test_regularity_params_validation():
 
 def test_ham_sandwich_median_point():
     cut = ham_sandwich_bisect([[(1,), (2,), (3,)]])
-    assert cut.value((2,)) == 0
-    assert cut.side((1,)) != cut.side((3,))
+    assert value(cut, (2,)) == 0
+    assert side(cut, (1,)) != side(cut, (3,))
 
 
 def test_ham_sandwich_alternating_quadrilaterals():
@@ -591,9 +595,9 @@ def test_ham_sandwich_alternating_quadrilaterals():
     a = [(x + Fraction(1, 97), y + Fraction(1, 89)) for x, y in a]
     cut = ham_sandwich_bisect([a, b])
     for s in (a, b):
-        on = sum(1 for q in s if cut.side(q) == 0)
-        pos = sum(1 for q in s if cut.side(q) > 0)
-        neg = sum(1 for q in s if cut.side(q) < 0)
+        on = sum(1 for q in s if side(cut, q) == 0)
+        pos = sum(1 for q in s if side(cut, q) > 0)
+        neg = sum(1 for q in s if side(cut, q) < 0)
         assert pos >= (len(s) - on) // 2
         assert neg >= (len(s) - on) // 2
 
@@ -617,9 +621,9 @@ def test_ham_sandwich_concentric_pentagons():
     b = pentagon(2.0, 0.7)
     cut = ham_sandwich_bisect([a, b])
     for s in (a, b):
-        on = sum(1 for q in s if cut.side(q) == 0)
-        assert sum(1 for q in s if cut.side(q) > 0) >= (5 - on) // 2
-        assert sum(1 for q in s if cut.side(q) < 0) >= (5 - on) // 2
+        on = sum(1 for q in s if side(cut, q) == 0)
+        assert sum(1 for q in s if side(cut, q) > 0) >= (5 - on) // 2
+        assert sum(1 for q in s if side(cut, q) < 0) >= (5 - on) // 2
 
 
 def test_ham_sandwich_three_sets_in_space():
@@ -637,11 +641,11 @@ def test_ham_sandwich_three_sets_in_space():
             break
     cut = ham_sandwich_bisect(sets)
     for s in sets:
-        on = sum(1 for q in s if cut.side(q) == 0)
-        pos = sum(1 for q in s if cut.side(q) > 0)
-        neg = sum(1 for q in s if cut.side(q) < 0)
+        on = sum(1 for q in s if side(cut, q) == 0)
+        pos = sum(1 for q in s if side(cut, q) > 0)
+        neg = sum(1 for q in s if side(cut, q) < 0)
         assert pos >= (5 - on) // 2 and neg >= (5 - on) // 2
-    assert sum(1 for s in sets for q in s if cut.side(q) == 0) == 3  # one per set
+    assert sum(1 for s in sets for q in s if side(cut, q) == 0) == 3  # one per set
 
 
 def test_few_separations_space_branch_oracle():
@@ -678,7 +682,7 @@ def _reference_bisecting_cut(sets):
         h = OrientedHyperplane(
             tuple(Fraction(sign * c) for c in normal), Fraction(-sign * last, den)
         )
-        sides = [[h.side(q) for q in s] for s in sets]
+        sides = [[side(h, q) for q in s] for s in sets]
         if all(min(x.count(1), x.count(-1)) >= (len(x) - x.count(0)) // 2 for x in sides):
             return h
     return None
