@@ -100,7 +100,6 @@ def random_dichotomy_instance(d, seed):
     rng = random.Random(seed)
     arr = random_arrangement(d, seed)
     verts, planes = arr.vertices, arr.hyperplanes
-
     kind = rng.randrange(5)
     if kind <= 1:  # an affine combination: of all vertices with positive
         # weights (inside), or of those on H_0 (h_j, j != 0) with any weights
