@@ -126,12 +126,19 @@ def _cone_hit_fraction(cones, samples, seed):
     return _hit_fraction(tests, len(cones[0]), samples, seed)
 
 
+def _row_norms(u):
+    """``np.linalg.norm(u, axis=1)`` bit for bit: below 8 columns numpy adds
+    the squared columns left to right, as done here at about half its cost."""
+    if u.shape[1] >= 8:
+        return np.linalg.norm(u, axis=1)
+    return np.sqrt(sum((u[:, j] * u[:, j] for j in range(1, u.shape[1])), u[:, 0] * u[:, 0]))
+
+
 def _ball_points(rng, m, d):
     """m uniform points of the unit d-ball from ``rng``: a Gaussian direction
     scaled to radius U^(1/d)."""
     u = rng.standard_normal((m, d))
-    # the squared columns summed left to right, as np.linalg.norm adds them
-    norms = np.sqrt(sum((u[:, j] * u[:, j] for j in range(1, d)), u[:, 0] * u[:, 0]))
+    norms = _row_norms(u)
     norms[norms == 0] = 1.0
     radii = rng.random(m) ** (1.0 / d)
     u *= (radii / norms)[:, None]
@@ -450,7 +457,7 @@ def round_cone_polar_volume_bound(d: int, volume: float) -> float:
 def round_cone_restricted_volume_mc(d: int, axis_cos: float, samples: int, seed: int) -> McEstimate:
     """MC restricted volume of the round cone {x : x_1 >= axis_cos * |x|}."""
     [(p, std_error)] = _hit_fraction(
-        [lambda u: u[:, 0] >= axis_cos * np.linalg.norm(u, axis=1)], d, samples, seed
+        [lambda u: u[:, 0] >= axis_cos * _row_norms(u)], d, samples, seed
     )
     beta = unit_ball_volume(d)
     return McEstimate(beta * p, beta * std_error, samples, seed)

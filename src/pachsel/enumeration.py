@@ -15,6 +15,7 @@ face-sign tables, without the n^3 mask.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import prod
 
 import numpy as np
@@ -31,9 +32,10 @@ from .geometry import (
 )
 from .rational import common_denominator, point_to_fractions
 
-# multiply-adds per matrix product of ``_product_depths``: below OpenBLAS's
-# threading threshold, where two BLAS threads on two busy cores stall
-_GEMM_CELLS = 1 << 18
+# multiply-adds per ``_product_depths`` product: OpenBLAS 0.3.31 threads such
+# products (one operand transposed) from 2^19 on, measured by CPU over wall
+# time, and two threads on two busy cores stall
+_GEMM_CELLS = (1 << 19) - 1
 # float32 holds every integer below 2^24 exactly (float64 below 2^53)
 _FLOAT32_EXACT = 1 << 24
 
@@ -62,9 +64,9 @@ class RainbowEnumerator:
         self.sizes = tuple(len(c) for c in self.colors)
         self.total = prod(self.sizes)
         self.fallbacks = 0  # filtered signs recomputed exactly
-        self._den = common_denominator(p for c in self.colors for p in c)
+        self.den = common_denominator(p for c in self.colors for p in c)
         int_colors = [
-            int_array([[(x * self._den).numerator for x in p] for p in c]) for c in self.colors
+            int_array([[(x * self.den).numerator for x in p] for p in c]) for c in self.colors
         ]
         self._tables = []  # per omitted color: face cofactors, exact and as floats
         for i in range(self.dim + 1):
@@ -87,13 +89,16 @@ class RainbowEnumerator:
         batch's masks are kept and returned again, read-only, for the same batch,
         so consecutive stages score a point once."""
         points = tuple(point_to_fractions(p) for p in points)
-        if points == self._last[0]:
-            return self._last[1]
-        if any(len(p) != self.dim for p in points):
-            raise PreconditionError("candidate dimension mismatch")
-        rows = homogeneous_rows(points, self._den)
+        if points != self._last[0]:
+            if any(len(p) != self.dim for p in points):
+                raise PreconditionError("candidate dimension mismatch")
+            self._last = (points, self._masks(homogeneous_rows(points, self.den)))
+        return self._last[1]
+
+    def _masks(self, rows):
+        """``containment_masks`` of the points with these homogeneous rows."""
         full = self.full_signs
-        closed = np.repeat((full != 0)[None], len(points), axis=0)
+        closed = np.repeat((full != 0)[None], len(rows), axis=0)
         open_ = closed.copy()
         for i in range(self.dim + 1):
             # the point replaces the color-i vertex; moving it first costs (-1)^i
@@ -103,32 +108,35 @@ class RainbowEnumerator:
             open_ &= agreement == 1
         for idx in self._degenerate:
             verts = [self.colors[k][idx[k]] for k in range(self.dim + 1)]
-            for b, p in enumerate(points):
+            for b, (w, *x) in enumerate(rows):
+                p = tuple(Fraction(c, w * self.den) for c in x)
                 closed[(b, *idx)] = lp.convex_combination(p, verts) is not None
         closed.flags.writeable = open_.flags.writeable = False
-        self._last = (points, (closed, open_))
         return closed, open_
 
-    def depths(self, points):
-        """Closed and open containment counts of each point, as two int arrays,
-        scored in blocks of about BLOCK_CELLS cells.
+    def depths(self, rows):
+        """Closed and open containment counts of each point, given as its
+        ``homogeneous_rows`` row against ``den``, as two int arrays, scored in
+        blocks of about BLOCK_CELLS cells.
 
         At d=2 with no degenerate rainbow simplex the counts are products of
         the three face-sign tables (``_product_depths``), O(n^2) cells
         instead of the n^3 cells of ``containment_masks``; otherwise they are
         sums of the masks."""
+        if any(len(r) != self.dim + 1 for r in rows):
+            raise PreconditionError("candidate dimension mismatch")
         if self.dim == 2 and not self._degenerate:  # four 0/1 tables per face cell
             score, cells = self._product_depths, 4 * sum(len(t) for t, _ in self._tables)
         else:
             score, cells = self._mask_depths, self.total
         step = max(1, BLOCK_CELLS // cells)
-        counts = [score(points[s : s + step]) for s in range(0, len(points), step)]
+        counts = [score(rows[s : s + step]) for s in range(0, len(rows), step)]
         return tuple(np.concatenate(c) for c in zip(*counts))
 
-    def _mask_depths(self, points):
-        return [m.reshape(len(m), -1).sum(axis=1) for m in self.containment_masks(points)]
+    def _mask_depths(self, rows):
+        return [m.reshape(len(m), -1).sum(axis=1) for m in self._masks(rows)]
 
-    def _product_depths(self, points):
+    def _product_depths(self, rows):
         """Depths at d=2 from the face signs s_i, each with its (-1)^i.
 
         For a nondegenerate simplex s_i = sign(full) sign(lambda_i), and the
@@ -141,9 +149,6 @@ class RainbowEnumerator:
         chosen to hold such integers exactly, and each product of a candidate
         is split into row blocks of about _GEMM_CELLS multiply-adds, below
         OpenBLAS's threading threshold."""
-        if any(len(p) != self.dim for p in points):
-            raise PreconditionError("candidate dimension mismatch")
-        rows = homogeneous_rows(points, self._den)
         dtype = np.float32 if self.total < _FLOAT32_EXACT else np.float64
         # per table, stacked first: s >= 0 and s <= 0 (closed), s > 0 and s < 0 (open)
         p0, p1, p2 = (
@@ -151,7 +156,7 @@ class RainbowEnumerator:
             for s in (self._face_signs(i, rows) * (-1) ** i for i in range(3))
         )
         p0t, step = p0.swapaxes(-1, -2), max(1, _GEMM_CELLS // (self.sizes[1] * self.sizes[2]))
-        count = np.zeros((4, len(points)), dtype=dtype)
+        count = np.zeros((4, len(rows)), dtype=dtype)
         for a in range(0, self.sizes[0], step):
             block = np.matmul(p1[..., a : a + step, :], p0t) * p2[..., a : a + step, :]
             count += block.sum(axis=(-2, -1))

@@ -37,9 +37,10 @@ from .rational import (
 # Faces per face_cofactors call while a spanned table is built; bounds the
 # expansion's memory independently of the number of faces.
 COMBINATION_BLOCK = 1 << 12
-# row x table cells per block of ``cofactor_signs`` (and of the callers that
-# score in blocks), so memory does not grow with the batch
+# cells per block of the callers that score in blocks, so memory does not grow
 BLOCK_CELLS = 1 << 18
+# row x table cells per ``cofactor_signs`` block: its float temporaries stay in cache
+FILTER_CELLS = 1 << 15
 
 
 def int_array(values) -> np.ndarray:
@@ -86,8 +87,8 @@ def homogeneous_rows(points, den):
     a table of faces scaled by ``den``: h . c has the sign of c . (1, den q)."""
     rows = []
     for p in map(point_to_fractions, points):
-        w = lcm(den, *(c.denominator for c in p)) // den
-        rows.append((w, *((c * den * w).numerator for c in p)))
+        scale = lcm(den, *(c.denominator for c in p))
+        rows.append((scale // den, *(c.numerator * (scale // c.denominator) for c in p)))
     return rows
 
 
@@ -109,8 +110,9 @@ def float_table(table):
 
 def cofactor_signs(rows, table, floats):
     """Signs of h . c, integer rows h against a cofactor table (``floats`` is
-    ``float_table(table)``), shape (len(rows), len(table)), in row blocks of
-    about BLOCK_CELLS cells; and how many were recomputed on Python ints.
+    ``float_table(table)``), shape (len(rows), len(table)); and how many were
+    recomputed on Python ints, found by one flat scan in row-major order.  Rows
+    go in blocks of about FILTER_CELLS cells, whose float temporaries fit in cache.
 
     Floats decide only proven signs.  With u = 2^-53 and n the row length,
     converting an integer to float64 rounds it by a factor (1+e), |e| <= u (or
@@ -125,7 +127,7 @@ def cofactor_signs(rows, table, floats):
     """
     signs = np.empty((len(rows), len(table)), dtype=np.int8)
     fallbacks = 0
-    step = max(1, BLOCK_CELLS // max(1, len(table)))
+    step = max(1, FILTER_CELLS // max(1, len(table)))
     for s in range(0, len(rows), step):
         block, out = rows[s : s + step], signs[s : s + step]
         h = float_rows(block)
@@ -134,9 +136,9 @@ def cofactor_signs(rows, table, floats):
             bound = (floats.shape[-1] + 3) * 2.0**-53 * (np.abs(h) @ floats[1].T)
             decided = np.isfinite(value) & (np.abs(value) > bound)
         out[...] = (value > 0).astype(np.int8) - (value < 0)
-        undecided = np.argwhere(~decided)
+        undecided = np.flatnonzero(~decided).tolist()
         fallbacks += len(undecided)
-        for b, f in undecided.tolist():
+        for b, f in (divmod(i, len(table)) for i in undecided):
             exact = sum(x * y for x, y in zip(block[b], table[f].tolist()))
             out[b, f] = (exact > 0) - (exact < 0)
     return signs, fallbacks
@@ -261,8 +263,13 @@ class LabeledPointSet:
         """First dependent tuple of ``union_points()`` indices, or None: one
         scan of the C(N,d) spanned cofactor table per instance, kept for every
         stage handed this set (not a field: equality and hashing ignore it).  A
-        point added later is checked in O(N^d) with ``spanned_signs``."""
+        point added later is checked in O(N^d) with ``spanned_witness``."""
         return find_general_position_violation(self)
+
+    @cached_property
+    def spanned_table(self):
+        """``spanned_cofactors`` of ``union_points()``, built once per instance."""
+        return spanned_cofactors(self.union_points(), self.dim)
 
     @cached_property
     def rainbow_enumerator(self):
@@ -293,11 +300,11 @@ def find_general_position_violation(obj):
     Affine dependence is monotone under supersets, so with more than d+1
     points it suffices to find the lexicographically first dependent
     (d+1)-tuple (q, face).  Its faces are the rows of one
-    ``spanned_cofactors`` table, and those whose first index exceeds q form
-    a suffix of it, so each q is one row against that suffix under
-    ``cofactor_signs`` and the first zero names the tuple.  No cell pairs a
-    point with a face that contains it, an exact zero the filter would
-    recompute on Python ints.
+    ``spanned_cofactors`` table (a ``LabeledPointSet``'s ``spanned_table``,
+    shared with the anchor nudge), and those whose first index exceeds q
+    form a suffix of it, so each q is one ``spanned_witness`` row against
+    that suffix.  No cell pairs a point with a face that contains it, an
+    exact zero the filter would recompute on Python ints.
     """
     d, pts = _point_list(obj)
     n = len(pts)
@@ -307,48 +314,38 @@ def find_general_position_violation(obj):
         if rows and matrix_rank_fraction(rows) < n - 1:
             return tuple(range(n))
         return None
-    table, den, faces = spanned_cofactors(pts, d)
-    floats = float_table(table)
-    starts = np.searchsorted(faces[:, 0], np.arange(1, n - d + 1)).tolist()
-    for q, (row, s) in enumerate(zip(homogeneous_rows(pts[: n - d], den), starts)):
-        (signs,), _ = cofactor_signs([row], table[s:], floats[:, s:])
-        zeros = np.flatnonzero(signs == 0)
-        if zeros.size:
-            return (q, *faces[s + zeros[0]].tolist())
+    spanned = obj.spanned_table if isinstance(obj, LabeledPointSet) else spanned_cofactors(pts, d)
+    starts = np.searchsorted(spanned[2][:, 0], np.arange(1, n - d + 1)).tolist()  # faces
+    for q, s in enumerate(starts):
+        face = spanned_witness(spanned, slice(s, None), pts[q])
+        if face is not None:
+            return (q, *face)
     return None
 
 
 def spanned_cofactors(points, d):
     """Cofactor table of the hyperplanes spanned by d of the rational points,
     one row per d-tuple of ``combinations(range(len(points)), d)`` in that
-    order: (table, den, tuples), with the points scaled to integers by den.
-    The table is expanded in blocks of COMBINATION_BLOCK faces."""
+    order, expanded in blocks of COMBINATION_BLOCK faces: (table, den, tuples,
+    ``float_table(table)``), with the points scaled to integers by den."""
     n = len(points)
     if n < d:
         raise PreconditionError(f"{n} points span no hyperplane in dimension {d}")
     int_pts, den = scale_points_to_ints(points)
     arr = int_array(int_pts)
     blocks = [b for b in combination_blocks(n, d) if len(b)]
-    return np.concatenate([face_cofactors(arr[b]) for b in blocks]), den, np.concatenate(blocks)
+    table = np.concatenate([face_cofactors(arr[b]) for b in blocks])
+    return table, den, np.concatenate(blocks), float_table(table)
 
 
-def spanned_signs(points, queries):
-    """Signs of each query point against the hyperplanes spanned by d of ``points``.
-
-    Returns (signs, witnesses): per query a row of int8 orientation signs,
-    query last, one per d-tuple of ``combinations(range(len(points)), d)`` in
-    that order, from one cofactor table and ``cofactor_signs``; and per query
-    the first d-tuple whose hyperplane contains it, or None.  With ``points``
-    in general position (at least d of them) every dependent tuple of
-    ``points + [q]`` contains q, so ``witness + (len(points),)`` is what
-    ``find_general_position_violation(points + [q])`` returns.
-    """
-    d = len(queries[0])
-    table, den, tuples = spanned_cofactors(points, d)
-    signs = cofactor_signs(homogeneous_rows(queries, den), table, float_table(table))[0]
-    signs *= (-1) ** d  # moving the query from first to last
-    witnesses = [None if s.all() else tuple(tuples[np.argmin(s != 0)].tolist()) for s in signs]
-    return signs, witnesses
+def spanned_witness(spanned, rows, q):
+    """First face among the ``rows`` (an index) of a ``spanned_cofactors`` table
+    of points whose hyperplane contains q, or None.  With the points in
+    general position every dependent tuple of points + [q] contains q, so
+    ``witness + (len(points),)`` is their ``find_general_position_violation``."""
+    table, den, faces, floats = spanned
+    (signs,), _ = cofactor_signs(homogeneous_rows([q], den), table[rows], floats[:, rows])
+    return None if signs.all() else tuple(faces[rows][np.argmin(signs != 0)].tolist())
 
 
 def in_general_position(obj) -> bool:

@@ -11,7 +11,7 @@ import itertools
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import ceil, comb, floor, prod
+from math import ceil, comb, floor, gcd, prod
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .geometry import (
     plane_signs,
     plane_values,
     spanned_cofactors,
-    spanned_signs,
+    spanned_witness,
     strict_separation,
 )
 from .rational import format_scalar, point_to_fractions, scale_points_to_ints, to_fraction
@@ -133,28 +133,33 @@ def deep_rainbow_point(
     if prod(sizes) > budget:
         raise BudgetExceededError(f"{prod(sizes)} rainbow simplices exceed budget {budget}")
     point_set.require_general_position()
-    # candidates are exact means of the union scaled to integers by den
+    # candidates are means of k union points scaled to integers by den, each
+    # as its reduced homogeneous row (k, sum)/gcd: equal rows are equal points
     union, den = scale_points_to_ints(point_set.union_points())
-    dims, m = range(point_set.dim), len(union)
-    centroid = tuple(Fraction(sum(p[j] for p in union), m * den) for j in dims)
-    coords = [sorted(p[j] for p in union) for j in dims]
-    median = tuple(Fraction(c[(m - 1) // 2] + c[m // 2], 2 * den) for c in coords)
-    labels = {centroid: "centroid"}  # distinct candidates in order, with their first labels
-    labels.setdefault(median, "coordinate-median")
+    m = len(union)
+    lower, upper = zip(*[(c[(m - 1) // 2], c[m // 2]) for c in map(sorted, zip(*union))])
+    labels = {_mean_row(m, union): "centroid"}  # distinct candidates in order, first labels
+    labels.setdefault(_mean_row(2, (lower, upper)), "coordinate-median")
     rng = random.Random(seed)
     k = point_set.dim + 1
     starts = np.cumsum((0,) + sizes).tolist()
     for t in range(random_candidates):
         verts = [union[starts[ci] + rng.randrange(sizes[ci])] for ci in range(k)]
-        centroid = tuple(Fraction(sum(v[j] for v in verts), k * den) for j in dims)
-        labels.setdefault(centroid, f"simplex-centroid-{t}")
-    points = list(labels)
-    enum = point_set.rainbow_enumerator
-    closed, open_ = enum.depths(points)
+        labels.setdefault(_mean_row(k, verts), f"simplex-centroid-{t}")
+    rows = list(labels)
+    enum = point_set.rainbow_enumerator  # its den is the union's den
+    closed, open_ = enum.depths(rows)
     # the first strict maximum in candidate order among those with an open margin
     best = int(np.argmax(np.where(open_ > 0, closed, -1)))
-    p = points[best]
-    return DeepPointResult(p, int(closed[best]), int(open_[best]), enum.total, labels[p], len(points))
+    w, *x = row = rows[best]
+    p = tuple(Fraction(c, w * den) for c in x)
+    return DeepPointResult(p, int(closed[best]), int(open_[best]), enum.total, labels[row], len(rows))
+
+
+def _mean_row(k, points):
+    """Reduced homogeneous row (k, S)/gcd of the mean of k integer points, S their sum."""
+    row = (k, *map(sum, zip(*points)))
+    return tuple(c // gcd(*row) for c in row)
 
 
 # ---------------------------------------------------------------------------
@@ -165,26 +170,25 @@ def _random_rational_vector(rng, d):
     return tuple(Fraction(rng.randint(-(1 << 20), 1 << 20), 1 << 20) for _ in range(d))
 
 
-def _nudge_off_hyperplanes(anchor, points, seed):
-    """Shift the anchor off every spanned hyperplane while crossing none.
+def _nudge_off_hyperplanes(anchor, points, spanned, seed):
+    """Shift the anchor off every hyperplane spanned by the points while
+    crossing none; ``spanned`` is their ``spanned_cofactors`` table.
 
     Preserving the nonzero spanned-hyperplane signs preserves, in particular,
     open containment in every simplex spanned by the points.  Steps start at
     (max |coordinate| + 1) / 2^20 and halve; all of them are scored in one
-    batch against the anchor's cofactor table, and the first that passes
-    wins.  Returns the anchor unchanged when it is already off all
-    hyperplanes; either way every spanned sign of the returned point is nonzero.
+    batch against that table, and the first that passes wins.  Returns the
+    anchor unchanged when it is already off all hyperplanes; either way every
+    spanned sign of the returned point is nonzero.
     """
     d = len(anchor)
     anchor_fr = point_to_fractions(anchor)
-    all_pts = [point_to_fractions(p) for p in points]
-    table, den, _ = spanned_cofactors(all_pts, d)
-    floats = float_table(table)
+    table, den, _, floats = spanned
     (base_signs,), _ = cofactor_signs(homogeneous_rows([anchor_fr], den), table, floats)
     if base_signs.all():
         return anchor_fr
     rng = random.Random(seed)
-    magnitude = (max((abs(c) for p in all_pts for c in p), default=Fraction(1)) + 1) / (1 << 20)
+    magnitude = Fraction(max((abs(c) for p in points for c in p), default=1) + 1, 1 << 20)
     cands = [
         tuple(a + magnitude / 2**t * u for a, u in zip(anchor_fr, _random_rational_vector(rng, d)))
         for t in range(_PERTURB_RETRIES)
@@ -209,7 +213,7 @@ def perturb_anchor(anchor, point_set: LabeledPointSet, seed: int = 0) -> tuple:
     if not before_open.any():
         raise PreconditionError("anchor has no open-interior margin")
     point_set.require_general_position()
-    moved = _nudge_off_hyperplanes(anchor, point_set.union_points(), seed)
+    moved = _nudge_off_hyperplanes(anchor, point_set.union_points(), point_set.spanned_table, seed)
     # rainbow_hypergraph(point_set, moved) reuses these masks: they are the latest batch
     _, after_open = enum.containment_masks([moved])
     # every simplex that held the anchor in its interior must still hold it;
@@ -574,8 +578,9 @@ def few_separations(
     none of them; each kept subset retains at least a 1/2^d fraction.
 
     Precondition: the set is in general position (its recorded verdict) and
-    the anchor lies on no hyperplane spanned by the selected union, an O(N^d)
-    check whose witness ends with the anchor's index, ``len(union)``.
+    the anchor lies on no hyperplane spanned by the selected union: the rows
+    of the set's spanned table with faces in the union, an O(N^d) check whose
+    witness ends with the anchor's index, the union's size.
     """
     d = point_set.dim
     anchor = point_to_fractions(anchor)
@@ -583,13 +588,14 @@ def few_separations(
         [(i, point_to_fractions(point_set.point(ci, i))) for i in idxs]
         for ci, idxs in enumerate(index_sets)
     ]
-    union = [p for part in current for _, p in part]
     point_set.require_general_position()
-    _, (violation,) = spanned_signs(union, [anchor])
-    if violation is not None:
-        raise GeneralPositionError(
-            "subsets and anchor are not in general position", violation + (len(union),)
-        )
+    starts = np.cumsum((0,) + point_set.sizes()).tolist()
+    chosen = [starts[ci] + i for ci, idxs in enumerate(index_sets) for i in idxs]
+    inside = np.isin(point_set.spanned_table[2], chosen).all(axis=1)  # faces in the union
+    face = spanned_witness(point_set.spanned_table, inside, anchor)
+    if face is not None:
+        witness = (*map(chosen.index, face), len(chosen))
+        raise GeneralPositionError("subsets and anchor are not in general position", witness)
     separators = []
     for j in range(d + 1):
         others = [i for i in range(d + 1) if i != j]
@@ -715,7 +721,7 @@ def shrink_to_generic(
             "anchor not interior to all simplices after removing the boundary family"
         )
     new_union = [p for c in new_colors for p in c]
-    moved = _nudge_off_hyperplanes(anchor, new_union, seed)
+    moved = _nudge_off_hyperplanes(anchor, new_union, spanned_cofactors(new_union, d), seed)
     cfg = GenericPachConfiguration(point_set, new_index_sets, moved)
     cfg.validate()
     return cfg

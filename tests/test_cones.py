@@ -540,13 +540,22 @@ def _ball_points_by_linalg_norm(rng, m, d):
     return u
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 7, 8, 9])
 def test_ball_points_match_the_linalg_norm_form(d):
-    """The summed squared columns give ``np.linalg.norm``'s row norms bit for
-    bit, on a full chunk with one zero row, which stays at the origin."""
+    """``_row_norms`` gives ``np.linalg.norm``'s row norms bit for bit, on a
+    full chunk with one zero row, which stays at the origin; so do the ball
+    points and the round cone's estimate built on it."""
+    u = _ZeroRowGenerator(d).standard_normal((cones._CHUNK, d))
+    assert np.array_equal(cones._row_norms(u), np.linalg.norm(u, axis=1))
     x = cones._ball_points(_ZeroRowGenerator(d), cones._CHUNK, d)
     assert np.array_equal(x, _ball_points_by_linalg_norm(_ZeroRowGenerator(d), cones._CHUNK, d))
     assert not x[7].any() and np.all(np.einsum("ij,ij->i", x, x) <= 1.0)
+    samples, axis_cos = 3 * cones._CHUNK + 17, 0.4
+    [(p, _)] = cones._hit_fraction(
+        [lambda v: v[:, 0] >= axis_cos * np.linalg.norm(v, axis=1)], d, samples, 5
+    )
+    est = round_cone_restricted_volume_mc(d, axis_cos, samples, 5)
+    assert est.mean == unit_ball_volume(d) * p
 
 
 def _at_workers(workers, call):

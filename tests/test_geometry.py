@@ -9,14 +9,17 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from pachsel import lp
+from pachsel import geometry, lp
 from pachsel.errors import DimensionMismatchError, GeneralPositionError, PreconditionError
 from pachsel.geometry import (
     COMBINATION_BLOCK,
     LabeledPointSet,
     OrientedHyperplane,
+    cofactor_signs,
     face_cofactors,
     find_general_position_violation,
+    float_table,
+    homogeneous_rows,
     int_array,
     in_general_position,
     orientation,
@@ -24,7 +27,8 @@ from pachsel.geometry import (
     plane_values,
     point_in_simplex,
     satisfies_condition_G,
-    spanned_signs,
+    spanned_cofactors,
+    spanned_witness,
     strict_separation,
 )
 from pachsel.rational import (
@@ -331,11 +335,15 @@ def new_point_instances(draw):
 @given(new_point_instances())
 def test_spanned_violation_matches_full_scan(instance):
     union, q = instance
-    (signs,), (witness,) = spanned_signs(union, [q])
+    spanned = spanned_cofactors(union, len(q))
+    witness = spanned_witness(spanned, slice(None), q)
     full = find_general_position_violation(union + [q])
     assert (None if witness is None else witness + (len(union),)) == full
+    table, den, _, floats = spanned
+    (signs,), _ = cofactor_signs(homogeneous_rows([q], den), table, floats)
     spans = itertools.combinations(union, len(q))
-    assert signs.tolist() == [_det_sign([*span, q]) for span in spans]
+    # moving q from first to last multiplies each sign by (-1)^d
+    assert (signs * (-1) ** len(q)).tolist() == [_det_sign([*span, q]) for span in spans]
     assert bool(signs.all()) == (full is None)
 
 
@@ -818,3 +826,69 @@ def test_labeled_point_set_validation():
     ps = LabeledPointSet.create(1, [[(0,), (1,)], [(2,)]])
     assert ps.sizes() == (2, 1)
     assert find_general_position_violation(ps) is None
+
+
+# ---------------------------------------------------------------------------
+# homogeneous rows and the certified sign filter
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.lists(
+            st.builds(Fraction, st.integers(-(1 << 70), 1 << 70), st.integers(1, 1 << 70)),
+            min_size=1, max_size=4,
+        ),
+        min_size=1, max_size=5,
+    ),
+    st.integers(1, 1 << 70),
+    st.integers(1, 1 << 70),
+)
+@example([[Fraction(1, 3 << 64), Fraction(5, 7)]], 1 << 64, 3)
+def test_homogeneous_rows_match_the_fraction_definition(points, base, extra):
+    """h = (w, w den q) with the least w > 0 that makes w den q integral,
+    here for denominators past 2^63 and a den with factors no point needs."""
+    den = base * extra
+    expected = []
+    for q in points:
+        w = math.lcm(*((den * c).denominator for c in q))
+        expected.append((w, *(int(w * den * c) for c in q)))
+    assert homogeneous_rows(points, den) == expected
+
+
+def _planted_sign_batch(bits, seed):
+    """Rows and a cofactor table of small integers with exact zeros planted in
+    several rows, and near ties h . c in {-1, 0, 1} of ~2^(2 bits) terms that
+    floats cannot decide; every other cell is decided by the filter.  Returns
+    (rows, table, the number of cells the filter must recompute)."""
+    rng = random.Random(seed)
+    small = lambda: tuple(rng.randint(-50, 50) for _ in range(4))  # noqa: E731
+    rows, table = [small() for _ in range(40)], [small() for _ in range(30)]
+    for r, f in [(0, 2), (9, 11), (33, 29)]:  # exact zeros
+        h = rows[r]
+        table[f] = (h[1], -h[0], 0, 0)
+    xs = rng.sample(range(1 << bits, 1 << (bits + 1)), 3)
+    for (r, f), x, tie in zip([(4, 7), (21, 0), (39, 28)], xs, (-1, 0, 1)):
+        y = rng.randrange(1 << bits, 1 << (bits + 1))
+        rows[r], table[f] = (1, x, 0, 0), (tie - x * y, y, 0, 0)
+    exact = [[sum(a * b for a, b in zip(h, c)) for c in table] for h in rows]
+    # near ties and zeros fall back; small cells are exact in floats
+    undecided = sum(v == 0 for e in exact for v in e) + 2
+    return rows, table, exact, undecided
+
+
+@pytest.mark.parametrize("bits", [30, 40])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cofactor_signs_planted_zeros_and_near_ties(monkeypatch, bits, seed):
+    """Signs and fallback count against a Python-int reference, with the row
+    blocks at one row, at seven rows (planted cells in later blocks), at the
+    default size and at the whole batch."""
+    rows, table, exact, undecided = _planted_sign_batch(bits, seed)
+    arr = int_array(table)
+    for block_rows in (1, 7, None, len(rows)):
+        cells = geometry.FILTER_CELLS if block_rows is None else block_rows * len(table)
+        monkeypatch.setattr(geometry, "FILTER_CELLS", cells)
+        signs, fallbacks = cofactor_signs(rows, arr, float_table(arr))
+        assert signs.dtype == np.int8
+        assert signs.tolist() == [[(v > 0) - (v < 0) for v in e] for e in exact]
+        assert fallbacks == undecided

@@ -20,10 +20,11 @@ from pachsel.errors import (
 from pachsel.geometry import (
     LabeledPointSet,
     OrientedHyperplane,
+    homogeneous_rows,
     in_general_position,
+    orientation,
     point_in_simplex,
     satisfies_condition_G,
-    spanned_signs,
 )
 from pachsel import selection
 from pachsel.io import canonical_json_bytes, sha256_hex
@@ -53,6 +54,11 @@ from conftest import naive_closed_containment_fraction, random_labeled_set, side
 
 # ---------------------------------------------------------------------------
 # enumeration engine
+
+
+def _depths(enum, points):
+    """``enum.depths`` of the points, given as their homogeneous rows."""
+    return enum.depths(homogeneous_rows(points, enum.den))
 
 
 def _naive_masks(colors, p):
@@ -87,7 +93,7 @@ def test_containment_counts_match_naive_loop(monkeypatch):
         colors = [list(c) for c in ps.colors]
         p = tuple(Fraction(rng.randint(-64, 64), 64) for _ in range(d))
         enum = RainbowEnumerator(colors)
-        (closed,), (open_,) = enum.depths([p])
+        (closed,), (open_,) = _depths(enum, [p])
         total = enum.total
         naive_closed = naive_open = 0
         for verts in itertools.product(*colors):
@@ -101,7 +107,7 @@ def test_containment_counts_match_naive_loop(monkeypatch):
         batch = [p, tuple(Fraction(rng.randint(-64, 64), 3) for _ in range(d)), p, colors[1][0]]
         masks = _assert_batch_matches_oracles(colors, batch)
         monkeypatch.setattr(enumeration, "BLOCK_CELLS", 2 * total)
-        depths = RainbowEnumerator(colors).depths(batch)
+        depths = _depths(RainbowEnumerator(colors), batch)
         for counts, mask in zip(depths, masks):
             assert counts.tolist() == mask.reshape(len(batch), -1).sum(axis=1).tolist()
         monkeypatch.undo()
@@ -110,7 +116,7 @@ def test_containment_counts_match_naive_loop(monkeypatch):
 def test_containment_handles_degenerate_simplices():
     colors = [[(0, 0), (2, 2)], [(1, 1)], [(3, 3), (0, 1)]]  # collinear combos exist
     enum = RainbowEnumerator(colors)
-    (closed,), (open_,) = enum.depths([(1, 1)])
+    (closed,), (open_,) = _depths(enum, [(1, 1)])
     total = enum.total
     assert total == 4
     assert open_ == 0  # p is a vertex or on degenerate simplices only
@@ -158,7 +164,7 @@ def test_planar_product_depths_match_mask_sums(instance, block_cells, gemm_cells
         mp.setattr(enumeration, "_FLOAT32_EXACT", float32_exact)
         enum = RainbowEnumerator(colors)
         assert not enum._degenerate  # so the product path scores them
-        depths = enum.depths(cands)
+        depths = _depths(enum, cands)
     masks = enum.containment_masks(cands)
     for counts, mask in zip(depths, masks):
         assert counts.dtype == np.int64
@@ -248,6 +254,50 @@ def test_deep_point_symmetric_instance_beats_constant():
     assert res.ratio >= Fraction(15, 100)
 
 
+def _fraction_candidates(ps, random_candidates, seed):
+    """The deep point's candidates as Fraction points in order, each once with
+    its first label: the centroid, the coordinate-wise median and the seeded
+    rainbow-simplex centroids."""
+    union, d, sizes = ps.union_points(), ps.dim, ps.sizes()
+    m = len(union)
+    coords = [sorted(p[j] for p in union) for j in range(d)]
+    labels = {tuple(sum(p[j] for p in union) / m for j in range(d)): "centroid"}
+    labels.setdefault(tuple((c[(m - 1) // 2] + c[m // 2]) / 2 for c in coords), "coordinate-median")
+    rng = random.Random(seed)
+    starts = [sum(sizes[:ci]) for ci in range(d + 1)]
+    for t in range(random_candidates):
+        verts = [union[starts[ci] + rng.randrange(sizes[ci])] for ci in range(d + 1)]
+        centroid = tuple(sum(v[j] for v in verts) / (d + 1) for j in range(d))
+        labels.setdefault(centroid, f"simplex-centroid-{t}")
+    return labels
+
+
+@pytest.mark.parametrize(
+    "ps, seed",
+    [(LabeledPointSet.create(1, [[(0,), (3,)], [(1,), (2,)]]), 0)]
+    + [(random_labeled_set(d, n, seed=s, den=den), s)
+       for d, n, den in [(1, 3, 7), (2, 4, 1 << 16), (2, 6, 12), (3, 3, 1 << 16)] for s in (1, 2)],
+)
+def test_deep_point_candidate_rows_are_the_fraction_candidates(monkeypatch, ps, seed):
+    """The integer rows scored are ``homogeneous_rows`` of the Fraction
+    candidates, in order and without repeats, and the winner is the
+    Fraction point of its row."""
+    scored = []
+    depths = RainbowEnumerator.depths
+
+    def recorded(self, rows):
+        scored.append(rows)
+        return depths(self, rows)
+
+    monkeypatch.setattr(RainbowEnumerator, "depths", recorded)
+    res = deep_rainbow_point(ps, random_candidates=30, seed=seed)
+    labels = _fraction_candidates(ps, 30, seed)
+    assert scored == [homogeneous_rows(list(labels), ps.rainbow_enumerator.den)]
+    assert res.candidates_evaluated == len(labels)
+    assert res.candidate_label == labels[res.point]
+    assert all(type(c) is Fraction for c in res.point)
+
+
 def test_deep_point_requires_general_position():
     ps = LabeledPointSet.create(1, [[(0,), (0,)], [(1,), (2,)]])
     with pytest.raises(GeneralPositionError):
@@ -314,16 +364,21 @@ def test_perturb_anchor_moves_off_spanned_hyperplane():
     assert np.array_equal(before_open, before_open & after_open)
 
 
+def _spanned_orientations(points, q):
+    """Bareiss orientation signs of q against every d-tuple of the points."""
+    return np.array([orientation([*span, q]) for span in itertools.combinations(points, len(q))])
+
+
 def _reference_nudge(anchor, points, seed):
-    """One spanned_signs call per retry: the candidate that passes first and
-    how many failed before it."""
-    (base,), _ = spanned_signs(points, [anchor])
+    """Orientation signs of each retry in turn: the candidate that passes
+    first and how many failed before it."""
+    base = _spanned_orientations(points, anchor)
     rng = random.Random(seed)
     magnitude = (max(abs(Fraction(c)) for p in points for c in p) + 1) / (1 << 20)
     for attempt in range(selection._PERTURB_RETRIES):
         direction = selection._random_rational_vector(rng, len(anchor))
         cand = tuple(a + magnitude * u for a, u in zip(anchor, direction))
-        (signs,), _ = spanned_signs(points, [cand])
+        signs = _spanned_orientations(points, cand)
         if np.where(base == 0, signs != 0, signs == base).all():
             return cand, attempt
         magnitude /= 2
@@ -339,16 +394,17 @@ def test_nudge_scores_every_retry_against_one_table(monkeypatch):
     anchor = (Fraction(0), Fraction(0))
     expected, failed = _reference_nudge(anchor, points, seed=3)
     assert failed > 0
-    tables = []
-    spanned_cofactors = selection.spanned_cofactors
+    calls = []
+    cofactor_signs = selection.cofactor_signs
 
-    def counted(*args):
-        tables.append(args)
-        return spanned_cofactors(*args)
+    def counted(rows, *args):
+        calls.append(len(rows))
+        return cofactor_signs(rows, *args)
 
-    monkeypatch.setattr(selection, "spanned_cofactors", counted)
-    assert selection._nudge_off_hyperplanes(anchor, points, seed=3) == expected
-    assert len(tables) == 1
+    spanned = selection.spanned_cofactors(points, 2)
+    monkeypatch.setattr(selection, "cofactor_signs", counted)
+    assert selection._nudge_off_hyperplanes(anchor, points, spanned, seed=3) == expected
+    assert calls == [1, selection._PERTURB_RETRIES]  # the anchor, then every retry at once
 
 
 def test_perturb_anchor_requires_open_margin():
@@ -900,6 +956,32 @@ def test_perturb_anchor_reuses_the_deep_point_verdict(scan_sizes):
     scan_sizes.clear()
     perturb_anchor(res.point, ps, seed=3)
     assert scan_sizes == []
+
+
+@pytest.mark.parametrize("d, n", [(2, 25), (3, 8)])
+def test_pipeline_builds_the_whole_spanned_table_once(monkeypatch, d, n):
+    """The general-position scan, the anchor nudge and few-separations share
+    the set's one spanned table: ``run_pipeline`` builds it once and
+    ``perturb_anchor`` builds none."""
+    from pachsel import geometry
+
+    sizes = []
+    spanned_cofactors = geometry.spanned_cofactors
+
+    def recorded(points, dim):
+        sizes.append(len(points))
+        return spanned_cofactors(points, dim)
+
+    sets = [uniform_ball_set(d, n, seed=s) for s in (2, 3)]
+    for module in (geometry, selection):
+        monkeypatch.setattr(module, "spanned_cofactors", recorded)
+    run_pipeline(sets[0], PipelineParams(seed=2))
+    assert sizes == [(d + 1) * n]
+    ps = sets[1]
+    res = deep_rainbow_point(ps, seed=3)
+    sizes.clear()
+    perturb_anchor(res.point, ps, seed=4)
+    assert sizes == []
 
 
 # ---------------------------------------------------------------------------
