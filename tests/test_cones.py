@@ -398,6 +398,40 @@ def _random_simplex(d, seed):
     return Simplex.create(np.random.default_rng(seed).standard_normal((d + 1, d)))
 
 
+# Per-vertex hits of 10^6 directions at seed 31, and fan-cover counts at seed
+# 33, recorded on the per-cone inverse kernel before the barycentric one.
+_PINNED_VERTEX_HITS = {
+    (2, 2026): [428_019, 35_170, 36_849],
+    (3, 2027): [30_926, 4_377, 25_510, 65_256],
+    (4, 2024): [6_302, 7_353, 3_758, 7_220, 1_650],
+}
+_PINNED_FAN_COUNTS = {
+    (2, 2026): [72_285, 463_592, 464_123],
+    (3, 2027): [218_374, 400_279, 259_530, 121_817],
+}
+
+
+@pytest.mark.parametrize("d, simplex_seed", sorted(_PINNED_VERTEX_HITS))
+def test_msa_mc_vertex_hits_are_pinned(d, simplex_seed):
+    est = msa_mc(_random_simplex(d, simplex_seed), 10**6, 31)
+    assert [e.mean for e in est.per_vertex] == [
+        h / 10**6 for h in _PINNED_VERTEX_HITS[d, simplex_seed]
+    ]
+
+
+@pytest.mark.parametrize("d, simplex_seed", sorted(_PINNED_FAN_COUNTS))
+def test_normal_fan_cover_counts_are_pinned(d, simplex_seed):
+    report = normal_fan_cover_check(_random_simplex(d, simplex_seed), 10**6, 33)
+    assert list(report.fractions) == [h / 10**6 for h in _PINNED_FAN_COUNTS[d, simplex_seed]]
+
+
+@pytest.mark.parametrize("d, hits", [(2, 182_245), (3, 10_653), (4, 722)])
+def test_restricted_volume_mc_is_pinned(d, hits):
+    gens = np.abs(np.random.default_rng(70 + d).standard_normal((d, d))) + 0.05
+    est = restricted_volume_mc(SimplicialCone.create(np.zeros(d), gens), 10**6, 34)
+    assert est.mean == unit_ball_volume(d) * (hits / 10**6)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     d=st.integers(2, 4),

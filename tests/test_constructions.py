@@ -168,6 +168,17 @@ def test_corner_volumes_mc_matches_per_corner_masks(d):
             assert np.array_equal(sigmas, ref_sigmas)
 
 
+@pytest.mark.parametrize(
+    "d, arrangement_seed, hits",
+    [(2, 41, [98_784, 288_022, 93_771]), (3, 45, [39_216, 13_377, 32_842, 44_138])],
+)
+def test_corner_volumes_mc_counts_are_pinned(d, arrangement_seed, hits):
+    """Corner hits of 10^6 ball points at seed 32, recorded before the plane
+    normals became a C-contiguous operand."""
+    volumes, _ = corner_volumes_mc(random_arrangement(d, arrangement_seed), 10**6, 32)
+    assert np.array_equal(volumes, unit_ball_volume(d) * (np.array(hits) / 10**6))
+
+
 @pytest.mark.parametrize("samples", [0, -5])
 def test_corner_volumes_mc_rejects_fewer_than_one_sample(samples):
     with pytest.raises(PreconditionError, match="samples must be >= 1"):
