@@ -9,10 +9,11 @@ Solid angles are estimated direction-wise: a uniform random direction lies
 in the cone of the simplex at a vertex with probability equal to the
 normalized solid angle, so no epsilon-ball is needed.  A cone is
 scale-invariant, so its restricted volume Vol(C ∩ B^d) is beta_d times that
-probability and is estimated from the same directions.  Each estimate draws
-its directions once: ``msa_mc`` tests one stream at its seed against all d+1
-vertex cones, so its vertex estimates are correlated with each other and each
-equals ``solid_angle_mc`` at that vertex and seed.
+probability, the solid angle at vertex 0 of the simplex (0, g_1, ..., g_d).
+The barycentric coordinates of a direction place it in every vertex cone at
+once (``_solid_angles_mc``), so ``msa_mc`` tests one stream at its seed
+against all d+1 vertex cones with one product per block: its vertex estimates
+are correlated, and each equals ``solid_angle_mc`` at that vertex and seed.
 
 Every estimate consumes its stream chunk by chunk through ``_map_chunks``,
 which spreads the chunks over the usable cores.  Each chunk has its own seeded
@@ -97,33 +98,38 @@ def _blocks(m):
     return (slice(b, b + _BLOCK) for b in range(0, m, _BLOCK))
 
 
-def _hit_fraction(tests, d, samples, seed):
-    """(p, sqrt(p(1-p)/n)) for each of ``tests`` (an (m, d) array to an
-    m-vector of bools): p is the share of ``samples`` standard Gaussian
-    directions of R^d for which the test holds.  All tests see the same
-    directions, drawn once chunk by chunk of ``_chunk_rngs``."""
+def _hit_fraction(inside, d, samples, seed):
+    """(p, sqrt(p(1-p)/n)): p is the share of ``samples`` standard Gaussian
+    directions of R^d for which ``inside`` (an (m, d) array to an m-vector of
+    bools) holds, the directions drawn chunk by chunk of ``_chunk_rngs``."""
 
     def step(rng, m):
         # Named, not passed as a temporary: that measured 17% slower at d=2.
         u = rng.standard_normal((m, d))
-        hits = [0] * len(tests)
-        for rows in _blocks(m):
-            block = u[rows]
-            for k, inside in enumerate(tests):
-                hits[k] += int(np.count_nonzero(inside(block)))
-        return hits
+        return sum(int(np.count_nonzero(inside(u[rows]))) for rows in _blocks(m))
 
-    hits = [sum(counts) for counts in zip(*_map_chunks(step, seed, samples))]
-    return [(p, sqrt(p * (1 - p) / samples)) for p in (h / samples for h in hits)]
+    p = sum(_map_chunks(step, seed, samples)) / samples
+    return p, sqrt(p * (1 - p) / samples)
 
 
-def _cone_hit_fraction(cones, samples, seed):
-    """``_hit_fraction`` of each cone spanned by the rows of a (d, d) array: u is
-    inside iff inv(rows.T) @ u >= 0, and a column-wise ``&`` over that product
-    gives the booleans of ``np.all(axis=1)`` about four times faster."""
-    invs = [np.linalg.inv(rows.T) for rows in cones]
-    tests = [lambda u, inv=inv: reduce(np.logical_and, (u @ inv.T >= 0).T) for inv in invs]
-    return _hit_fraction(tests, len(cones[0]), samples, seed)
+def _corner_hits(draw, planes, offsets, samples, seed):
+    """How many of ``samples`` points ``draw(rng, m)`` lie in each corner i of
+    the planes x @ planes[:, j] = offsets[j] (a C-contiguous (d, k) array): on
+    the closed positive side of every plane but i.  Bit j of a point's side
+    code is set iff it is on that side of plane j, so one product and one
+    ``bincount`` per block count every corner: i holds codes full, full ^ bit_i."""
+    bits = 1 << np.arange(planes.shape[1])
+    full = 2 * bits[-1] - 1
+
+    def step(rng, m):
+        x = draw(rng, m)
+        return sum(
+            np.bincount((x[rows] @ planes >= offsets) @ bits, minlength=full + 1)
+            for rows in _blocks(m)
+        )
+
+    counts = sum(_map_chunks(step, seed, samples))
+    return counts[full] + counts[full ^ bits]
 
 
 def _row_norms(u):
@@ -176,14 +182,8 @@ class Simplex:
     def dim(self) -> int:
         return self.vertices.shape[1]
 
-    def edge_matrix(self, vertex: int) -> np.ndarray:
-        """Rows are the edges from the given vertex to the others."""
-        v = self.vertices[vertex]
-        others = np.delete(self.vertices, vertex, axis=0)
-        return others - v
-
     def is_degenerate(self) -> bool:
-        m = self.edge_matrix(0)
+        m = self.vertices[1:] - self.vertices[0]  # the edges from vertex 0
         scale = np.prod(np.linalg.norm(m, axis=1))
         if scale == 0:
             return True
@@ -231,11 +231,26 @@ class SimplicialCone:
 
 
 def _solid_angles_mc(simplex: Simplex, vertices, samples: int, seed: int) -> list:
-    """``solid_angle_mc`` at each of ``vertices``, all from one stream at ``seed``."""
+    """``solid_angle_mc`` at each of ``vertices``, all from one stream at ``seed``.
+
+    With A = [v_0 ... v_d; 1 ... 1] and W = inv(A)[:, :d], the barycentric
+    lambda = W u of a direction u sums to 0 and u = sum_{j != i} lambda_j
+    (v_j - v_i), so u is in the cone at vertex i iff lambda_j >= 0 for every
+    j != i.  The signs of lambda thus place u in every vertex cone at once, and
+    one product u @ W.T per block counts them all (``_corner_hits``); a single
+    vertex is cheaper on its own d columns of W.
+    """
     if simplex.is_degenerate():
         raise PreconditionError("degenerate simplex has no solid angle")
-    cones = [simplex.edge_matrix(v) for v in vertices]
-    return [McEstimate(p, se, samples, seed) for p, se in _cone_hit_fraction(cones, samples, seed)]
+    d = simplex.dim
+    planes = np.linalg.inv(np.vstack([simplex.vertices.T, np.ones(d + 1)])).T[:d].copy()
+    if len(vertices) == 1:
+        cone = np.delete(planes, vertices[0], axis=1)
+        p_se = _hit_fraction(lambda u: reduce(np.logical_and, (u @ cone >= 0).T), d, samples, seed)
+        return [McEstimate(*p_se, samples, seed)]
+    hits = _corner_hits(lambda rng, m: rng.standard_normal((m, d)), planes, 0.0, samples, seed)
+    fractions = [int(hits[v]) / samples for v in vertices]
+    return [McEstimate(p, sqrt(p * (1 - p) / samples), samples, seed) for p in fractions]
 
 
 def solid_angle_mc(simplex: Simplex, vertex: int, samples: int, seed: int) -> McEstimate:
@@ -349,9 +364,9 @@ def restricted_volume_mc(cone: SimplicialCone, samples: int, seed: int) -> McEst
         raise PreconditionError("restricted volume requires the apex at the origin")
     if cone.is_degenerate():
         raise PreconditionError("generators are linearly dependent")
-    [(p, std_error)] = _cone_hit_fraction([cone.generators], samples, seed)
+    angle = solid_angle_mc(Simplex(np.vstack([cone.apex, cone.generators])), 0, samples, seed)
     beta = unit_ball_volume(cone.dim)
-    return McEstimate(beta * p, beta * std_error, samples, seed)
+    return McEstimate(beta * angle.mean, beta * angle.std_error, samples, seed)
 
 
 @dataclass(frozen=True)
@@ -373,12 +388,12 @@ def normal_fan_cover_check(simplex: Simplex, samples: int, seed: int) -> FanCove
     """
     if simplex.is_degenerate():
         raise PreconditionError("degenerate simplex")
-    d = simplex.dim
+    d, vertices = simplex.dim, np.ascontiguousarray(simplex.vertices.T)
 
     def step(rng, m):
         u = rng.standard_normal((m, d))
         return sum(
-            np.bincount(np.argmax(u[rows] @ simplex.vertices.T, axis=1), minlength=d + 1)
+            np.bincount(np.argmax(u[rows] @ vertices, axis=1), minlength=d + 1)
             for rows in _blocks(m)
         )
 
@@ -456,9 +471,7 @@ def round_cone_polar_volume_bound(d: int, volume: float) -> float:
 
 def round_cone_restricted_volume_mc(d: int, axis_cos: float, samples: int, seed: int) -> McEstimate:
     """MC restricted volume of the round cone {x : x_1 >= axis_cos * |x|}."""
-    [(p, std_error)] = _hit_fraction(
-        [lambda u: u[:, 0] >= axis_cos * _row_norms(u)], d, samples, seed
-    )
+    p, std_error = _hit_fraction(lambda u: u[:, 0] >= axis_cos * _row_norms(u), d, samples, seed)
     beta = unit_ball_volume(d)
     return McEstimate(beta * p, beta * std_error, samples, seed)
 

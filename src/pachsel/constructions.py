@@ -13,7 +13,7 @@ from math import ceil, lcm, sqrt
 
 import numpy as np
 
-from .cones import Simplex, _ball_points, _blocks, _map_chunks, msa_mc, unit_ball_volume
+from .cones import Simplex, _ball_points, _corner_hits, msa_mc, unit_ball_volume
 from .errors import (
     BudgetExceededError,
     InputValidationError,
@@ -229,25 +229,10 @@ class CornerVolumeReport:
 def corner_volumes_mc(arrangement, samples: int, seed: int):
     """MC volumes of all corner regions intersected with the unit ball."""
     d = arrangement.dim
-    normals = np.array(
-        [[float(c) for c in h.normal] for h in arrangement.hyperplanes], dtype=float
-    )
+    planes = np.array([[float(h.normal[k]) for h in arrangement.hyperplanes] for k in range(d)])
     offsets = np.array([float(h.offset) for h in arrangement.hyperplanes], dtype=float)
     beta = unit_ball_volume(d)
-    # Bit j of a sample's side code is set iff it lies on the positive closed
-    # side of plane j; corner i counts the codes whose other bits are all set.
-    bits = 1 << np.arange(d + 1)
-    full = (1 << (d + 1)) - 1
-
-    def step(rng, m):
-        x = _ball_points(rng, m, d)
-        return sum(
-            np.bincount(((x[rows] @ normals.T) >= offsets) @ bits, minlength=full + 1)
-            for rows in _blocks(m)
-        )
-
-    counts = sum(_map_chunks(step, seed, samples))
-    hits = counts[full] + counts[full ^ bits]
+    hits = _corner_hits(lambda rng, m: _ball_points(rng, m, d), planes, offsets, samples, seed)
     fractions = hits / samples
     volumes = beta * fractions
     sigmas = beta * np.sqrt(fractions * (1 - fractions) / samples)

@@ -125,6 +125,12 @@ def cofactor_signs(rows, table, floats):
     fl(h.c) above that bound in absolute value has the sign of h.c; any other
     entry (a zero, a near tie, an overflow) is recomputed exactly.
     """
+    return _cofactor_signs(rows, table, floats, None)
+
+
+def _cofactor_signs(rows, table, floats, zeros):
+    """``cofactor_signs``, where the set cells of the boolean mask ``zeros`` (or
+    None) are known exact zeros: they are neither filtered nor recomputed."""
     signs = np.empty((len(rows), len(table)), dtype=np.int8)
     fallbacks = 0
     step = max(1, FILTER_CELLS // max(1, len(table)))
@@ -135,6 +141,8 @@ def cofactor_signs(rows, table, floats):
             value = h @ floats[0].T
             bound = (floats.shape[-1] + 3) * 2.0**-53 * (np.abs(h) @ floats[1].T)
             decided = np.isfinite(value) & (np.abs(value) > bound)
+        if zeros is not None:
+            value[zeros[s : s + step]], decided[zeros[s : s + step]] = 0.0, True
         out[...] = (value > 0).astype(np.int8) - (value < 0)
         undecided = np.flatnonzero(~decided).tolist()
         fallbacks += len(undecided)

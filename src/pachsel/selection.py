@@ -29,6 +29,7 @@ from .geometry import (
     BLOCK_CELLS,
     LabeledPointSet,
     OrientedHyperplane,
+    _cofactor_signs,
     cofactor_signs,
     face_cofactors,
     find_general_position_violation,
@@ -490,11 +491,14 @@ def _spanned_bisecting_cut(sets) -> OrientedHyperplane:
     # General position makes every span affinely independent.
     table = face_cofactors(tuple_grid(np.split(int_array(int_points), starts[1:])))
     table = table.reshape(-1, d + 1)
+    # a span's own points, one per set, lie on it: exact zeros, never recomputed
+    own = tuple_grid(np.split(np.arange(len(int_points))[:, None], starts[1:])).reshape(-1, d)
     floats, rows = float_table(table), [(1, *p) for p in int_points]
     step = max(1, BLOCK_CELLS // len(int_points))
     for start in range(0, len(table), step):
         block = slice(start, start + step)
-        signs, _ = cofactor_signs(rows, table[block], floats[:, block])
+        zeros = (own[None, block] == np.arange(len(rows))[:, None, None]).any(axis=2)
+        signs, _ = _cofactor_signs(rows, table[block], floats[:, block], zeros)
         # a set is bisected iff its positive and negative counts differ by at most 1
         balance = np.add.reduceat(signs.astype(np.int64), starts, axis=0)
         hits = np.flatnonzero((np.abs(balance) <= 1).all(axis=0))

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
+from functools import reduce
 
+import numpy as np
 import pytest
 
 from pachsel.geometry import (
@@ -9,6 +11,7 @@ from pachsel.geometry import (
     in_general_position,
 )
 from pachsel.arrangements import build_arrangement
+from pachsel.cones import _chunk_rngs
 from pachsel.rational import vec_sub
 
 
@@ -144,6 +147,24 @@ def random_cover_instance(d, seed):
         sum(w * v[k] for w, v in zip(weights, arr.vertices)) / total for k in range(d)
     )
     return arr, ys, p
+
+
+def per_cone_vertex_hits(vertices, samples, seed):
+    """Reference for the Monte Carlo vertex-cone counts: the per-cone test
+    that the barycentric kernel replaced, on the same stream of chunks.  A
+    direction u is in the cone at vertex i iff inv(E_i^T) u >= 0, E_i the
+    rows v_j - v_i (j != i), AND-ed column by column; one product per cone."""
+    vertices = np.asarray(vertices, dtype=float)
+    d = vertices.shape[1]
+    invs = [
+        np.linalg.inv((np.delete(vertices, i, axis=0) - vertices[i]).T) for i in range(d + 1)
+    ]
+    hits = [0] * (d + 1)
+    for rng, m in _chunk_rngs(seed, samples):
+        u = rng.standard_normal((m, d))
+        for i, inv in enumerate(invs):
+            hits[i] += int(np.count_nonzero(reduce(np.logical_and, (u @ inv.T >= 0).T)))
+    return hits
 
 
 def naive_closed_containment_fraction(point_set, index_sets, point):

@@ -33,6 +33,8 @@ from pachsel.cones import (
 )
 from pachsel.errors import PreconditionError
 
+from conftest import per_cone_vertex_hits
+
 
 def spherical_triangle_solid_angle(apex, others):
     """Van Oosterom--Strackee spherical-triangle oracle, normalized by 4 pi."""
@@ -456,6 +458,53 @@ def test_msa_mc_vertices_are_solid_angle_mc_at_the_same_seed(d, simplex_seed, sa
     assert (est.value, est.std_error) == (expected[est.vertex].mean, expected[est.vertex].std_error)
 
 
+# Below one chunk, and chunk counts that leave a short last chunk.
+_MAP_SAMPLES = st.one_of(
+    st.integers(1, 3_000), st.sampled_from([cones._CHUNK + 1, 3 * cones._CHUNK + 17])
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(2, 5),
+    simplex_seed=st.integers(0, 2**32 - 1),
+    thin=st.sampled_from([1.0, 1e-3, 1e-6]),
+    samples=_MAP_SAMPLES,
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(d=2, simplex_seed=3, thin=1e-3, samples=3 * cones._CHUNK + 17, seed=1)
+@example(d=5, simplex_seed=1, thin=1e-6, samples=cones._CHUNK + 1, seed=2)
+def test_vertex_cone_counts_match_the_per_cone_reference(d, simplex_seed, thin, samples, seed):
+    """The barycentric kernel counts every vertex cone, in msa_mc's one
+    product and in solid_angle_mc's d columns, exactly as one inverse per
+    cone does.  With thin < 1 vertex 2 moves toward vertex 1 by that factor,
+    so vertex 0 has a tiny angle and its cone an ill-conditioned inverse."""
+    vertices = np.random.default_rng(simplex_seed).standard_normal((d + 1, d))
+    vertices[2] = vertices[1] + thin * (vertices[2] - vertices[1])
+    simplex = Simplex.create(vertices)
+    assume(not simplex.is_degenerate())
+    expected = [h / samples for h in per_cone_vertex_hits(simplex.vertices, samples, seed)]
+    assert [e.mean for e in msa_mc(simplex, samples, seed).per_vertex] == expected
+    assert solid_angle_mc(simplex, 0, samples, seed).mean == expected[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    d=st.integers(2, 5),
+    cone_seed=st.integers(0, 2**32 - 1),
+    samples=_MAP_SAMPLES,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_restricted_volume_mc_matches_the_per_cone_reference(d, cone_seed, samples, seed):
+    """A cone's restricted volume is beta_d times the hit share of its
+    directions, counted as vertex 0 of the simplex (0, g_1, ..., g_d)."""
+    gens = np.random.default_rng(cone_seed).standard_normal((d, d))
+    cone = SimplicialCone.create(np.zeros(d), gens)
+    assume(not cone.is_degenerate())
+    [hits, *_] = per_cone_vertex_hits(np.vstack([cone.apex, cone.generators]), samples, seed)
+    assert restricted_volume_mc(cone, samples, seed).mean == unit_ball_volume(d) * (hits / samples)
+
+
 def test_msa_mc_ties_go_to_the_lowest_index():
     # one sample: every vertex mean is 0 or 1, so the minimum is shared
     est = msa_mc(regular_simplex(3), 1, seed=0)
@@ -585,9 +634,11 @@ def test_ball_points_match_the_linalg_norm_form(d):
     assert np.array_equal(x, _ball_points_by_linalg_norm(_ZeroRowGenerator(d), cones._CHUNK, d))
     assert not x[7].any() and np.all(np.einsum("ij,ij->i", x, x) <= 1.0)
     samples, axis_cos = 3 * cones._CHUNK + 17, 0.4
-    [(p, _)] = cones._hit_fraction(
-        [lambda v: v[:, 0] >= axis_cos * np.linalg.norm(v, axis=1)], d, samples, 5
-    )
+    hits = 0
+    for rng, m in cones._chunk_rngs(5, samples):
+        v = rng.standard_normal((m, d))
+        hits += int(np.count_nonzero(v[:, 0] >= axis_cos * np.linalg.norm(v, axis=1)))
+    p = hits / samples
     est = round_cone_restricted_volume_mc(d, axis_cos, samples, 5)
     assert est.mean == unit_ball_volume(d) * p
 
@@ -597,12 +648,6 @@ def _at_workers(workers, call):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cones, "_usable_cores", lambda: workers)
         return call()
-
-
-# Below one chunk, and chunk counts that leave a short last chunk.
-_MAP_SAMPLES = st.one_of(
-    st.integers(1, 3_000), st.sampled_from([cones._CHUNK + 1, 3 * cones._CHUNK + 17])
-)
 
 
 @settings(max_examples=12, deadline=None)

@@ -892,3 +892,17 @@ def test_cofactor_signs_planted_zeros_and_near_ties(monkeypatch, bits, seed):
         assert signs.dtype == np.int8
         assert signs.tolist() == [[(v > 0) - (v < 0) for v in e] for e in exact]
         assert fallbacks == undecided
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cofactor_signs_skips_known_zeros(monkeypatch, seed):
+    """Cells marked as known exact zeros come out 0 and are not recomputed,
+    in whichever row block they fall; only the near ties are."""
+    rows, table, exact, undecided = _planted_sign_batch(30, seed)
+    arr = int_array(table)
+    zeros = np.array([[v == 0 for v in e] for e in exact])
+    for block_rows in (1, 7, len(rows)):
+        monkeypatch.setattr(geometry, "FILTER_CELLS", block_rows * len(table))
+        signs, fallbacks = geometry._cofactor_signs(rows, arr, float_table(arr), zeros)
+        assert signs.tolist() == [[(v > 0) - (v < 0) for v in e] for e in exact]
+        assert fallbacks == undecided - int(zeros.sum()) == 2

@@ -49,7 +49,13 @@ from pachsel.selection import (
     weak_regularity,
 )
 
-from conftest import naive_closed_containment_fraction, random_labeled_set, side, value
+from conftest import (
+    general_position_points,
+    naive_closed_containment_fraction,
+    random_labeled_set,
+    side,
+    value,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -764,6 +770,28 @@ def bisection_instances(draw):
 @given(bisection_instances())
 def test_spanned_bisecting_cut_matches_per_span_reference(sets):
     assert selection._spanned_bisecting_cut(sets) == _reference_bisecting_cut(sets)
+
+
+def test_spanned_bisecting_cut_recomputes_no_own_point(monkeypatch):
+    """A span's own d points lie on it, exact zeros known from the span's
+    indices, so the cut hands none of them to the exact recomputation; on
+    small integer coordinates floats decide every other cell, so it
+    recomputes nothing."""
+    fallbacks = []
+    scored = selection._cofactor_signs
+
+    def counted(*args):
+        signs, count = scored(*args)
+        fallbacks.append(count)
+        return signs, count
+
+    monkeypatch.setattr(selection, "_cofactor_signs", counted)
+    rng = random.Random(7)
+    for d, n in [(1, 5), (2, 6), (3, 4)]:
+        pts = general_position_points(rng, d * n, d, den=1, box=60)
+        sets = [pts[k * n : (k + 1) * n] for k in range(d)]
+        assert selection._spanned_bisecting_cut(sets) == _reference_bisecting_cut(sets)
+    assert fallbacks and sum(fallbacks) == 0
 
 
 def test_ham_sandwich_rejects_degenerate_input():
