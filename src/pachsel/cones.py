@@ -379,6 +379,12 @@ class FanCoverReport:
     seed: int
 
 
+def _fan_counts(products):
+    """How many rows of ``products`` have their maximum in each column, a row
+    going to the lowest such column."""
+    return np.bincount(np.argmax(products, axis=1), minlength=products.shape[1])
+
+
 def normal_fan_cover_check(simplex: Simplex, samples: int, seed: int) -> FanCoverReport:
     """Classify random directions into the polar cones of a simplex's vertices.
 
@@ -392,10 +398,7 @@ def normal_fan_cover_check(simplex: Simplex, samples: int, seed: int) -> FanCove
 
     def step(rng, m):
         u = rng.standard_normal((m, d))
-        return sum(
-            np.bincount(np.argmax(u[rows] @ vertices, axis=1), minlength=d + 1)
-            for rows in _blocks(m)
-        )
+        return sum(_fan_counts(u[rows] @ vertices) for rows in _blocks(m))
 
     counts = sum(_map_chunks(step, seed, samples))
     fractions = counts / samples

@@ -11,7 +11,7 @@ from pachsel.geometry import (
     in_general_position,
 )
 from pachsel.arrangements import build_arrangement
-from pachsel.cones import _chunk_rngs
+from pachsel.cones import _BLOCK, _chunk_rngs
 from pachsel.rational import vec_sub
 
 
@@ -165,6 +165,21 @@ def per_cone_vertex_hits(vertices, samples, seed):
         for i, inv in enumerate(invs):
             hits[i] += int(np.count_nonzero(reduce(np.logical_and, (u @ inv.T >= 0).T)))
     return hits
+
+
+def argmax_fan_counts(vertices, samples, seed):
+    """Reference for the normal-fan counts: each direction of the same stream
+    of chunks goes to argmax_i u.v_i, the lowest index on ties, on the same
+    block products as the kernel, and ``bincount`` counts the indices."""
+    vertices = np.asarray(vertices, dtype=float)
+    d = vertices.shape[1]
+    columns = np.ascontiguousarray(vertices.T)
+    counts = np.zeros(d + 1, dtype=np.int64)
+    for rng, m in _chunk_rngs(seed, samples):
+        u = rng.standard_normal((m, d))
+        for b in range(0, m, _BLOCK):
+            counts += np.bincount(np.argmax(u[b : b + _BLOCK] @ columns, axis=1), minlength=d + 1)
+    return counts
 
 
 def naive_closed_containment_fraction(point_set, index_sets, point):

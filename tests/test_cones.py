@@ -33,7 +33,7 @@ from pachsel.cones import (
 )
 from pachsel.errors import PreconditionError
 
-from conftest import per_cone_vertex_hits
+from conftest import argmax_fan_counts, per_cone_vertex_hits
 
 
 def spherical_triangle_solid_angle(apex, others):
@@ -401,15 +401,21 @@ def _random_simplex(d, seed):
 
 
 # Per-vertex hits of 10^6 directions at seed 31, and fan-cover counts at seed
-# 33, recorded on the per-cone inverse kernel before the barycentric one.
+# 33, recorded on the per-cone inverse kernel before the barycentric one.  The
+# d=5 hits and the d=1, 4, 5 fan counts were recorded on whole-chunk draws and
+# the row-wise argmax fan count.
 _PINNED_VERTEX_HITS = {
     (2, 2026): [428_019, 35_170, 36_849],
     (3, 2027): [30_926, 4_377, 25_510, 65_256],
     (4, 2024): [6_302, 7_353, 3_758, 7_220, 1_650],
+    (5, 2020): [997, 6_642, 899, 449, 667, 1_191],
 }
 _PINNED_FAN_COUNTS = {
+    (1, 2025): [500_029, 499_971],
     (2, 2026): [72_285, 463_592, 464_123],
     (3, 2027): [218_374, 400_279, 259_530, 121_817],
+    (4, 2024): [177_697, 161_059, 220_274, 166_143, 274_827],
+    (5, 2028): [241_095, 60_100, 112_893, 47_632, 232_953, 305_327],
 }
 
 
@@ -503,6 +509,56 @@ def test_restricted_volume_mc_matches_the_per_cone_reference(d, cone_seed, sampl
     assume(not cone.is_degenerate())
     [hits, *_] = per_cone_vertex_hits(np.vstack([cone.apex, cone.generators]), samples, seed)
     assert restricted_volume_mc(cone, samples, seed).mean == unit_ball_volume(d) * (hits / samples)
+
+
+# Sample counts that end inside a block, on a block edge, past a few blocks,
+# and one chunk or three chunks plus a short one.
+_FAN_SAMPLES = st.one_of(
+    st.integers(1, 3_000),
+    st.sampled_from(
+        [cones._BLOCK, cones._BLOCK + 1, 3 * cones._BLOCK + 5, cones._CHUNK + 1, 3 * cones._CHUNK + 17]
+    ),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 6), simplex_seed=st.integers(0, 2**32 - 1), samples=_FAN_SAMPLES,
+       seed=st.integers(0, 2**32 - 1))
+@example(d=6, simplex_seed=0, samples=3 * cones._CHUNK + 17, seed=1)
+@example(d=1, simplex_seed=2, samples=cones._BLOCK + 1, seed=3)
+def test_normal_fan_counts_match_the_argmax_reference(d, simplex_seed, samples, seed):
+    """Each direction goes to the lowest index of its largest u.v_i, counted
+    exactly as a row-wise argmax and ``bincount`` of the same block products."""
+    simplex = _random_simplex(d, simplex_seed)
+    assume(not simplex.is_degenerate())
+    expected = argmax_fan_counts(simplex.vertices, samples, seed)
+    report = normal_fan_cover_check(simplex, samples, seed)
+    assert report.fractions == tuple(float(f) for f in expected / samples)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    columns=st.integers(2, 7),
+    rows=st.sampled_from([1, 2, 7, 100, cones._BLOCK]),
+    seed=st.integers(0, 2**32 - 1),
+    infinite=st.booleans(),
+)
+@example(columns=3, rows=7, seed=0, infinite=False)
+def test_fan_counts_break_planted_ties_to_the_lowest_column(columns, rows, seed, infinite):
+    """Product blocks with exact ties: small integers (with signed zeros, and
+    some infinities), a duplicated column and constant rows.  Every row goes
+    to the lowest column holding its maximum, as ``np.argmax`` picks it."""
+    rng = np.random.default_rng(seed)
+    products = rng.integers(-2, 3, size=(rows, columns)).astype(float)
+    products[rng.random((rows, columns)) < 0.5] *= -1.0  # -0.0 beside 0.0
+    i, j = rng.choice(columns, size=2, replace=False)
+    products[:, j] = products[:, i]
+    products[rng.random(rows) < 0.2] = rng.integers(-2, 3)
+    if infinite:
+        products[rng.random((rows, columns)) < 0.1] = np.inf
+        products[rng.random((rows, columns)) < 0.1] = -np.inf
+    expected = np.bincount(np.argmax(products, axis=1), minlength=columns)
+    assert np.array_equal(cones._fan_counts(products), expected)
 
 
 def test_msa_mc_ties_go_to_the_lowest_index():
