@@ -20,6 +20,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import cache
 
 from . import io as pio
 from .cones import McEstimate, Simplex, bound_table, solid_angle_mc
@@ -314,6 +315,7 @@ def cmd_bench(args) -> int:
 # parser
 
 
+@cache  # built once per process: parsing does not change the parser
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pachsel",

@@ -13,7 +13,7 @@ from math import ceil, lcm, sqrt
 
 import numpy as np
 
-from .cones import Simplex, _ball_points, _corner_hits, msa_mc, unit_ball_volume
+from .cones import Simplex, _ball_blocks, _corner_hits, msa_mc, unit_ball_volume
 from .errors import (
     BudgetExceededError,
     InputValidationError,
@@ -232,7 +232,7 @@ def corner_volumes_mc(arrangement, samples: int, seed: int):
     planes = np.array([[float(h.normal[k]) for h in arrangement.hyperplanes] for k in range(d)])
     offsets = np.array([float(h.offset) for h in arrangement.hyperplanes], dtype=float)
     beta = unit_ball_volume(d)
-    hits = _corner_hits(lambda rng, m: _ball_points(rng, m, d), planes, offsets, samples, seed)
+    hits = _corner_hits(_ball_blocks(d), planes, offsets, samples, seed)
     fractions = hits / samples
     volumes = beta * fractions
     sigmas = beta * np.sqrt(fractions * (1 - fractions) / samples)

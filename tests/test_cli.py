@@ -389,6 +389,31 @@ def test_bad_input_files_exit_2(workdir, capsys, command, content):
     assert any(line.startswith("error:") for line in capsys.readouterr().err.splitlines())
 
 
+def test_main_builds_one_parser_and_answers_as_fresh_ones(capsys):
+    """In-process ``main`` calls share one parser: a parse error, then
+    ``bounds``, then ``--help`` give the exit codes and output that a fresh
+    parser gives each of them."""
+    from pachsel import cli
+
+    calls = [["select", "--in"], ["bounds", "--dims", "1..3"], ["--help"]]
+
+    def answer(argv):
+        code = main(argv)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    cli.build_parser.cache_clear()
+    shared = [answer(argv) for argv in calls]
+    assert cli.build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(answer(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [2, 0, 0]
+    assert "usage: pachsel select" in shared[0][2] and "usage: pachsel" in shared[2][1]
+
+
 def test_internal_invariant_failure_exits_1(workdir, capsys, monkeypatch):
     from pachsel import cli
     from pachsel.errors import InternalInvariantError

@@ -661,8 +661,8 @@ class _ZeroRowGenerator:
     def __init__(self, seed):
         self._rng = np.random.default_rng(seed)
 
-    def standard_normal(self, shape):
-        u = self._rng.standard_normal(shape)
+    def standard_normal(self, shape, out=None):
+        u = self._rng.standard_normal(shape, out=out)
         u[7] = 0.0
         return u
 
@@ -754,8 +754,34 @@ def _traced_peak_mib(call):
         tracemalloc.stop()
 
 
+# Directions are drawn 2^13 rows at a time, so 10^6 samples at d=3 with two
+# threads peaked at 0.8-1.2 MiB (msa_mc at 1.7-1.8 MiB in about one run of 60),
+# against 3.4-4.5 MiB with whole-chunk draws and 23 MiB for one draw.  The
+# bound is the highest peak seen plus 0.7 MiB.  Each thread holds its own
+# block, so the thread count is pinned.
+_FLAT_PEAK_MIB = 2.5
+
+
 def test_msa_mc_memory_stays_flat():
-    """Chunks and 2^13-row blocks bound the temporaries: 10^6 samples at d=3
-    peak near 4 MiB with two threads, not at the 23 MiB of one draw.  Each
-    thread holds one chunk, so the thread count is pinned."""
-    assert _at_workers(2, lambda: _traced_peak_mib(lambda: msa_mc(TETRA, 10**6, 5))) < 5
+    assert _at_workers(2, lambda: _traced_peak_mib(lambda: msa_mc(TETRA, 10**6, 5))) < _FLAT_PEAK_MIB
+
+
+def test_normal_fan_cover_memory_stays_flat():
+    peak = _at_workers(2, lambda: _traced_peak_mib(lambda: normal_fan_cover_check(TETRA, 10**6, 5)))
+    assert peak < _FLAT_PEAK_MIB
+
+
+def test_solid_angle_mc_memory_stays_flat():
+    peak = _at_workers(2, lambda: _traced_peak_mib(lambda: solid_angle_mc(TETRA, 0, 10**6, 5)))
+    assert peak < _FLAT_PEAK_MIB
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_simplex_refuses_non_finite_coordinates(bad):
+    """A NaN vertex used to pass ``is_degenerate``: the fan cover then read
+    coverage 1.0 and msa_mc 0.0.  Non-finite coordinates are refused."""
+    for vertex in range(3):
+        vertices = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        vertices[vertex][1] = bad
+        with pytest.raises(PreconditionError, match="finite"):
+            Simplex.create(vertices)

@@ -208,9 +208,10 @@ def test_corner_volumes_mc_does_not_depend_on_the_worker_count(d, arrangement_se
 
 
 def test_corner_volumes_mc_memory_stays_flat(monkeypatch):
-    """10^6 ball samples at d=3 peak near 8 MiB with two threads: each thread
-    holds one 2^16-sample chunk, so the thread count is pinned, and products
-    run over 2^13-row blocks."""
+    """10^6 ball samples at d=3 peak near 6 MiB with two threads: the stream
+    gives a chunk's normals before its radii, so each thread draws (and keeps)
+    one 2^16-sample chunk and the thread count is pinned; products run over
+    2^13-row blocks."""
     monkeypatch.setattr(cones, "_usable_cores", lambda: 2)
     arrangement = random_arrangement(3, 4)
     tracemalloc.start()
