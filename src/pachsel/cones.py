@@ -34,10 +34,11 @@ from math import asin, exp, gamma, log, pi, sqrt
 
 import numpy as np
 
-from .enumeration import _FLOAT32_EXACT
 from .errors import PreconditionError
 
 _DEGENERACY_TOL = 1e-12
+# float32 holds every integer below 2^24 exactly (float64 below 2^53)
+_FLOAT32_EXACT = 1 << 24
 _CHUNK = 1 << 16
 # Rows per product inside a chunk.  A (2^16, d) @ (d, k) product passes
 # OpenBLAS's threading threshold, and two chunk workers that each ask for two

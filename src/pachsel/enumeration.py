@@ -8,9 +8,12 @@ Per omitted color the enumerator keeps the table C of its n^d rainbow faces
 rows h = (w, w den q) with w > 0, by the certified float filter
 ``geometry.cofactor_signs`` (entries it recomputes exactly are counted in
 ``RainbowEnumerator.fallbacks``); the color-0 table gives the full
-orientation signs.  Containment is a sign combination; at d=2 a depth
-(the number of containing simplices) is a sum of products of the three
-face-sign tables, without the n^3 mask.
+orientation signs.  Containment is a sign combination.  At d = 2, 3 a depth
+(the number of containing simplices) comes from the d+1 face-sign tables
+alone, without the n^(d+1) mask: at d=2 a sum of products of counts along
+one color, at d=3 a popcount of bit words packed along color 3.  Points
+with a zero face sign, d=1 and sets with a degenerate rainbow simplex sum
+the masks.
 """
 
 from __future__ import annotations
@@ -32,13 +35,6 @@ from .geometry import (
 )
 from .rational import common_denominator, point_to_fractions
 
-# multiply-adds per ``_product_depths`` product: OpenBLAS 0.3.31 threads such
-# products (one operand transposed) from 2^19 on, measured by CPU over wall
-# time, and two threads on two busy cores stall
-_GEMM_CELLS = (1 << 19) - 1
-# float32 holds every integer below 2^24 exactly (float64 below 2^53)
-_FLOAT32_EXACT = 1 << 24
-
 
 def tuple_grid(point_arrays):
     """Every tuple with one point from each (n_j, d) array, in one array of
@@ -49,6 +45,16 @@ def tuple_grid(point_arrays):
         for j, a in enumerate(point_arrays)
     ]
     return np.stack(np.broadcast_arrays(*axes), axis=-2)
+
+
+def _bit_words(bits):
+    """A boolean array's last axis packed into unsigned words of 8, 16, 32 or 64
+    bits, several 64-bit words past 64 bits; the padding bits are zero."""
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    width = min(8, 1 << (packed.shape[-1] - 1).bit_length())  # bytes per word
+    words = np.zeros((*packed.shape[:-1], -(-packed.shape[-1] // width) * width), dtype=np.uint8)
+    words[..., : packed.shape[-1]] = packed
+    return words.view(f"u{width}")
 
 
 class RainbowEnumerator:
@@ -95,15 +101,20 @@ class RainbowEnumerator:
             self._last = (points, self._masks(homogeneous_rows(points, self.den)))
         return self._last[1]
 
-    def _masks(self, rows):
-        """``containment_masks`` of the points with these homogeneous rows."""
+    def _signed_faces(self, rows):
+        """Per color i, the signs s_i of the rows against its faces times (-1)^i:
+        the point replaces the color-i vertex, and moving it first costs (-1)^i."""
+        faces = (self._face_signs(i, rows) for i in range(self.dim + 1))
+        return [f if i % 2 == 0 else -f for i, f in enumerate(faces)]
+
+    def _masks(self, rows, signed=None):
+        """``containment_masks`` of the points with these homogeneous rows, given
+        their ``_signed_faces`` if already computed."""
         full = self.full_signs
         closed = np.repeat((full != 0)[None], len(rows), axis=0)
         open_ = closed.copy()
-        for i in range(self.dim + 1):
-            # the point replaces the color-i vertex; moving it first costs (-1)^i
-            face = self._face_signs(i, rows)
-            agreement = np.expand_dims(face if i % 2 == 0 else -face, axis=i + 1) * full
+        for i, s in enumerate(signed or self._signed_faces(rows)):
+            agreement = np.expand_dims(s, axis=i + 1) * full
             closed &= agreement >= 0
             open_ &= agreement == 1
         for idx in self._degenerate:
@@ -119,46 +130,57 @@ class RainbowEnumerator:
         ``homogeneous_rows`` row against ``den``, as two int arrays, scored in
         blocks of about BLOCK_CELLS cells.
 
-        At d=2 with no degenerate rainbow simplex the counts are products of
-        the three face-sign tables (``_product_depths``), O(n^2) cells
-        instead of the n^3 cells of ``containment_masks``; otherwise they are
-        sums of the masks."""
+        At d = 2, 3 with no degenerate rainbow simplex the counts come from the
+        d+1 face-sign tables alone (``_sign_depths``): O(n^d) cells per point
+        instead of the n^(d+1) cells of ``containment_masks``.  Points with a
+        zero face sign, d=1 and degenerate sets sum the masks."""
         if any(len(r) != self.dim + 1 for r in rows):
             raise PreconditionError("candidate dimension mismatch")
-        if self.dim == 2 and not self._degenerate:  # four 0/1 tables per face cell
-            score, cells = self._product_depths, 4 * sum(len(t) for t, _ in self._tables)
+        if self.dim in (2, 3) and not self._degenerate:
+            score, cells = self._sign_depths, sum(len(t) for t, _ in self._tables)
         else:
             score, cells = self._mask_depths, self.total
         step = max(1, BLOCK_CELLS // cells)
         counts = [score(rows[s : s + step]) for s in range(0, len(rows), step)]
         return tuple(np.concatenate(c) for c in zip(*counts))
 
-    def _mask_depths(self, rows):
-        return [m.reshape(len(m), -1).sum(axis=1) for m in self._masks(rows)]
+    def _mask_depths(self, rows, signed=None):
+        return [m.reshape(len(m), -1).sum(axis=1) for m in self._masks(rows, signed)]
 
-    def _product_depths(self, rows):
-        """Depths at d=2 from the face signs s_i, each with its (-1)^i.
+    def _sign_depths(self, rows):
+        """Depths at d = 2, 3 from the signed face signs s_i alone.
 
         For a nondegenerate simplex s_i = sign(full) sign(lambda_i), and the
         barycentric lambda_i sum to 1, so q is in the closed simplex iff all
         s_i >= 0 or all s_i <= 0, never both; the open simplex takes strict
-        signs.  Over 0/1 tables P_i[., .] of one such condition (P_0 indexed
-        by the color-1 and color-2 points, P_1 by colors 0 and 2, P_2 by 0
-        and 1), the count is sum_{a,b} P_2[a,b] (P_1 P_0^T)[a,b].  Every
-        partial sum is an integer of at most ``total``, so the float type is
-        chosen to hold such integers exactly, and each product of a candidate
-        is split into row blocks of about _GEMM_CELLS multiply-adds, below
-        OpenBLAS's threading threshold."""
-        dtype = np.float32 if self.total < _FLOAT32_EXACT else np.float64
-        # per table, stacked first: s >= 0 and s <= 0 (closed), s > 0 and s < 0 (open)
-        p0, p1, p2 = (
-            np.stack([s >= 0, s <= 0, s > 0, s < 0]).astype(dtype)
-            for s in (self._face_signs(i, rows) * (-1) ** i for i in range(3))
-        )
-        p0t, step = p0.swapaxes(-1, -2), max(1, _GEMM_CELLS // (self.sizes[1] * self.sizes[2]))
-        count = np.zeros((4, len(rows)), dtype=dtype)
-        for a in range(0, self.sizes[0], step):
-            block = np.matmul(p1[..., a : a + step, :], p0t) * p2[..., a : a + step, :]
-            count += block.sum(axis=(-2, -1))
-        count = count.astype(np.int64)
-        return [count[0] + count[1], count[2] + count[3]]
+        signs.  A point with no zero s_i is on no face hyperplane, so both
+        counts are #(all s_i > 0) + #(all s_i < 0); rows with a zero sign are
+        re-scored from their masks.  With the 0/1 tables y_i = [s_i > 0]:
+
+        * d=2: the count is total - sum_i n_i |y_i| + sum_{i<j} r_ij . r_ji,
+          r_ij the counts of y_i along color j, indexed by the color the two
+          tables share (the cubic terms cancel);
+        * d=3: y_0, y_1, y_2 pack their color-3 axis into bit words P_i; all
+          s_i > 0 holds on the bits of P_0[b,c] & P_1[a,c] & P_2[a,b] where
+          y_3[a,b,c], and all s_i < 0 on the n_3 - popcount(P_0 | P_1 | P_2)
+          other bits where not y_3[a,b,c]."""
+        signed = self._signed_faces(rows)
+        y = [s > 0 for s in signed]
+        if self.dim == 2:
+            r = [[t.view(np.uint8).sum(axis=a, dtype=np.int32) for a in (1, 2)] for t in y]
+            count = self.total - sum(n * ri[0].sum(axis=1) for n, ri in zip(self.sizes, r))
+            for i, j in ((0, 1), (0, 2), (1, 2)):
+                count += (r[i][j - 1] * r[j][i]).sum(axis=1)
+        else:
+            p0, p1, p2 = (_bit_words(t) for t in y[:3])
+            p0, p1, p2, y3 = p0[:, None], p1[:, :, None], p2[:, :, :, None], y[3][..., None]
+            hits = np.bitwise_count((p0 & p1 & p2) * y3).sum(axis=(1, 2, 3, 4), dtype=np.int64)
+            misses = np.bitwise_count((p0 | p1 | p2) * ~y3).sum(axis=(1, 2, 3, 4), dtype=np.int64)
+            count = hits + self.sizes[3] * np.count_nonzero(~y3, axis=(1, 2, 3, 4)) - misses
+        axes = tuple(range(1, self.dim + 1))
+        zero = np.flatnonzero(np.any([(s == 0).any(axis=axes) for s in signed], axis=0))
+        closed, open_ = count, count.copy()
+        if len(zero):
+            rescored = self._mask_depths([rows[z] for z in zero], [s[zero] for s in signed])
+            closed[zero], open_[zero] = rescored
+        return [closed, open_]

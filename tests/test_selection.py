@@ -153,23 +153,16 @@ def planar_sets_with_planted_candidates(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    planar_sets_with_planted_candidates(),
-    st.sampled_from([enumeration.BLOCK_CELLS, 1]),
-    st.sampled_from([enumeration._GEMM_CELLS, 1]),
-    st.sampled_from([enumeration._FLOAT32_EXACT, 0]),
-)
-def test_planar_product_depths_match_mask_sums(instance, block_cells, gemm_cells, float32_exact):
-    """At d=2 ``depths`` multiplies face-sign tables; its closed and open counts
-    equal the sums of ``containment_masks``, also one candidate and one row per
-    product, and in float64."""
+@given(planar_sets_with_planted_candidates(), st.sampled_from([enumeration.BLOCK_CELLS, 1]))
+def test_planar_sign_depths_match_mask_sums(instance, block_cells):
+    """At d=2 ``depths`` counts from the face-sign tables; its closed and open
+    counts equal the sums of ``containment_masks``, also one candidate per
+    block, with candidates on face lines re-scored from their masks."""
     colors, cands = instance
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(enumeration, "BLOCK_CELLS", block_cells)
-        mp.setattr(enumeration, "_GEMM_CELLS", gemm_cells)
-        mp.setattr(enumeration, "_FLOAT32_EXACT", float32_exact)
         enum = RainbowEnumerator(colors)
-        assert not enum._degenerate  # so the product path scores them
+        assert not enum._degenerate  # so the face-sign count scores them
         depths = _depths(enum, cands)
     masks = enum.containment_masks(cands)
     for counts, mask in zip(depths, masks):
@@ -177,6 +170,60 @@ def test_planar_product_depths_match_mask_sums(instance, block_cells, gemm_cells
         assert counts.tolist() == mask.reshape(len(cands), -1).sum(axis=1).tolist()
     closed, open_ = depths
     assert (closed[:3] > open_[:3]).all()  # an input point is a vertex: closed, not open
+
+
+@st.composite
+def spatial_sets_with_planted_candidates(draw):
+    """A d=3 set in general position with unequal color sizes, the color-3
+    axis from one bit to past one 64-bit word, and candidates planted at its
+    points and on the planes of rainbow triangles, beside random points."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=3, max_size=3))
+    sizes.append(draw(st.sampled_from([1, 5, 8, 9, 17, 33, 64, 65, 70])))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    pts = general_position_points(rng, sum(sizes), 3, den=1 << 10)
+    starts = np.cumsum([0] + sizes).tolist()
+    colors = [pts[a:b] for a, b in zip(starts, starts[1:])]
+    cands = [draw(st.sampled_from(colors[i])) for i in range(4)]
+    weight = st.fractions(-1, 2, max_denominator=8)
+    for _ in range(4):
+        tri = draw(st.lists(st.integers(0, 3), min_size=3, max_size=3, unique=True))
+        a, b, c = (draw(st.sampled_from(colors[i])) for i in tri)
+        u, v = draw(weight), draw(weight)
+        cands.append(tuple(x + u * (y - x) + v * (z - x) for x, y, z in zip(a, b, c)))
+    box = st.fractions(-2, 2, max_denominator=64)
+    cands += [tuple(draw(box) for _ in range(3)) for _ in range(2)]
+    return colors, cands
+
+
+@settings(max_examples=60, deadline=None)
+@given(spatial_sets_with_planted_candidates(), st.sampled_from([enumeration.BLOCK_CELLS, 1]))
+def test_spatial_sign_depths_match_mask_sums(instance, block_cells):
+    """At d=3 ``depths`` counts popcounts of bit words packed along color 3;
+    its closed and open counts equal the sums of ``containment_masks``, also
+    one candidate per block, and the candidates on the planes of rainbow
+    triangles, with a zero face sign, are re-scored from their masks."""
+    colors, cands = instance
+    rescored = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enumeration, "BLOCK_CELLS", block_cells)
+        enum = RainbowEnumerator(colors)
+        assert not enum._degenerate  # so the face-sign count scores them
+        mask_depths = enum._mask_depths
+
+        def recorded(rows, signed):
+            rescored.extend(rows)
+            return mask_depths(rows, signed)
+
+        mp.setattr(enum, "_mask_depths", recorded)
+        depths = _depths(enum, cands)
+    masks = enum.containment_masks(cands)
+    for counts, mask in zip(depths, masks):
+        assert counts.dtype == np.int64
+        assert counts.tolist() == mask.reshape(len(cands), -1).sum(axis=1).tolist()
+    closed, open_ = depths
+    assert (closed[:4] > open_[:4]).all()  # an input point is a vertex: closed, not open
+    rows = homogeneous_rows(cands, enum.den)
+    assert set(rows[:8]) <= set(rescored)  # on a face plane: a zero sign
 
 
 @st.composite
