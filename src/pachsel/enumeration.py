@@ -49,12 +49,17 @@ def tuple_grid(point_arrays):
 
 def _bit_words(bits):
     """A boolean array's last axis packed into unsigned words of 8, 16, 32 or 64
-    bits, several 64-bit words past 64 bits; the padding bits are zero."""
-    packed = np.packbits(bits, axis=-1, bitorder="little")
-    width = min(8, 1 << (packed.shape[-1] - 1).bit_length())  # bytes per word
-    words = np.zeros((*packed.shape[:-1], -(-packed.shape[-1] // width) * width), dtype=np.uint8)
-    words[..., : packed.shape[-1]] = packed
-    return words.view(f"u{width}")
+    bits, several 64-bit words past 64 bits; the padding bits are zero.  The
+    bit order within a word is fixed but unspecified: only popcounts of
+    bitwise combinations of such words are meaningful."""
+    octets = -(-bits.shape[-1] // 8)
+    width = min(8, 1 << (octets - 1).bit_length())  # bytes per word
+    padded = np.zeros((*bits.shape[:-1], -(-octets // width) * width * 8), dtype=bool)
+    padded[..., : bits.shape[-1]] = bits
+    # eight 0/1 bytes as one uint64 times 0x0102040810204080 put byte k's bit
+    # at bit 56 + k, all partial products at distinct bits, so nothing carries
+    packed = (padded.view(np.uint64) * np.uint64(0x0102040810204080)) >> np.uint64(56)
+    return packed.astype(np.uint8).view(f"u{width}")
 
 
 class RainbowEnumerator:
