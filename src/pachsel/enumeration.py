@@ -10,10 +10,8 @@ rows h = (w, w den q) with w > 0, by the certified float filter
 ``RainbowEnumerator.fallbacks``); the color-0 table gives the full
 orientation signs.  Containment is a sign combination.  At d = 2, 3 a depth
 (the number of containing simplices) comes from the d+1 face-sign tables
-alone, without the n^(d+1) mask: at d=2 a sum of products of counts along
-one color, at d=3 a popcount of bit words packed along color 3.  Points
-with a zero face sign, d=1 and sets with a degenerate rainbow simplex sum
-the masks.
+alone, without the n^(d+1) mask (``_sign_depths``); points with a zero face
+sign, d=1 and degenerate sets sum the masks.
 """
 
 from __future__ import annotations
@@ -48,10 +46,9 @@ def tuple_grid(point_arrays):
 
 
 def _bit_words(bits):
-    """A boolean array's last axis packed into unsigned words of 8, 16, 32 or 64
-    bits, several 64-bit words past 64 bits; the padding bits are zero.  The
-    bit order within a word is fixed but unspecified: only popcounts of
-    bitwise combinations of such words are meaningful."""
+    """A boolean array's last axis packed into words of 8, 16, 32 or 64 bits
+    (several 64-bit words past 64), zero-padded, in a fixed but unspecified
+    bit order: only popcounts of their bitwise combinations are meaningful."""
     octets = -(-bits.shape[-1] // 8)
     width = min(8, 1 << (octets - 1).bit_length())  # bytes per word
     padded = np.zeros((*bits.shape[:-1], -(-octets // width) * width * 8), dtype=bool)
@@ -160,15 +157,12 @@ class RainbowEnumerator:
         s_i >= 0 or all s_i <= 0, never both; the open simplex takes strict
         signs.  A point with no zero s_i is on no face hyperplane, so both
         counts are #(all s_i > 0) + #(all s_i < 0); rows with a zero sign are
-        re-scored from their masks.  With the 0/1 tables y_i = [s_i > 0]:
-
-        * d=2: the count is total - sum_i n_i |y_i| + sum_{i<j} r_ij . r_ji,
-          r_ij the counts of y_i along color j, indexed by the color the two
-          tables share (the cubic terms cancel);
-        * d=3: y_0, y_1, y_2 pack their color-3 axis into bit words P_i; all
-          s_i > 0 holds on the bits of P_0[b,c] & P_1[a,c] & P_2[a,b] where
-          y_3[a,b,c], and all s_i < 0 on the n_3 - popcount(P_0 | P_1 | P_2)
-          other bits where not y_3[a,b,c]."""
+        re-scored from their masks.  With the 0/1 tables y_i = [s_i > 0], that
+        is total - sum_i n_i |y_i| + sum_{i<j} r_ij . r_ji at d=2, r_ij the
+        counts of y_i along color j (the cubic terms cancel); at d=3 it is the
+        popcount of P_0[b,c] & P_1[a,c] & P_2[a,b] where y_3[a,b,c], plus
+        n_3 - popcount(P_0 | P_1 | P_2) elsewhere, P_i the words of y_i packed
+        along color 3."""
         signed = self._signed_faces(rows)
         y = [s > 0 for s in signed]
         if self.dim == 2:
