@@ -31,7 +31,7 @@ from .geometry import (
     homogeneous_rows,
     int_array,
 )
-from .rational import common_denominator, point_to_fractions
+from .rational import point_to_fractions, scale_points_to_ints
 
 
 def tuple_grid(point_arrays):
@@ -72,10 +72,9 @@ class RainbowEnumerator:
         self.sizes = tuple(len(c) for c in self.colors)
         self.total = prod(self.sizes)
         self.fallbacks = 0  # filtered signs recomputed exactly
-        self.den = common_denominator(p for c in self.colors for p in c)
-        int_colors = [
-            int_array([[(x * self.den).numerator for x in p] for p in c]) for c in self.colors
-        ]
+        scaled, self.den = scale_points_to_ints(p for c in self.colors for p in c)
+        starts = np.cumsum((0,) + self.sizes).tolist()
+        int_colors = [int_array(scaled[a:b]) for a, b in zip(starts, starts[1:])]
         self._tables = []  # per omitted color: face cofactors, exact and as floats
         for i in range(self.dim + 1):
             faces = tuple_grid(int_colors[:i] + int_colors[i + 1 :])

@@ -160,7 +160,8 @@ def deep_rainbow_point(
 def _mean_row(k, points):
     """Reduced homogeneous row (k, S)/gcd of the mean of k integer points, S their sum."""
     row = (k, *map(sum, zip(*points)))
-    return tuple(c // gcd(*row) for c in row)
+    g = gcd(*row)
+    return tuple(c // g for c in row)
 
 
 # ---------------------------------------------------------------------------
