@@ -18,16 +18,17 @@ are correlated, and each equals ``solid_angle_mc`` at that vertex and seed.
 Every estimate consumes its stream chunk by chunk through ``_map_chunks``,
 which spreads the chunks over the usable cores.  Each chunk has its own seeded
 generator and the per-chunk results are combined by integer sums or a max, so
-an estimate is bit-identical whatever the core count.  Directions are drawn
-per 2^13-row block, which continues one chunk's stream, and each block is
-classified for a fraction of its draw's cost: float BLAS side codes, and a
-fan count from the product's column maximum instead of a row-wise argmax.
+an estimate is bit-identical whatever the core count.  Every estimator draws
+per 2^13-row block, which continues one chunk's stream (``_gaussian_blocks``,
+or ``_ball_blocks`` for ``corner_volumes_mc``), so a thread holds one block;
+each block is classified for a fraction of its draw's cost: float BLAS side
+codes, and a fan count from the product's column maximum instead of a
+row-wise argmax.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
 from functools import reduce
 from math import asin, exp, gamma, log, pi, sqrt
@@ -105,6 +106,31 @@ def _gaussian_blocks(rng, m, d):
     return (rng.standard_normal((min(_BLOCK, m - b), d)) for b in range(0, m, _BLOCK))
 
 
+def _row_norms(u):
+    """``np.linalg.norm(u, axis=1)`` bit for bit: below 8 columns numpy adds
+    the squared columns left to right, as done here at about half its cost."""
+    if u.shape[1] >= 8:
+        return np.linalg.norm(u, axis=1)
+    return np.sqrt(sum((u[:, j] * u[:, j] for j in range(1, u.shape[1])), u[:, 0] * u[:, 0]))
+
+
+def _ball_points(rng, m, d):
+    """m uniform points of the unit d-ball from ``rng``: a Gaussian direction
+    scaled to radius U^(1/d)."""
+    u = rng.standard_normal((m, d))
+    norms = _row_norms(u)
+    norms[norms == 0] = 1.0
+    radii = rng.random(m) ** (1.0 / d)
+    u *= (radii / norms)[:, None]
+    return u
+
+
+def _ball_blocks(rng, m, d):
+    """A chunk's m uniform points of the unit d-ball, one ``_ball_points`` draw
+    per ``_BLOCK`` rows: each block's normals, then its radii."""
+    return (_ball_points(rng, min(_BLOCK, m - b), d) for b in range(0, m, _BLOCK))
+
+
 def _hit_fraction(inside, d, samples, seed):
     """(p, sqrt(p(1-p)/n)): p is the share of ``samples`` standard Gaussian
     directions of R^d for which ``inside`` (an (m, d) array to an m-vector of
@@ -118,55 +144,37 @@ def _hit_fraction(inside, d, samples, seed):
 
 
 def _corner_hits(blocks, planes, offsets, samples, seed):
-    """How many of ``samples`` points (``blocks(rng, m)`` yields a chunk's m in
-    row blocks) lie in each corner i of the planes x @ planes[:, j] = offsets[j]
-    (a C-contiguous (d, k) array): on the closed positive side of every plane
-    but i.  Bit j of a point's side code is set iff it is on that side of plane
-    j; a float product of the sides with the bits (float32 exact below 2^24)
-    and one ``bincount`` count every corner: i holds codes full, full ^ bit_i."""
-    bits = 1 << np.arange(planes.shape[1])
+    """How many of ``samples`` points (``blocks`` is ``_gaussian_blocks`` or
+    ``_ball_blocks``) lie in each corner i of the planes x @ planes[:, j] =
+    offsets[j] (a C-contiguous (d, k) array): on the closed positive side of
+    every plane but i.  Bit j of a point's side code is set iff it is on that
+    side of plane j; a float product of the sides with the bits (float32 exact
+    below 2^24) and one ``bincount`` count every corner: i holds codes full,
+    full ^ bit_i."""
+    d, k = planes.shape
+    bits = 1 << np.arange(k)
     full = 2 * bits[-1] - 1
     weights = bits.astype(np.float32 if full < _FLOAT32_EXACT else np.float64)
 
     def step(rng, m):
-        codes = ((x @ planes >= offsets).astype(weights.dtype) @ weights for x in blocks(rng, m))
+        codes = ((x @ planes >= offsets).astype(weights.dtype) @ weights for x in blocks(rng, m, d))
         return sum(np.bincount(c.astype(np.intp), minlength=full + 1) for c in codes)
 
     counts = sum(_map_chunks(step, seed, samples))
     return counts[full] + counts[full ^ bits]
 
 
-def _row_norms(u):
-    """``np.linalg.norm(u, axis=1)`` bit for bit: below 8 columns numpy adds
-    the squared columns left to right, as done here at about half its cost."""
-    if u.shape[1] >= 8:
-        return np.linalg.norm(u, axis=1)
-    return np.sqrt(sum((u[:, j] * u[:, j] for j in range(1, u.shape[1])), u[:, 0] * u[:, 0]))
-
-
-def _ball_points(rng, m, d, u=None):
-    """m uniform points of the unit d-ball from ``rng``: a Gaussian direction
-    scaled to radius U^(1/d), written into the (m, d) array ``u`` when given."""
-    u = rng.standard_normal((m, d), out=u)
-    norms = _row_norms(u)
-    norms[norms == 0] = 1.0
-    radii = rng.random(m) ** (1.0 / d)
-    u *= (radii / norms)[:, None]
-    return u
-
-
-def _ball_blocks(d):
-    """``blocks(rng, m)`` of unit d-ball points for ``_corner_hits``.  The normals
-    precede the radii, so a chunk is drawn whole, into an array each thread keeps."""
-    kept = threading.local()
-
-    def blocks(rng, m):
-        if len(getattr(kept, "u", ())) < m:
-            kept.u = np.empty((m, d))
-        x = _ball_points(rng, m, d, kept.u[:m])
-        return (x[b : b + _BLOCK] for b in range(0, m, _BLOCK))
-
-    return blocks
+def corner_volumes_mc(arrangement, samples: int, seed: int):
+    """MC volumes of all corner regions intersected with the unit ball."""
+    d = arrangement.dim
+    planes = np.array([[float(h.normal[k]) for h in arrangement.hyperplanes] for k in range(d)])
+    offsets = np.array([float(h.offset) for h in arrangement.hyperplanes], dtype=float)
+    beta = unit_ball_volume(d)
+    hits = _corner_hits(_ball_blocks, planes, offsets, samples, seed)
+    fractions = hits / samples
+    volumes = beta * fractions
+    sigmas = beta * np.sqrt(fractions * (1 - fractions) / samples)
+    return volumes, sigmas
 
 
 def unit_ball_volume(d: int) -> float:
@@ -268,7 +276,7 @@ def _solid_angles_mc(simplex: Simplex, vertices, samples: int, seed: int) -> lis
         cone = np.delete(planes, vertices[0], axis=1)
         p_se = _hit_fraction(lambda u: reduce(np.logical_and, (u @ cone >= 0).T), d, samples, seed)
         return [McEstimate(*p_se, samples, seed)]
-    hits = _corner_hits(lambda rng, m: _gaussian_blocks(rng, m, d), planes, 0.0, samples, seed)
+    hits = _corner_hits(_gaussian_blocks, planes, 0.0, samples, seed)
     fractions = [int(hits[v]) / samples for v in vertices]
     return [McEstimate(p, sqrt(p * (1 - p) / samples), samples, seed) for p in fractions]
 

@@ -13,7 +13,7 @@ from math import ceil, lcm, sqrt
 
 import numpy as np
 
-from .cones import Simplex, _ball_blocks, _corner_hits, msa_mc, unit_ball_volume
+from .cones import Simplex, corner_volumes_mc, msa_mc, unit_ball_volume
 from .errors import (
     BudgetExceededError,
     InputValidationError,
@@ -224,19 +224,6 @@ class CornerVolumeReport:
     passed: bool
     samples: int
     seed: int
-
-
-def corner_volumes_mc(arrangement, samples: int, seed: int):
-    """MC volumes of all corner regions intersected with the unit ball."""
-    d = arrangement.dim
-    planes = np.array([[float(h.normal[k]) for h in arrangement.hyperplanes] for k in range(d)])
-    offsets = np.array([float(h.offset) for h in arrangement.hyperplanes], dtype=float)
-    beta = unit_ball_volume(d)
-    hits = _corner_hits(_ball_blocks(d), planes, offsets, samples, seed)
-    fractions = hits / samples
-    volumes = beta * fractions
-    sigmas = beta * np.sqrt(fractions * (1 - fractions) / samples)
-    return volumes, sigmas
 
 
 def corner_volume_audit(

@@ -8,15 +8,16 @@ Per omitted color the enumerator keeps the table C of its n^d rainbow faces
 rows h = (w, w den q) with w > 0, by the certified float filter
 ``geometry.cofactor_signs`` (entries it recomputes exactly are counted in
 ``RainbowEnumerator.fallbacks``); the color-0 table gives the full
-orientation signs.  Containment is a sign combination.  At d = 2, 3 a depth
-(the number of containing simplices) comes from the d+1 face-sign tables
-alone, without the n^(d+1) mask (``_sign_depths``); points with a zero face
-sign, d=1 and degenerate sets sum the masks.
+orientation signs.  Containment is a sign combination.  A depth (the number
+of containing simplices) comes from the d+1 face-sign tables alone, without
+the n^(d+1) mask (``_sign_depths``); points with a zero face sign and
+degenerate sets sum the masks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import prod
 
 import numpy as np
@@ -131,13 +132,13 @@ class RainbowEnumerator:
         ``homogeneous_rows`` row against ``den``, as two int arrays, scored in
         blocks of about BLOCK_CELLS cells.
 
-        At d = 2, 3 with no degenerate rainbow simplex the counts come from the
-        d+1 face-sign tables alone (``_sign_depths``): O(n^d) cells per point
+        With no degenerate rainbow simplex the counts come from the d+1
+        face-sign tables alone (``_sign_depths``): O(n^d) cells per point
         instead of the n^(d+1) cells of ``containment_masks``.  Points with a
-        zero face sign, d=1 and degenerate sets sum the masks."""
+        zero face sign and degenerate sets sum the masks."""
         if any(len(r) != self.dim + 1 for r in rows):
             raise PreconditionError("candidate dimension mismatch")
-        if self.dim in (2, 3) and not self._degenerate:
+        if not self._degenerate:
             score, cells = self._sign_depths, sum(len(t) for t, _ in self._tables)
         else:
             score, cells = self._mask_depths, self.total
@@ -149,7 +150,7 @@ class RainbowEnumerator:
         return [m.reshape(len(m), -1).sum(axis=1) for m in self._masks(rows, signed)]
 
     def _sign_depths(self, rows):
-        """Depths at d = 2, 3 from the signed face signs s_i alone.
+        """Depths from the signed face signs s_i alone.
 
         For a nondegenerate simplex s_i = sign(full) sign(lambda_i), and the
         barycentric lambda_i sum to 1, so q is in the closed simplex iff all
@@ -158,10 +159,10 @@ class RainbowEnumerator:
         counts are #(all s_i > 0) + #(all s_i < 0); rows with a zero sign are
         re-scored from their masks.  With the 0/1 tables y_i = [s_i > 0], that
         is total - sum_i n_i |y_i| + sum_{i<j} r_ij . r_ji at d=2, r_ij the
-        counts of y_i along color j (the cubic terms cancel); at d=3 it is the
-        popcount of P_0[b,c] & P_1[a,c] & P_2[a,b] where y_3[a,b,c], plus
-        n_3 - popcount(P_0 | P_1 | P_2) elsewhere, P_i the words of y_i packed
-        along color 3."""
+        counts of y_i along color j (the cubic terms cancel).  At any other d
+        it is the popcount of the AND of P_0, ..., P_{d-1} where y_d holds,
+        plus n_d - popcount of their OR elsewhere, P_i the words of y_i packed
+        along color d and placed on the axes of the other colors."""
         signed = self._signed_faces(rows)
         y = [s > 0 for s in signed]
         if self.dim == 2:
@@ -170,11 +171,11 @@ class RainbowEnumerator:
             for i, j in ((0, 1), (0, 2), (1, 2)):
                 count += (r[i][j - 1] * r[j][i]).sum(axis=1)
         else:
-            p0, p1, p2 = (_bit_words(t) for t in y[:3])
-            p0, p1, p2, y3 = p0[:, None], p1[:, :, None], p2[:, :, :, None], y[3][..., None]
-            hits = np.bitwise_count((p0 & p1 & p2) * y3).sum(axis=(1, 2, 3, 4), dtype=np.int64)
-            misses = np.bitwise_count((p0 | p1 | p2) * ~y3).sum(axis=(1, 2, 3, 4), dtype=np.int64)
-            count = hits + self.sizes[3] * np.count_nonzero(~y3, axis=(1, 2, 3, 4)) - misses
+            words = [np.expand_dims(_bit_words(t), i + 1) for i, t in enumerate(y[:-1])]
+            inside, cells = y[-1][..., None], tuple(range(1, self.dim + 2))
+            hits = np.bitwise_count(reduce(np.bitwise_and, words) * inside).sum(cells, np.int64)
+            misses = np.bitwise_count(reduce(np.bitwise_or, words) * ~inside).sum(cells, np.int64)
+            count = hits + self.sizes[-1] * np.count_nonzero(~inside, axis=cells) - misses
         axes = tuple(range(1, self.dim + 1))
         zero = np.flatnonzero(np.any([(s == 0).any(axis=axes) for s in signed], axis=0))
         closed, open_ = count, count.copy()

@@ -299,6 +299,8 @@ def _point_list(obj):
     pts = list(obj)
     if not pts:
         raise PreconditionError("empty point collection")
+    if len(pts[0]) < 1:
+        raise PreconditionError("dimension must be positive")
     return len(pts[0]), pts
 
 

@@ -182,6 +182,14 @@ def argmax_fan_counts(vertices, samples, seed):
     return counts
 
 
+# Every estimator draws 2^13 rows at a time, so 10^6 samples at d=3 peaked at
+# 0.8-1.2 MiB with two threads (msa_mc at 1.7-1.8 MiB in about one run of 60)
+# and corner volumes at 0.7-1.3 / 1.3-1.4 / 1.9-2.0 MiB with 1 / 2 / 3
+# threads.  The bound is the highest direction peak seen plus 0.7 MiB.  Each
+# thread holds its own block, so the thread count is pinned.
+_FLAT_PEAK_MIB = 2.5
+
+
 def naive_closed_containment_fraction(point_set, index_sets, point):
     """LP-free independent oracle: per-simplex orientation containment test."""
     import itertools

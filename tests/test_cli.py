@@ -75,6 +75,19 @@ def test_gen_measure_file(workdir):
     assert ps.sizes() == (2, 2)
 
 
+@pytest.mark.parametrize("shape", ["grid-ball", "uniform-ball", "gaussian", "measure-file"])
+def test_gen_refuses_dimension_zero(workdir, capsys, shape):
+    """Zero-dimensional points are a precondition violation (exit 3) for every
+    shape; uniform-ball and gaussian used to end in a ValueError traceback."""
+    measure, pts = workdir / "m.json", workdir / "pts.json"
+    pio.dump_json({"dim": 0, "colors": [[{"point": [], "weight": "1"}]]}, measure)
+    args = ["gen", "--dim", 0, "--shape", shape, "--eps", "1/2", "--n", 3,
+            "--measure-file", measure, "--out", pts]
+    assert run(args) == 3
+    assert "dimension must be positive" in capsys.readouterr().err
+    assert not pts.exists()
+
+
 def test_select_unequal_sizes_run_the_pipeline(workdir, capsys):
     """Sizes (5, 6, 7) select directly, with no replicated instance."""
     colors = uniform_ball_set(2, 7, seed=1).colors

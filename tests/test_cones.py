@@ -33,7 +33,7 @@ from pachsel.cones import (
 )
 from pachsel.errors import PreconditionError
 
-from conftest import argmax_fan_counts, per_cone_vertex_hits
+from conftest import _FLAT_PEAK_MIB, argmax_fan_counts, per_cone_vertex_hits
 
 
 def spherical_triangle_solid_angle(apex, others):
@@ -661,8 +661,8 @@ class _ZeroRowGenerator:
     def __init__(self, seed):
         self._rng = np.random.default_rng(seed)
 
-    def standard_normal(self, shape, out=None):
-        u = self._rng.standard_normal(shape, out=out)
+    def standard_normal(self, shape):
+        u = self._rng.standard_normal(shape)
         u[7] = 0.0
         return u
 
@@ -752,14 +752,6 @@ def _traced_peak_mib(call):
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
-
-
-# Directions are drawn 2^13 rows at a time, so 10^6 samples at d=3 with two
-# threads peaked at 0.8-1.2 MiB (msa_mc at 1.7-1.8 MiB in about one run of 60),
-# against 3.4-4.5 MiB with whole-chunk draws and 23 MiB for one draw.  The
-# bound is the highest peak seen plus 0.7 MiB.  Each thread holds its own
-# block, so the thread count is pinned.
-_FLAT_PEAK_MIB = 2.5
 
 
 def test_msa_mc_memory_stays_flat():

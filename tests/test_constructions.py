@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pachsel import cones
-from pachsel.cones import _ball_points, _chunk_rngs, unit_ball_volume
+from pachsel.cones import _BLOCK, _ball_points, _chunk_rngs, unit_ball_volume
 from pachsel.constructions import (
     CornerVolumeReport,
     GridBallConfig,
@@ -35,7 +35,7 @@ from pachsel.selection import (
     run_pipeline,
 )
 
-from conftest import random_arrangement
+from conftest import _FLAT_PEAK_MIB, random_arrangement
 
 
 def _cube_index(point, eps):
@@ -122,7 +122,7 @@ def test_generated_files_are_pinned(generate, digest):
 
 def _corner_volumes_by_mask(arrangement, samples, seed):
     """Reference for ``corner_volumes_mc``: the per-corner boolean loop it
-    replaced, on the same stream of ``_ball_points`` chunks."""
+    replaced, on the same stream of ``_ball_points`` blocks of ``_BLOCK`` rows."""
     d = arrangement.dim
     normals = np.array(
         [[float(c) for c in h.normal] for h in arrangement.hyperplanes], dtype=float
@@ -131,14 +131,15 @@ def _corner_volumes_by_mask(arrangement, samples, seed):
     beta = unit_ball_volume(d)
     hits = np.zeros(d + 1, dtype=np.int64)
     for rng, m in _chunk_rngs(seed, samples):
-        x = _ball_points(rng, m, d)
-        positive = (x @ normals.T) >= offsets  # positive closed side per plane
-        for i in range(d + 1):
-            mask = np.ones(len(x), dtype=bool)
-            for j in range(d + 1):
-                if j != i:
-                    mask &= positive[:, j]
-            hits[i] += int(mask.sum())
+        for b in range(0, m, _BLOCK):  # sequential draws continue the stream
+            x = _ball_points(rng, min(_BLOCK, m - b), d)
+            positive = (x @ normals.T) >= offsets  # positive closed side per plane
+            for i in range(d + 1):
+                mask = np.ones(len(x), dtype=bool)
+                for j in range(d + 1):
+                    if j != i:
+                        mask &= positive[:, j]
+                hits[i] += int(mask.sum())
     fractions = hits / samples
     volumes = beta * fractions
     sigmas = beta * np.sqrt(fractions * (1 - fractions) / samples)
@@ -170,11 +171,11 @@ def test_corner_volumes_mc_matches_per_corner_masks(d):
 
 @pytest.mark.parametrize(
     "d, arrangement_seed, hits",
-    [(2, 41, [98_784, 288_022, 93_771]), (3, 45, [39_216, 13_377, 32_842, 44_138])],
+    [(2, 41, [98_485, 288_782, 94_208]), (3, 45, [39_316, 13_504, 32_731, 43_906])],
 )
 def test_corner_volumes_mc_counts_are_pinned(d, arrangement_seed, hits):
-    """Corner hits of 10^6 ball points at seed 32, recorded before the plane
-    normals became a C-contiguous operand."""
+    """Corner hits of 10^6 ball points at seed 32, recorded when the ball
+    points came to be drawn per block, each block's normals before its radii."""
     volumes, _ = corner_volumes_mc(random_arrangement(d, arrangement_seed), 10**6, 32)
     assert np.array_equal(volumes, unit_ball_volume(d) * (np.array(hits) / 10**6))
 
@@ -208,19 +209,19 @@ def test_corner_volumes_mc_does_not_depend_on_the_worker_count(d, arrangement_se
 
 
 def test_corner_volumes_mc_memory_stays_flat(monkeypatch):
-    """10^6 ball samples at d=3 peak near 6 MiB with two threads: the stream
-    gives a chunk's normals before its radii, so each thread draws (and keeps)
-    one 2^16-sample chunk and the thread count is pinned; products run over
-    2^13-row blocks."""
-    monkeypatch.setattr(cones, "_usable_cores", lambda: 2)
+    """10^6 ball samples at d=3 stay under the bound of the direction
+    estimates at 1, 2 and 3 threads: each thread draws one 2^13-row block of
+    ball points at a time, its normals and then its radii, and not a chunk."""
     arrangement = random_arrangement(3, 4)
-    tracemalloc.start()
-    try:
-        corner_volumes_mc(arrangement, 10**6, 5)
-        peak = tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
-    assert peak < 10
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(cones, "_usable_cores", lambda: workers)
+        tracemalloc.start()
+        try:
+            corner_volumes_mc(arrangement, 10**6, 5)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak < _FLAT_PEAK_MIB, workers
 
 
 def test_corner_volume_audit_interval_vacuous_but_true():

@@ -174,35 +174,41 @@ def test_planar_sign_depths_match_mask_sums(instance, block_cells):
 
 @st.composite
 def spatial_sets_with_planted_candidates(draw):
-    """A d=3 set in general position with unequal color sizes, the color-3
-    axis from one bit to past one 64-bit word, and candidates planted at its
-    points and on the planes of rainbow triangles, beside random points."""
-    sizes = draw(st.lists(st.integers(1, 3), min_size=3, max_size=3))
+    """A d=3 or d=1 set in general position with unequal color sizes, the
+    color-d axis from one bit to past one 64-bit word, and candidates planted
+    at its points and on the hyperplanes of rainbow faces (at d=1 a face is a
+    point), beside random points."""
+    d = draw(st.sampled_from([3, 1]))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=d, max_size=d))
     sizes.append(draw(st.sampled_from([1, 5, 8, 9, 17, 33, 64, 65, 70])))
     rng = random.Random(draw(st.integers(0, 10**6)))
-    pts = general_position_points(rng, sum(sizes), 3, den=1 << 10)
+    pts = general_position_points(rng, sum(sizes), d, den=1 << 10)
     starts = np.cumsum([0] + sizes).tolist()
     colors = [pts[a:b] for a, b in zip(starts, starts[1:])]
-    cands = [draw(st.sampled_from(colors[i])) for i in range(4)]
+    cands = [draw(st.sampled_from(colors[i])) for i in range(d + 1)]
     weight = st.fractions(-1, 2, max_denominator=8)
     for _ in range(4):
-        tri = draw(st.lists(st.integers(0, 3), min_size=3, max_size=3, unique=True))
-        a, b, c = (draw(st.sampled_from(colors[i])) for i in tri)
-        u, v = draw(weight), draw(weight)
-        cands.append(tuple(x + u * (y - x) + v * (z - x) for x, y, z in zip(a, b, c)))
+        face = draw(st.lists(st.integers(0, d), min_size=d, max_size=d, unique=True))
+        a, *others = (draw(st.sampled_from(colors[i])) for i in face)
+        cand = list(a)
+        for b in others:
+            u = draw(weight)
+            cand = [x + u * (y - z) for x, y, z in zip(cand, b, a)]
+        cands.append(tuple(cand))
     box = st.fractions(-2, 2, max_denominator=64)
-    cands += [tuple(draw(box) for _ in range(3)) for _ in range(2)]
+    cands += [tuple(draw(box) for _ in range(d)) for _ in range(2)]
     return colors, cands
 
 
 @settings(max_examples=60, deadline=None)
 @given(spatial_sets_with_planted_candidates(), st.sampled_from([enumeration.BLOCK_CELLS, 1]))
 def test_spatial_sign_depths_match_mask_sums(instance, block_cells):
-    """At d=3 ``depths`` counts popcounts of bit words packed along color 3;
-    its closed and open counts equal the sums of ``containment_masks``, also
-    one candidate per block, and the candidates on the planes of rainbow
-    triangles, with a zero face sign, are re-scored from their masks."""
+    """At d=3 (and d=1) ``depths`` counts popcounts of bit words packed along
+    color d; its closed and open counts equal the sums of ``containment_masks``,
+    also one candidate per block, and the candidates on the hyperplanes of
+    rainbow faces, with a zero face sign, are re-scored from their masks."""
     colors, cands = instance
+    d = len(colors) - 1
     rescored = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(enumeration, "BLOCK_CELLS", block_cells)
@@ -221,9 +227,9 @@ def test_spatial_sign_depths_match_mask_sums(instance, block_cells):
         assert counts.dtype == np.int64
         assert counts.tolist() == mask.reshape(len(cands), -1).sum(axis=1).tolist()
     closed, open_ = depths
-    assert (closed[:4] > open_[:4]).all()  # an input point is a vertex: closed, not open
+    assert (closed[: d + 1] > open_[: d + 1]).all()  # an input point is a vertex: closed, not open
     rows = homogeneous_rows(cands, enum.den)
-    assert set(rows[:8]) <= set(rescored)  # on a face plane: a zero sign
+    assert set(rows[: d + 5]) <= set(rescored)  # on a face hyperplane: a zero sign
 
 
 @st.composite
