@@ -110,9 +110,12 @@ _TWO_POINT_MEASURE = [
          "ff7c534f9e7a14c7aad60161c6418f47754fb54fbd441b57087b96e23c9b0c60"),
         (lambda: uniform_ball_set(3, 8, seed=1),
          "ef36383e6e564136dc5c87675fa31929caba1743f4f0f719df6de981c041888a"),
+        # its first draw repeats a point, so this goes through the retry
+        (lambda: uniform_ball_set(1, 200, seed=1),
+         "a5291e8709f4cd0f33ec6a68c2bf878c9ff92ee40b3dc25f766a89dbe8829a70"),
     ],
     ids=["uniform-d2-n25-s1", "uniform-d2-n25-s2", "uniform-d2-n25-s3", "gaussian-d2-n10",
-         "grid-ball-d2-eps1/2", "measure-d1", "uniform-d3-n8"],
+         "grid-ball-d2-eps1/2", "measure-d1", "uniform-d3-n8", "uniform-d1-n200-s1"],
 )
 def test_generated_files_are_pinned(generate, digest):
     """Generated sets keep their bytes: a change to a generator's draws, its
