@@ -173,7 +173,9 @@ def grid_ball_count_bounds(dim: int, eps, n: int):
 
 
 def uniform_ball_set(dim: int, n: int, seed: int = 0) -> LabeledPointSet:
-    """n exact-rational points per color, uniform in the unit ball interior."""
+    """n exact-rational points per color, uniform in the unit ball interior:
+    numerators a uniform in [-den, den]^dim, kept when sum(a*a) < den^2 on
+    ints, so only the accepted draws become Fractions a/den."""
     rng = random.Random(seed)
     den = _SAMPLE_DEN
 
@@ -182,9 +184,9 @@ def uniform_ball_set(dim: int, n: int, seed: int = 0) -> LabeledPointSet:
         for _ci in range(dim + 1):
             pts = []
             while len(pts) < n:
-                cand = tuple(Fraction(rng.randint(-den, den), den) for _ in range(dim))
-                if squared_norm(cand) < 1:
-                    pts.append(cand)
+                nums = [rng.randint(-den, den) for _ in range(dim)]
+                if sum(a * a for a in nums) < den * den:
+                    pts.append(tuple(Fraction(a, den) for a in nums))
             colors.append(pts)
         return colors
 

@@ -175,15 +175,19 @@ def plane_values(points, plane):
     return [Fraction(sum(x * y for x, y in zip(h, c)), h[0] * scale) for h in rows]
 
 
-def combination_blocks(n, r):
-    """Index arrays of at most COMBINATION_BLOCK rows that together list
-    ``itertools.combinations(range(n), r)`` in order; the last may be empty."""
-    combos = itertools.chain.from_iterable(itertools.combinations(range(n), r))
-    while True:
-        block = np.fromiter(itertools.islice(combos, COMBINATION_BLOCK * r), dtype=np.int64)
-        yield block.reshape(-1, r)
-        if len(block) < COMBINATION_BLOCK * r:
-            return
+def combination_rows(n, r):
+    """``itertools.combinations(range(n), r)`` in order, as an (C(n, r), r)
+    int64 array, r >= 1: the rows starting with i are i followed by the suffix
+    of the (r-1)-combinations whose first entry exceeds i."""
+    combos = np.arange(n).reshape(-1, 1)
+    for _ in range(r - 1):
+        starts = np.searchsorted(combos[:, 0], np.arange(n), side="right")
+        counts = len(combos) - starts
+        shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        combos = np.column_stack(
+            (np.repeat(np.arange(n), counts), combos[np.arange(counts.sum()) + shift])
+        )
+    return combos
 
 
 def orientation(points) -> int:
@@ -312,9 +316,14 @@ def find_general_position_violation(obj):
     (d+1)-tuple (q, face).  Its faces are the rows of one
     ``spanned_cofactors`` table (a ``LabeledPointSet``'s ``spanned_table``,
     shared with the anchor nudge), and those whose first index exceeds q
-    form a suffix of it, so each q is one ``spanned_witness`` row against
-    that suffix.  No cell pairs a point with a face that contains it, an
-    exact zero the filter would recompute on Python ints.
+    form a suffix of it.  Consecutive points q0..q1-1 are scored in one
+    ``_cofactor_signs`` call against the suffix of q0, as many as one filter
+    block of FILTER_CELLS cells holds (at least one).  The cells (q, face)
+    whose face starts at or before q, a prefix of row q, go in as the
+    known-zero mask: they hold every face that contains q, an exact zero the
+    filter would recompute on Python ints, and are neither filtered nor
+    read.  The first zero of the other cells in row-major order is the
+    lexicographically first (q, face).
     """
     d, pts = _point_list(obj)
     n = len(pts)
@@ -324,28 +333,43 @@ def find_general_position_violation(obj):
         if rows and matrix_rank_fraction(rows) < n - 1:
             return tuple(range(n))
         return None
-    spanned = obj.spanned_table if isinstance(obj, LabeledPointSet) else spanned_cofactors(pts, d)
-    starts = np.searchsorted(spanned[2][:, 0], np.arange(1, n - d + 1)).tolist()  # faces
-    for q, s in enumerate(starts):
-        face = spanned_witness(spanned, slice(s, None), pts[q])
-        if face is not None:
-            return (q, *face)
+    table, den, faces, floats = (
+        obj.spanned_table if isinstance(obj, LabeledPointSet) else spanned_cofactors(pts, d)
+    )
+    rows = homogeneous_rows(pts[: n - d], den)
+    starts = np.searchsorted(faces[:, 0], np.arange(1, n - d + 1)).tolist()
+    q0 = 0
+    while q0 < n - d:
+        s = starts[q0]
+        width = len(table) - s
+        q1 = min(n - d, q0 + max(1, FILTER_CELLS // width))
+        own = np.zeros((q1 - q0, width), dtype=bool)  # faces starting at or before q
+        for i, t in enumerate(starts[q0 + 1 : q1], 1):
+            own[i, : t - s] = True
+        signs, _ = _cofactor_signs(rows[q0:q1], table[s:], floats[:, s:], own)
+        if np.count_nonzero(signs) + np.count_nonzero(own) < signs.size:
+            q, f = divmod(int(np.flatnonzero((signs == 0) & ~own)[0]), width)
+            return (q0 + q, *faces[s + f].tolist())
+        q0 = q1
     return None
 
 
 def spanned_cofactors(points, d):
     """Cofactor table of the hyperplanes spanned by d of the rational points,
-    one row per d-tuple of ``combinations(range(len(points)), d)`` in that
-    order, expanded in blocks of COMBINATION_BLOCK faces: (table, den, tuples,
+    one row per d-tuple of ``combination_rows(len(points), d)`` in that order,
+    expanded in slices of COMBINATION_BLOCK faces: (table, den, tuples,
     ``float_table(table)``), with the points scaled to integers by den."""
     n = len(points)
     if n < d:
         raise PreconditionError(f"{n} points span no hyperplane in dimension {d}")
     int_pts, den = scale_points_to_ints(points)
     arr = int_array(int_pts)
-    blocks = [b for b in combination_blocks(n, d) if len(b)]
-    table = np.concatenate([face_cofactors(arr[b]) for b in blocks])
-    return table, den, np.concatenate(blocks), float_table(table)
+    faces = combination_rows(n, d)
+    table = np.concatenate(
+        [face_cofactors(arr[faces[s : s + COMBINATION_BLOCK]])
+         for s in range(0, len(faces), COMBINATION_BLOCK)]
+    )
+    return table, den, faces, float_table(table)
 
 
 def spanned_witness(spanned, rows, q):
@@ -417,9 +441,7 @@ def _condition_g_plane(points) -> ConditionGResult:
     n = len(int_pts)
     bound = max(abs(c) for p in int_pts for c in p)
     arr = np.array(int_pts, dtype=np.int64 if 8 * bound**3 < 1 << 63 else object)
-    supports = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(n), 2)), dtype=np.int64
-    ).reshape(-1, 2)
+    supports = combination_rows(n, 2)
     # Lines (p, q) with p > s1 start at first[s1 + 1]; the later lines before
     # that share the point s1 with line (s1, s2).
     first = np.searchsorted(supports[:, 0], np.arange(n + 1))

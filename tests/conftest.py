@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from functools import reduce
@@ -9,10 +10,11 @@ from pachsel.geometry import (
     LabeledPointSet,
     OrientedHyperplane,
     in_general_position,
+    point_in_simplex,
 )
 from pachsel.arrangements import build_arrangement
 from pachsel.cones import _BLOCK, _chunk_rngs
-from pachsel.rational import vec_sub
+from pachsel.rational import det_int, scale_points_to_ints, vec_sub
 
 
 def random_rational_point(rng, d, den=1 << 16, box=2):
@@ -191,20 +193,32 @@ _FLAT_PEAK_MIB = 2.5
 
 
 def naive_closed_containment_fraction(point_set, index_sets, point):
-    """LP-free independent oracle: per-simplex orientation containment test."""
-    import itertools
-
-    from pachsel.geometry import point_in_simplex
-
+    """Independent oracle: closed containment per rainbow simplex by
+    orientation signs, p and the selected points scaled to integers once and
+    each sign one ``det_int`` of integer differences, as ``point_in_simplex``
+    takes them; a degenerate simplex goes to ``point_in_simplex``, whose exact
+    LP decides it."""
     colors = [
         [point_set.point(ci, i) for i in idxs] for ci, idxs in enumerate(index_sets)
     ]
+    p, *ints = scale_points_to_ints([point, *(q for c in colors for q in c)])[0]
+    starts = list(itertools.accumulate(map(len, colors), initial=0))
+    int_colors = [ints[a:b] for a, b in zip(starts, starts[1:])]
+
+    def sign(vertices):
+        det = det_int([[a - b for a, b in zip(v, vertices[0])] for v in vertices[1:]])
+        return (det > 0) - (det < 0)
+
     total = 0
     hits = 0
-    for verts in itertools.product(*colors):
+    for verts, scaled in zip(itertools.product(*colors), itertools.product(*int_colors)):
         total += 1
-        if point_in_simplex(point, list(verts), mode="closed"):
-            hits += 1
+        full = sign(scaled)
+        if full == 0:
+            hits += point_in_simplex(point, list(verts), mode="closed")
+        else:
+            swapped = (scaled[:i] + (p,) + scaled[i + 1 :] for i in range(len(scaled)))
+            hits += all(full * sign(s) >= 0 for s in swapped)
     return Fraction(hits, total) if total else Fraction(1)
 
 

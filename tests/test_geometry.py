@@ -16,6 +16,7 @@ from pachsel.geometry import (
     LabeledPointSet,
     OrientedHyperplane,
     cofactor_signs,
+    combination_rows,
     face_cofactors,
     find_general_position_violation,
     float_table,
@@ -255,9 +256,18 @@ def test_general_position_agrees_with_naive_on_random_instances():
             assert in_general_position(pts) == _naive_general_position(pts, d)
 
 
-def test_general_position_scan_crosses_block_boundary():
+def test_general_position_scan_crosses_block_boundary(monkeypatch):
     # The spanned table is expanded in blocks of COMBINATION_BLOCK faces; the
-    # witness's face (95, 99) lies past the first block.
+    # witness's face (95, 99) lies past the first block, and its row 30 past
+    # the first block of points the scan scores.
+    blocks = []
+    scored = geometry._cofactor_signs
+
+    def recorded(rows, *args):
+        blocks.append(len(rows))
+        return scored(rows, *args)
+
+    monkeypatch.setattr(geometry, "_cofactor_signs", recorded)
     rng = random.Random(11)
     pts = general_position_points(rng, 100, 2)
     pts[99] = tuple((a + b) / 2 for a, b in zip(pts[30], pts[95]))  # (30, 95, 99) collinear
@@ -271,6 +281,7 @@ def test_general_position_scan_crosses_block_boundary():
     naive = next(c for c in itertools.combinations(range(100), 3) if cross(*c) == 0)
     assert naive == (30, 95, 99)
     assert find_general_position_violation(pts) == naive
+    assert len(blocks) > 1 and 1 < blocks[0] <= 30 and sum(blocks) > 30
 
 
 @st.composite
@@ -299,6 +310,48 @@ def test_general_position_scan_matches_det_int_scan(points):
     tuples = itertools.combinations(range(len(ints)), len(ints[0]) + 1)
     first = next((t for t in tuples if _det_sign([ints[i] for i in t]) == 0), None)
     assert find_general_position_violation(points) == first
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "FILTER_CELLS", 1)  # the scan's block budget: one point a block
+        assert find_general_position_violation(points) == first
+
+
+def test_general_position_scan_recomputes_no_own_face(monkeypatch):
+    """A block of points meets, in the faces of its first point's suffix, the
+    faces that contain its later points: exact zeros, which the scan masks.
+    On small integer coordinates floats decide every other cell, so a scan
+    of a set in general position recomputes nothing on Python ints."""
+    fallbacks, blocks = [], []
+    scored = geometry._cofactor_signs
+
+    def counted(rows, *args):
+        signs, count = scored(rows, *args)
+        fallbacks.append(count)
+        blocks.append(len(rows))
+        return signs, count
+
+    monkeypatch.setattr(geometry, "_cofactor_signs", counted)
+    rng = random.Random(5)
+    for d, n, box in [(1, 30, 10_000), (2, 30, 1000), (3, 14, 100)]:
+        pts = general_position_points(rng, n, d, den=1, box=box)
+        assert find_general_position_violation(pts) is None
+    assert max(blocks) > 2 and sum(fallbacks) == 0
+
+
+def test_combination_rows_match_itertools():
+    for n, r in itertools.product(range(13), range(1, 5)):
+        assert combination_rows(n, r).tolist() == [list(c) for c in itertools.combinations(range(n), r)]
+
+
+def test_combination_rows_past_one_expansion_block():
+    rows = combination_rows(40, 3)
+    assert len(rows) > COMBINATION_BLOCK
+    assert rows.tolist() == [list(c) for c in itertools.combinations(range(40), 3)]
+
+
+def test_spanned_cofactors_need_d_points():
+    with pytest.raises(PreconditionError, match="span no hyperplane"):
+        spanned_cofactors([(0, 0, 0), (1, 2, 3)], 3)
+    assert len(spanned_cofactors([(0, 0, 0), (1, 2, 3), (4, 0, 1)], 3)[0]) == 1
 
 
 def test_general_position_small_sets():

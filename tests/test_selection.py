@@ -858,6 +858,41 @@ def test_ham_sandwich_rejects_degenerate_input():
 # few separations
 
 
+@st.composite
+def containment_oracle_instances(draw):
+    """A colored set in d = 1..3 on a coarse grid (repeats and degenerate
+    rainbow simplices are common), nonempty index sets, and p random, at a
+    vertex of a selected rainbow simplex, or on one of its faces: a positive
+    combination of at most d of its vertices."""
+    d = draw(st.integers(1, 3))
+    coord = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2]))
+    colors = [draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=3)) for _ in range(d + 1)]
+    index_sets = [
+        tuple(sorted(draw(st.sets(st.integers(0, len(c) - 1), min_size=1)))) for c in colors
+    ]
+    simplex = [colors[i][draw(st.sampled_from(idx))] for i, idx in enumerate(index_sets)]
+    kind = draw(st.sampled_from(["random", "vertex", "face"]))
+    if kind == "random":
+        p = draw(st.tuples(*[coord] * d))
+    elif kind == "vertex":
+        p = draw(st.sampled_from(simplex))
+    else:
+        face = draw(st.lists(st.sampled_from(simplex), min_size=1, max_size=d, unique=True))
+        w = [draw(st.integers(1, 4)) for _ in face]
+        p = tuple(sum(a * v[x] for a, v in zip(w, face)) / sum(w) for x in range(d))
+    return LabeledPointSet.create(d, colors), index_sets, p
+
+
+@settings(max_examples=200, deadline=None)
+@given(containment_oracle_instances())
+def test_containment_oracle_matches_point_in_simplex(instance):
+    ps, index_sets, p = instance
+    colors = [[ps.point(i, j) for j in idx] for i, idx in enumerate(index_sets)]
+    hits = sum(point_in_simplex(p, list(verts), "closed") for verts in itertools.product(*colors))
+    expected = Fraction(hits, prod(map(len, colors)))
+    assert naive_closed_containment_fraction(ps, index_sets, p) == expected
+
+
 def _random_subsets_instance(d, size, seed, box=2):
     rng = random.Random(seed)
     den = 1 << 14
