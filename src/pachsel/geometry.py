@@ -347,7 +347,7 @@ def find_general_position_violation(obj):
         for i, t in enumerate(starts[q0 + 1 : q1], 1):
             own[i, : t - s] = True
         signs, _ = _cofactor_signs(rows[q0:q1], table[s:], floats[:, s:], own)
-        if np.count_nonzero(signs) + np.count_nonzero(own) < signs.size:
+        if np.count_nonzero(signs) + np.count_nonzero(own) < signs.size:  # masked cells read 0
             q, f = divmod(int(np.flatnonzero((signs == 0) & ~own)[0]), width)
             return (q0 + q, *faces[s + f].tolist())
         q0 = q1

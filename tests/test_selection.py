@@ -862,8 +862,8 @@ def test_ham_sandwich_rejects_degenerate_input():
 def containment_oracle_instances(draw):
     """A colored set in d = 1..3 on a coarse grid (repeats and degenerate
     rainbow simplices are common), nonempty index sets, and p random, at a
-    vertex of a selected rainbow simplex, or on one of its faces: a positive
-    combination of at most d of its vertices."""
+    vertex of a selected rainbow simplex, or on one of its faces: a convex
+    combination, all weights positive, of at most d of its vertices."""
     d = draw(st.integers(1, 3))
     coord = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2]))
     colors = [draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=3)) for _ in range(d + 1)]
