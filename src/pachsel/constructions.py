@@ -51,12 +51,11 @@ def _lattice_denominator(base_den: int) -> int:
 
 
 def _admissible_set(dim: int, draw, shape: str) -> LabeledPointSet:
-    """Call ``draw`` until the union of the colors it returns is in general
-    position; ``draw`` returns None for a failed draw."""
+    """Call ``draw`` (None: a failed draw) until the set of its colors is in general position."""
     for _attempt in range(_GENERATION_RETRIES):
         colors = draw()
-        if colors is not None and in_general_position([p for c in colors for p in c]):
-            return LabeledPointSet.create(dim, colors)
+        if colors is not None and in_general_position(ps := LabeledPointSet.create(dim, colors)):
+            return ps
     raise BudgetExceededError(f"{shape} generation failed in {_GENERATION_RETRIES} tries")
 
 

@@ -383,7 +383,9 @@ def spanned_witness(spanned, rows, q):
 
 
 def in_general_position(obj) -> bool:
-    """True iff every <= d+1 of the points are affinely independent."""
+    """True iff every <= d+1 of the points are affinely independent (cached by a point set)."""
+    if isinstance(obj, LabeledPointSet):
+        return obj.general_position_violation is None
     return find_general_position_violation(obj) is None
 
 

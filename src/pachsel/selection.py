@@ -31,6 +31,7 @@ from .geometry import (
     OrientedHyperplane,
     _cofactor_signs,
     cofactor_signs,
+    combination_rows,
     face_cofactors,
     find_general_position_violation,
     float_table,
@@ -356,16 +357,16 @@ def _find_zero_edge_witness(h, parts, ts, budget, rng):
     n_tuples = prod(comb(len(part), t) for part, t in zip(parts, ts))
     sampled = n_tuples > _EXHAUSTIVE_WITNESS_CAP
     source, total = ("sampled", budget) if sampled else ("exhaustive", n_tuples)
-    # product() stores its inputs: only an exhaustive search may build it
-    combos = None if sampled else itertools.product(*map(itertools.combinations, parts, ts))
     arrays = [np.array(part) for part in parts]
+    # each part's t_i-subsets, read in product() order by mixed-radix digits; exhaustive only
+    tables = None if sampled else [a[combination_rows(len(a), t)] for a, t in zip(arrays, ts)]
 
-    def draw(size):
+    def draw(start, size):
         if sampled:
             picks = [np.argpartition(rng.random((size, len(a))), t - 1) for a, t in zip(arrays, ts)]
             return [a[np.sort(p[:, :t])] for a, p, t in zip(arrays, picks, ts)]
-        block = list(itertools.islice(combos, size))
-        return [np.array([c[j] for c in block]).reshape(size, t) for j, t in enumerate(ts)]
+        digits = np.unravel_index(np.arange(start, start + size), [len(t) for t in tables])
+        return [table[i] for table, i in zip(tables, digits)]
 
     cap = max(1, min(_WITNESS_MAX_ROWS, _WITNESS_BLOCK_CELLS // prod(ts)))
     # color j's indices broadcast along axis j + 1 of the gathered cells
@@ -374,7 +375,7 @@ def _find_zero_edge_witness(h, parts, ts, budget, rng):
     rows, tried = _WITNESS_FIRST_ROWS, 0
     while tried < total:
         size = min(rows, cap, total - tried)
-        chosen = draw(size)  # per part, the (size, t_i) chosen indices
+        chosen = draw(tried, size)  # per part, the (size, t_i) chosen indices
         index = [i.reshape(shape) for i, shape in zip(chosen, shapes)]
         # first the slices at each candidate's first last-color index: most
         # candidates of a dense hypergraph show an edge there already

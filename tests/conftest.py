@@ -186,9 +186,10 @@ def argmax_fan_counts(vertices, samples, seed):
 
 # Every estimator draws 2^13 rows at a time, so 10^6 samples at d=3 peaked at
 # 0.8-1.2 MiB with two threads (msa_mc at 1.7-1.8 MiB in about one run of 60)
-# and corner volumes at 0.7-1.3 / 1.3-1.4 / 1.9-2.0 MiB with 1 / 2 / 3
-# threads.  The bound is the highest direction peak seen plus 0.7 MiB.  Each
-# thread holds its own block, so the thread count is pinned.
+# and corner volumes, cube blocks kept inside the ball, at 0.6-1.2 / 1.1-1.3 /
+# 1.6-1.7 MiB with 1 / 2 / 3 threads (12 runs each).  The bound is the
+# highest direction peak seen plus 0.7 MiB.  Each thread holds its own block,
+# so the thread count is pinned.
 _FLAT_PEAK_MIB = 2.5
 
 

@@ -655,40 +655,14 @@ def test_estimators_reject_a_negative_seed(estimator):
         _estimator_calls(10, -1)[estimator]()
 
 
-class _ZeroRowGenerator:
-    """A generator whose Gaussian draws have row 7 set to zero."""
-
-    def __init__(self, seed):
-        self._rng = np.random.default_rng(seed)
-
-    def standard_normal(self, shape):
-        u = self._rng.standard_normal(shape)
-        u[7] = 0.0
-        return u
-
-    def random(self, size):
-        return self._rng.random(size)
-
-
-def _ball_points_by_linalg_norm(rng, m, d):
-    """``_ball_points`` with its row norms from ``np.linalg.norm``."""
-    u = rng.standard_normal((m, d))
-    norms = np.linalg.norm(u, axis=1)
-    norms[norms == 0] = 1.0
-    u *= (rng.random(m) ** (1.0 / d) / norms)[:, None]
-    return u
-
-
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 7, 8, 9])
 def test_ball_points_match_the_linalg_norm_form(d):
     """``_row_norms`` gives ``np.linalg.norm``'s row norms bit for bit, on a
-    full chunk with one zero row, which stays at the origin; so do the ball
-    points and the round cone's estimate built on it."""
-    u = _ZeroRowGenerator(d).standard_normal((cones._CHUNK, d))
+    full chunk with one zero row; so does the round cone's estimate built on
+    it."""
+    u = np.random.default_rng(d).standard_normal((cones._CHUNK, d))
+    u[7] = 0.0
     assert np.array_equal(cones._row_norms(u), np.linalg.norm(u, axis=1))
-    x = cones._ball_points(_ZeroRowGenerator(d), cones._CHUNK, d)
-    assert np.array_equal(x, _ball_points_by_linalg_norm(_ZeroRowGenerator(d), cones._CHUNK, d))
-    assert not x[7].any() and np.all(np.einsum("ij,ij->i", x, x) <= 1.0)
     samples, axis_cos = 3 * cones._CHUNK + 17, 0.4
     hits = 0
     for rng, m in cones._chunk_rngs(5, samples):

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pachsel import cones
-from pachsel.cones import _BLOCK, _ball_points, _chunk_rngs, unit_ball_volume
+from pachsel.cones import _ball_blocks, _chunk_rngs, unit_ball_volume
 from pachsel.constructions import (
     CornerVolumeReport,
     GridBallConfig,
@@ -125,7 +125,7 @@ def test_generated_files_are_pinned(generate, digest):
 
 def _corner_volumes_by_mask(arrangement, samples, seed):
     """Reference for ``corner_volumes_mc``: the per-corner boolean loop it
-    replaced, on the same stream of ``_ball_points`` blocks of ``_BLOCK`` rows."""
+    replaced, on the same stream of ``_ball_blocks``."""
     d = arrangement.dim
     normals = np.array(
         [[float(c) for c in h.normal] for h in arrangement.hyperplanes], dtype=float
@@ -134,8 +134,7 @@ def _corner_volumes_by_mask(arrangement, samples, seed):
     beta = unit_ball_volume(d)
     hits = np.zeros(d + 1, dtype=np.int64)
     for rng, m in _chunk_rngs(seed, samples):
-        for b in range(0, m, _BLOCK):  # sequential draws continue the stream
-            x = _ball_points(rng, min(_BLOCK, m - b), d)
+        for x in _ball_blocks(rng, m, d):
             positive = (x @ normals.T) >= offsets  # positive closed side per plane
             for i in range(d + 1):
                 mask = np.ones(len(x), dtype=bool)
@@ -174,11 +173,11 @@ def test_corner_volumes_mc_matches_per_corner_masks(d):
 
 @pytest.mark.parametrize(
     "d, arrangement_seed, hits",
-    [(2, 41, [98_485, 288_782, 94_208]), (3, 45, [39_316, 13_504, 32_731, 43_906])],
+    [(2, 41, [98_974, 287_529, 93_548]), (3, 45, [38_963, 13_462, 32_855, 43_967])],
 )
 def test_corner_volumes_mc_counts_are_pinned(d, arrangement_seed, hits):
     """Corner hits of 10^6 ball points at seed 32, recorded when the ball
-    points came to be drawn per block, each block's normals before its radii."""
+    points came to be drawn by rejection from cube blocks."""
     volumes, _ = corner_volumes_mc(random_arrangement(d, arrangement_seed), 10**6, 32)
     assert np.array_equal(volumes, unit_ball_volume(d) * (np.array(hits) / 10**6))
 
@@ -213,8 +212,8 @@ def test_corner_volumes_mc_does_not_depend_on_the_worker_count(d, arrangement_se
 
 def test_corner_volumes_mc_memory_stays_flat(monkeypatch):
     """10^6 ball samples at d=3 stay under the bound of the direction
-    estimates at 1, 2 and 3 threads: each thread draws one 2^13-row block of
-    ball points at a time, its normals and then its radii, and not a chunk."""
+    estimates at 1, 2 and 3 threads: each thread draws one 2^13-row cube
+    block at a time and keeps its rows inside the ball, not a chunk."""
     arrangement = random_arrangement(3, 4)
     for workers in (1, 2, 3):
         monkeypatch.setattr(cones, "_usable_cores", lambda: workers)
@@ -225,6 +224,47 @@ def test_corner_volumes_mc_memory_stays_flat(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < _FLAT_PEAK_MIB, workers
+
+
+def _plane(*coefficients):
+    return OrientedHyperplane(coefficients[:-1], coefficients[-1])
+
+
+@pytest.mark.parametrize(
+    "d, planes, exact",
+    [
+        # three lines through the origin: each corner is a sector, area angle / 2
+        (2, [_plane(1, 0, 0), _plane(0, 1, 0), _plane(-1, -2, 0)],
+         [math.atan(1 / 2) / 2, math.atan(2) / 2, math.pi / 4]),
+        # x, y, z >= 0 and x + y + z <= 10, which the ball does not reach:
+        # three quarter-balls and an octant
+        (3, [_plane(1, 0, 0, 0), _plane(0, 1, 0, 0), _plane(0, 0, 1, 0), _plane(-1, -1, -1, -10)],
+         [math.pi / 3, math.pi / 3, math.pi / 3, math.pi / 6]),
+    ],
+    ids=["d2-lines", "d3-octant"],
+)
+def test_corner_volumes_mc_matches_exact_volumes(d, planes, exact):
+    """An oracle that holds whatever the ball points' stream: within 4 sigma
+    of the exact corner volumes at 10^6 samples."""
+    volumes, sigmas = corner_volumes_mc(SimpleNamespace(dim=d, hyperplanes=planes), 10**6, 11)
+    assert np.all(np.abs(volumes - exact) < 4 * sigmas)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_ball_blocks_are_uniform_in_the_ball(d):
+    """Each chunk gets exactly its m rows, all strictly inside the unit ball,
+    and |x|^d, uniform on [0, 1) for a uniform ball point, is below 1/2 for
+    half of them within 4 sigma."""
+    samples, inner, n = 2 * cones._CHUNK + 3 * cones._BLOCK + 17, 0, 0
+    for rng, m in _chunk_rngs(7, samples):
+        x = np.concatenate(list(_ball_blocks(rng, m, d)))
+        assert x.shape == (m, d)
+        squared = np.einsum("ij,ij->i", x, x)
+        assert np.all(squared < 1.0)
+        inner += int(np.count_nonzero(squared ** (d / 2) < 0.5))
+        n += m
+    assert n == samples
+    assert abs(inner / n - 0.5) < 4 * math.sqrt(0.25 / n)
 
 
 def test_corner_volume_audit_interval_vacuous_but_true():

@@ -1076,8 +1076,9 @@ def test_perturb_anchor_reuses_the_deep_point_verdict(scan_sizes):
 
 @pytest.mark.parametrize("d, n", [(2, 25), (3, 8)])
 def test_pipeline_builds_the_whole_spanned_table_once(monkeypatch, d, n):
-    """The general-position scan, the anchor nudge and few-separations share
-    the set's one spanned table: ``run_pipeline`` builds it once and
+    """The general-position scans of ``uniform_ball_set`` and the pipeline,
+    the anchor nudge and few-separations share the set's one spanned table:
+    generating a set and running the pipeline on it build it once, and
     ``perturb_anchor`` builds none."""
     from pachsel import geometry
 
@@ -1088,12 +1089,11 @@ def test_pipeline_builds_the_whole_spanned_table_once(monkeypatch, d, n):
         sizes.append(len(points))
         return spanned_cofactors(points, dim)
 
-    sets = [uniform_ball_set(d, n, seed=s) for s in (2, 3)]
+    ps = uniform_ball_set(d, n, seed=3)
     for module in (geometry, selection):
         monkeypatch.setattr(module, "spanned_cofactors", recorded)
-    run_pipeline(sets[0], PipelineParams(seed=2))
+    run_pipeline(uniform_ball_set(d, n, seed=2), PipelineParams(seed=2))
     assert sizes == [(d + 1) * n]
-    ps = sets[1]
     res = deep_rainbow_point(ps, seed=3)
     sizes.clear()
     perturb_anchor(res.point, ps, seed=4)
