@@ -1287,6 +1287,19 @@ def test_shrink_degenerate_union_names_its_witness():
     assert info.value.witness == (0, 1, 2)  # (3, -1), (5, -1) and (-3, -1)
 
 
+def test_validate_names_the_first_dependent_tuple_with_the_point():
+    """The union's own violation is (1, 3, 4), on the line y = x - 4; the point
+    (2, 0) lies on the line of union points 0 and 1, and the witness is the
+    lexicographically first dependent tuple of the union plus the point, the
+    point's index 6 included."""
+    ps = LabeledPointSet.create(2, [[(0, 0), (4, 0)], [(0, 4), (5, 1)], [(6, 2), (7, 3)]])
+    assert ps.general_position_violation == (1, 3, 4)
+    cfg = GenericPachConfiguration(ps, ((0, 1),) * 3, (Fraction(2), Fraction(0)))
+    with pytest.raises(GeneralPositionError) as info:
+        cfg.validate()
+    assert info.value.witness == (0, 1, 6)
+
+
 def test_separating_arrangement_interval():
     ps = LabeledPointSet.create(1, [[(0,), (1,)], [(4,), (5,)]])
     cfg = GenericPachConfiguration(ps, ((0, 1), (0, 1)), (Fraction(2),))
