@@ -3,36 +3,29 @@
 Counting which rainbow simplices contain a candidate point is the pipeline's
 hot loop.  Orientation against a face is linear in the point q: it is the
 sign of c(face) . (1, q), with the signed cofactors of ``face_cofactors``.
-Per omitted color the enumerator keeps the table C of its n^d rainbow faces
-(common-denominator-scaled integers) and scores a batch of points, as integer
-rows h = (w, w den q) with w > 0, by the certified float filter
-``geometry.cofactor_signs`` (entries it recomputes exactly are counted in
-``RainbowEnumerator.fallbacks``); the color-0 table gives the full
+A rainbow face is d points in color order, a row of the point set's C(N,d)
+``spanned_table``: per omitted color the enumerator gathers its n^d rainbow
+faces' rows by lexicographic rank and scores a batch of points, as integer
+rows h = (w, w den q) with w > 0 and the table's den, by the certified float
+filter ``geometry.cofactor_signs`` (entries it recomputes exactly are counted
+in ``RainbowEnumerator.fallbacks``); the color-0 table gives the full
 orientation signs.  Containment is a sign combination.  A depth (the number
 of containing simplices) comes from the d+1 face-sign tables alone, without
-the n^(d+1) mask (``_sign_depths``); points with a zero face sign and
-degenerate sets sum the masks.
+the n^(d+1) mask (``_sign_depths``); zero face signs and degenerate sets sum masks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import prod
+from math import comb, prod
 
 import numpy as np
 
 from . import lp
 from .errors import PreconditionError
-from .geometry import (
-    BLOCK_CELLS,
-    cofactor_signs,
-    face_cofactors,
-    float_table,
-    homogeneous_rows,
-    int_array,
-)
-from .rational import point_to_fractions, scale_points_to_ints
+from .geometry import BLOCK_CELLS, cofactor_signs, homogeneous_rows
+from .rational import point_to_fractions
 
 
 def tuple_grid(point_arrays):
@@ -61,27 +54,27 @@ def _bit_words(bits):
 
 
 class RainbowEnumerator:
-    """Caches per-instance face cofactors for repeated containment queries."""
+    """Rainbow containment queries on a point set, by rows of its ``spanned_table``."""
 
-    def __init__(self, colors):
-        if len(colors) < 2 or any(len(c) == 0 for c in colors):
-            raise PreconditionError("need d+1 >= 2 colors, every one nonempty")
-        self.dim = len(colors) - 1
-        self.colors = [tuple(point_to_fractions(p) for p in c) for c in colors]
-        if any(len(p) != self.dim for c in self.colors for p in c):
-            raise PreconditionError("color points must have dimension d")
-        self.sizes = tuple(len(c) for c in self.colors)
+    def __init__(self, point_set):
+        self.dim = d = point_set.dim
+        self.colors = point_set.colors
+        self.sizes = point_set.sizes()
         self.total = prod(self.sizes)
         self.fallbacks = 0  # filtered signs recomputed exactly
-        scaled, self.den = scale_points_to_ints(p for c in self.colors for p in c)
+        table, self.den, _, floats = point_set.spanned_table
+        n = sum(self.sizes)
+        # union indices c_0 < ... < c_{d-1} are row C(N,d) - 1 - sum_j C(N-1-c_j, d-j);
+        # no entry read exceeds C(N,d), so clipping the others keeps int64
+        binom = np.array([[min(comb(m, k), len(table)) for k in range(d + 1)] for m in range(n)])
         starts = np.cumsum((0,) + self.sizes).tolist()
-        int_colors = [int_array(scaled[a:b]) for a, b in zip(starts, starts[1:])]
-        self._tables = []  # per omitted color: face cofactors, exact and as floats
-        for i in range(self.dim + 1):
-            faces = tuple_grid(int_colors[:i] + int_colors[i + 1 :])
-            table = face_cofactors(faces).reshape(-1, self.dim + 1)
-            self._tables.append((table, float_table(table)))
-        self.full_signs = self._face_signs(0, [(1, *p) for p in int_colors[0].tolist()])
+        index = [np.arange(a, b)[:, None] for a, b in zip(starts, starts[1:])]
+        self._tables = []  # per omitted color: its faces' rows, exact and as floats
+        for i in range(d + 1):
+            faces = tuple_grid(index[:i] + index[i + 1 :]).reshape(-1, d)
+            rows = len(table) - 1 - binom[n - 1 - faces, np.arange(d, 0, -1)].sum(axis=1)
+            self._tables.append((table.take(rows, axis=0), floats.take(rows, axis=1)))
+        self.full_signs = self._face_signs(0, homogeneous_rows(self.colors[0], self.den))
         self._degenerate = [tuple(int(x) for x in idx) for idx in np.argwhere(self.full_signs == 0)]
         self._last = (None, None)  # (points, masks) of the latest batch
 

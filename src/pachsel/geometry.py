@@ -285,9 +285,9 @@ class LabeledPointSet:
 
     @cached_property
     def rainbow_enumerator(self):
-        """The whole set's ``RainbowEnumerator``, built once per instance as above."""
+        """``RainbowEnumerator(self)``, rows of ``spanned_table``, built once as above."""
         from .enumeration import RainbowEnumerator  # enumeration imports geometry
-        return RainbowEnumerator([list(c) for c in self.colors])
+        return RainbowEnumerator(self)
 
     def require_general_position(self) -> None:
         """Raise GeneralPositionError naming the recorded violation, if any."""

@@ -16,7 +16,7 @@ from math import ceil, comb, floor, gcd, prod
 import numpy as np
 
 from .arrangements import HyperplaneArrangement, build_arrangement, separation_dichotomy
-from .enumeration import RainbowEnumerator, tuple_grid
+from .enumeration import tuple_grid
 from .errors import (
     BudgetExceededError,
     GeneralPositionError,
@@ -39,7 +39,6 @@ from .geometry import (
     int_array,
     plane_signs,
     plane_values,
-    spanned_cofactors,
     spanned_witness,
     strict_separation,
 )
@@ -149,7 +148,7 @@ def deep_rainbow_point(
         verts = [union[starts[ci] + rng.randrange(sizes[ci])] for ci in range(k)]
         labels.setdefault(_mean_row(k, verts), f"simplex-centroid-{t}")
     rows = list(labels)
-    enum = point_set.rainbow_enumerator  # its den is the union's den
+    enum = point_set.rainbow_enumerator  # its den is spanned_table's: the scaling above
     closed, open_ = enum.depths(rows)
     # the first strict maximum in candidate order among those with an open margin
     best = int(np.argmax(np.where(open_ > 0, closed, -1)))
@@ -652,14 +651,26 @@ class GenericPachConfiguration:
         ]
 
     def validate(self) -> None:
-        colors = self.selected_colors()
-        union = [p for c in colors for p in c]
-        violation = find_general_position_violation(union + [list(self.point)])
-        if violation is not None:
-            raise GeneralPositionError("configuration union is degenerate", violation)
-        _, open_ = RainbowEnumerator(colors).containment_masks([self.point])
-        if not bool(open_.all()):
-            raise InputValidationError("point is not interior to every rainbow simplex")
+        selected = LabeledPointSet.create(self.point_set.dim, self.selected_colors())
+        _check_generic(selected, self.point)
+
+
+def _check_generic(selected: LabeledPointSet, point) -> None:
+    """Raise unless ``point`` with the union of ``selected`` is in general
+    position and the point is interior to every rainbow simplex of the set.
+
+    The witness is the lexicographically first dependent tuple of the union
+    plus the point: the earlier of the set's recorded violation and the
+    first spanned face through the point (``spanned_witness`` against the
+    set's table) followed by the point's index."""
+    face = spanned_witness(selected.spanned_table, slice(None), point)
+    through = None if face is None else (*face, sum(selected.sizes()))
+    found = [w for w in (selected.general_position_violation, through) if w is not None]
+    if found:
+        raise GeneralPositionError("configuration union is degenerate", min(found))
+    _, open_ = selected.rainbow_enumerator.containment_masks([point])
+    if not bool(open_.all()):
+        raise InputValidationError("point is not interior to every rainbow simplex")
 
 
 def shrink_to_generic(
@@ -684,15 +695,15 @@ def shrink_to_generic(
     index_sets = tuple(tuple(sorted(idxs)) for idxs in index_sets)
     if any(len(idxs) == 0 for idxs in index_sets):
         raise PreconditionError("every color needs at least one selected point")
-    colors = [
-        [point_to_fractions(point_set.point(ci, i)) for i in idxs]
-        for ci, idxs in enumerate(index_sets)
-    ]
-    violation = find_general_position_violation([p for c in colors for p in c])
+    selected = LabeledPointSet.create(
+        d, [[point_set.point(ci, i) for i in idxs] for ci, idxs in enumerate(index_sets)]
+    )
+    colors = selected.colors
+    violation = selected.general_position_violation
     if violation is not None:
         raise GeneralPositionError("selected union is not in general position", violation)
     anchor = point_to_fractions(anchor)
-    closed, open_ = RainbowEnumerator(colors).containment_masks([anchor])
+    closed, open_ = selected.rainbow_enumerator.containment_masks([anchor])
     if not bool(closed.all()):
         raise PreconditionError("anchor is not in every closed rainbow simplex")
     boundary = np.argwhere(closed[0] & ~open_[0])
@@ -714,23 +725,18 @@ def shrink_to_generic(
             "size underflow: removing the boundary family would empty a color "
             "(colors of size >= d+1 always survive)"
         )
-    kept_local = [
-        [i for i in range(len(colors[ci])) if i not in used[ci]] for ci in range(d + 1)
-    ]
-    new_index_sets = tuple(
-        tuple(index_sets[ci][i] for i in kept_local[ci]) for ci in range(d + 1)
-    )
-    new_colors = [[colors[ci][i] for i in kept_local[ci]] for ci in range(d + 1)]
+    kept_local = [[i for i in range(len(c)) if i not in u] for c, u in zip(colors, used)]
+    new_index_sets = tuple(tuple(idxs[i] for i in k) for idxs, k in zip(index_sets, kept_local))
     # the kept colors' simplices are a sub-box of the selected colors' ones
     if not bool(open_[0][np.ix_(*kept_local)].all()):
         raise InternalInvariantError(
             "anchor not interior to all simplices after removing the boundary family"
         )
-    new_union = [p for c in new_colors for p in c]
-    moved = _nudge_off_hyperplanes(anchor, new_union, spanned_cofactors(new_union, d), seed)
-    cfg = GenericPachConfiguration(point_set, new_index_sets, moved)
-    cfg.validate()
-    return cfg
+    kept_colors = [[c[i] for i in local] for c, local in zip(colors, kept_local)]
+    kept = LabeledPointSet.create(d, kept_colors) if family else selected  # none dropped: reuse
+    moved = _nudge_off_hyperplanes(anchor, kept.union_points(), kept.spanned_table, seed)
+    _check_generic(kept, moved)
+    return GenericPachConfiguration(point_set, new_index_sets, moved)
 
 
 def certificate_configuration(
@@ -915,7 +921,7 @@ def verify_certificate(
         [point_set.point(ci, i) for i in idxs] for ci, idxs in enumerate(cert.index_sets)
     ]
     if mode == "exhaustive":
-        enum = RainbowEnumerator(colors)
+        enum = LabeledPointSet.create(point_set.dim, colors).rainbow_enumerator
         closed = enum.containment_masks([cert.point])[0][0]
         count = int(closed.sum())
         fraction = Fraction(count, enum.total)

@@ -656,7 +656,7 @@ def test_estimators_reject_a_negative_seed(estimator):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 7, 8, 9])
-def test_ball_points_match_the_linalg_norm_form(d):
+def test_row_norms_match_the_linalg_norm_form(d):
     """``_row_norms`` gives ``np.linalg.norm``'s row norms bit for bit, on a
     full chunk with one zero row; so does the round cone's estimate built on
     it."""

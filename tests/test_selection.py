@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from pachsel.constructions import uniform_ball_set
 from pachsel import enumeration
-from pachsel.enumeration import RainbowEnumerator
+from pachsel.enumeration import RainbowEnumerator, tuple_grid
 from pachsel.errors import (
     BudgetExceededError,
     GeneralPositionError,
@@ -20,11 +20,15 @@ from pachsel.errors import (
 from pachsel.geometry import (
     LabeledPointSet,
     OrientedHyperplane,
+    face_cofactors,
+    float_table,
     homogeneous_rows,
     in_general_position,
+    int_array,
     orientation,
     point_in_simplex,
     satisfies_condition_G,
+    spanned_cofactors,
 )
 from pachsel import selection
 from pachsel.io import canonical_json_bytes, sha256_hex
@@ -62,6 +66,11 @@ from conftest import (
 # enumeration engine
 
 
+def _enumerator(colors):
+    """The ``RainbowEnumerator`` of the point set with these colors."""
+    return RainbowEnumerator(LabeledPointSet.create(len(colors) - 1, colors))
+
+
 def _depths(enum, points):
     """``enum.depths`` of the points, given as their homogeneous rows."""
     return enum.depths(homogeneous_rows(points, enum.den))
@@ -80,7 +89,7 @@ def _naive_masks(colors, p):
 
 def _assert_batch_matches_oracles(colors, batch):
     """Batched masks equal single-point batches and the naive loop."""
-    enum = RainbowEnumerator(colors)
+    enum = _enumerator(colors)
     closed, open_ = enum.containment_masks(batch)
     assert closed.shape == open_.shape == (len(batch), *enum.sizes)
     for b, p in enumerate(batch):
@@ -98,7 +107,7 @@ def test_containment_counts_match_naive_loop(monkeypatch):
         ps = random_labeled_set(d, n, seed=10 + d)
         colors = [list(c) for c in ps.colors]
         p = tuple(Fraction(rng.randint(-64, 64), 64) for _ in range(d))
-        enum = RainbowEnumerator(colors)
+        enum = _enumerator(colors)
         (closed,), (open_,) = _depths(enum, [p])
         total = enum.total
         naive_closed = naive_open = 0
@@ -113,7 +122,7 @@ def test_containment_counts_match_naive_loop(monkeypatch):
         batch = [p, tuple(Fraction(rng.randint(-64, 64), 3) for _ in range(d)), p, colors[1][0]]
         masks = _assert_batch_matches_oracles(colors, batch)
         monkeypatch.setattr(enumeration, "BLOCK_CELLS", 2 * total)
-        depths = _depths(RainbowEnumerator(colors), batch)
+        depths = _depths(_enumerator(colors), batch)
         for counts, mask in zip(depths, masks):
             assert counts.tolist() == mask.reshape(len(batch), -1).sum(axis=1).tolist()
         monkeypatch.undo()
@@ -121,7 +130,7 @@ def test_containment_counts_match_naive_loop(monkeypatch):
 
 def test_containment_handles_degenerate_simplices():
     colors = [[(0, 0), (2, 2)], [(1, 1)], [(3, 3), (0, 1)]]  # collinear combos exist
-    enum = RainbowEnumerator(colors)
+    enum = _enumerator(colors)
     (closed,), (open_,) = _depths(enum, [(1, 1)])
     total = enum.total
     assert total == 4
@@ -161,7 +170,7 @@ def test_planar_sign_depths_match_mask_sums(instance, block_cells):
     colors, cands = instance
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(enumeration, "BLOCK_CELLS", block_cells)
-        enum = RainbowEnumerator(colors)
+        enum = _enumerator(colors)
         assert not enum._degenerate  # so the face-sign count scores them
         depths = _depths(enum, cands)
     masks = enum.containment_masks(cands)
@@ -212,7 +221,7 @@ def test_spatial_sign_depths_match_mask_sums(instance, block_cells):
     rescored = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(enumeration, "BLOCK_CELLS", block_cells)
-        enum = RainbowEnumerator(colors)
+        enum = _enumerator(colors)
         assert not enum._degenerate  # so the face-sign count scores them
         mask_depths = enum._mask_depths
 
@@ -260,7 +269,7 @@ def planted_colors(draw):
 @given(planted_colors())
 def test_filtered_signs_match_det_int_next_to_large_coordinates(planted):
     e, bits, colors = planted
-    enum = RainbowEnumerator(colors)  # no OverflowError past the float range
+    enum = _enumerator(colors)  # no OverflowError past the float range
     for idx in itertools.product(*(range(len(c)) for c in colors)):
         verts = [colors[ci][i] for ci, i in enumerate(idx)]
         det = det_int([[a - b for a, b in zip(v, verts[0])] for v in verts[1:]])
@@ -272,6 +281,40 @@ def test_filtered_signs_match_det_int_next_to_large_coordinates(planted):
     q = colors[0][0]
     third = tuple(x + Fraction(1, 3) for x in q)
     _assert_batch_matches_oracles(colors, [third, q, third])
+
+
+@st.composite
+def colors_with_unequal_denominators(draw):
+    """d = 1..3 colors of unequal sizes, each color's coordinates over its own
+    denominator, not all the same; repeats and dependent tuples may occur."""
+    d = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(1, (6, 4, 3)[d - 1]), min_size=d + 1, max_size=d + 1))
+    dens = draw(st.lists(st.sampled_from([1, 2, 3, 5, 7, 64]), min_size=d + 1, max_size=d + 1))
+    assume(len(set(sizes)) > 1 and len(set(dens)) > 1)
+    coord = st.integers(-50, 50)
+    return [
+        [tuple(Fraction(draw(coord), den) for _ in range(d)) for _ in range(n)]
+        for n, den in zip(sizes, dens)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(colors_with_unequal_denominators())
+def test_enumerator_tables_are_the_color_omitted_face_cofactors(colors):
+    """Each of the d+1 tables gathered from ``spanned_table`` is, row for row,
+    the ``face_cofactors`` of the color-omitted ``tuple_grid`` of the set
+    scaled by its own den, with that table's float side."""
+    d = len(colors) - 1
+    ps = LabeledPointSet.create(d, colors)
+    enum = RainbowEnumerator(ps)
+    scaled, den = scale_points_to_ints(ps.union_points())
+    assert enum.den == den
+    starts = np.cumsum([0] + [len(c) for c in colors]).tolist()
+    ints = [int_array(scaled[a:b]) for a, b in zip(starts, starts[1:])]
+    for i, (table, floats) in enumerate(enum._tables):
+        expected = face_cofactors(tuple_grid(ints[:i] + ints[i + 1 :])).reshape(-1, d + 1)
+        assert table.tolist() == expected.tolist()
+        assert np.array_equal(floats, float_table(expected))
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +456,7 @@ def test_perturb_anchor_moves_off_spanned_hyperplane():
     p = (Fraction(0), Fraction(0))
     assert in_general_position(ps.union_points())
     assert not in_general_position(ps.union_points() + [p])
-    enum = RainbowEnumerator([list(c) for c in ps.colors])
+    enum = RainbowEnumerator(ps)
     before_open = enum.containment_masks([p])[1][0]
     assert int(before_open.sum()) >= 1
     moved = perturb_anchor(p, ps, seed=7)
@@ -460,7 +503,7 @@ def test_nudge_scores_every_retry_against_one_table(monkeypatch):
         calls.append(len(rows))
         return cofactor_signs(rows, *args)
 
-    spanned = selection.spanned_cofactors(points, 2)
+    spanned = spanned_cofactors(points, 2)
     monkeypatch.setattr(selection, "cofactor_signs", counted)
     assert selection._nudge_off_hyperplanes(anchor, points, spanned, seed=3) == expected
     assert calls == [1, selection._PERTURB_RETRIES]  # the anchor, then every retry at once
@@ -1074,12 +1117,9 @@ def test_perturb_anchor_reuses_the_deep_point_verdict(scan_sizes):
     assert scan_sizes == []
 
 
-@pytest.mark.parametrize("d, n", [(2, 25), (3, 8)])
-def test_pipeline_builds_the_whole_spanned_table_once(monkeypatch, d, n):
-    """The general-position scans of ``uniform_ball_set`` and the pipeline,
-    the anchor nudge and few-separations share the set's one spanned table:
-    generating a set and running the pipeline on it build it once, and
-    ``perturb_anchor`` builds none."""
+@pytest.fixture
+def spanned_sizes(monkeypatch):
+    """Point counts of every spanned cofactor table built."""
     from pachsel import geometry
 
     sizes = []
@@ -1089,15 +1129,25 @@ def test_pipeline_builds_the_whole_spanned_table_once(monkeypatch, d, n):
         sizes.append(len(points))
         return spanned_cofactors(points, dim)
 
+    monkeypatch.setattr(geometry, "spanned_cofactors", recorded)
+    return sizes
+
+
+@pytest.mark.parametrize("d, n", [(2, 25), (3, 8)])
+def test_pipeline_builds_the_whole_spanned_table_once(spanned_sizes, d, n):
+    """The general-position scans of ``uniform_ball_set`` and the pipeline,
+    the anchor nudge, few-separations and the rainbow enumerator share the
+    set's one spanned table: generating a set and running the pipeline on it
+    build it once, and exhaustive verification one over the selected Y;
+    ``perturb_anchor`` builds none."""
     ps = uniform_ball_set(d, n, seed=3)
-    for module in (geometry, selection):
-        monkeypatch.setattr(module, "spanned_cofactors", recorded)
-    run_pipeline(uniform_ball_set(d, n, seed=2), PipelineParams(seed=2))
-    assert sizes == [(d + 1) * n]
+    spanned_sizes.clear()
+    cert = run_pipeline(uniform_ball_set(d, n, seed=2), PipelineParams(seed=2))
+    assert spanned_sizes == [(d + 1) * n, sum(map(len, cert.index_sets))]
     res = deep_rainbow_point(ps, seed=3)
-    sizes.clear()
+    spanned_sizes.clear()
     perturb_anchor(res.point, ps, seed=4)
-    assert sizes == []
+    assert spanned_sizes == []
 
 
 # ---------------------------------------------------------------------------
@@ -1202,6 +1252,14 @@ def test_shrink_interval_boundary_case():
     sizes = [len(y) for y in cfg.index_sets]
     assert all(2 - s <= 1 for s in sizes)  # drops at most one per color (k <= d)
     cfg.validate()
+
+
+def test_shrink_builds_the_selected_and_the_kept_tables(spanned_sizes):
+    """The selected union's table serves its verdict and enumerator, the kept
+    union's the nudge and the check of the moved point."""
+    ps = LabeledPointSet.create(1, [[(0,), (2,)], [(4,), (6,)]])
+    cfg = shrink_to_generic(ps, ((0, 1), (0, 1)), (4,), seed=5)
+    assert spanned_sizes == [4, sum(map(len, cfg.index_sets))]
 
 
 def test_shrink_size_underflow():
