@@ -111,14 +111,6 @@ def _squared_norms(u):
     return sum((u[:, j] * u[:, j] for j in range(1, u.shape[1])), u[:, 0] * u[:, 0])
 
 
-def _row_norms(u):
-    """``np.linalg.norm(u, axis=1)`` bit for bit: below 8 columns numpy adds
-    the squared columns left to right, as done here at about half its cost."""
-    if u.shape[1] >= 8:
-        return np.linalg.norm(u, axis=1)
-    return np.sqrt(_squared_norms(u))
-
-
 def _ball_blocks(rng, m, d):
     """A chunk's m uniform points of the open unit d-ball: up to the m-th, the
     rows of squared norm below 1 of ``_BLOCK``-row draws of the cube [-1, 1)^d
@@ -508,7 +500,9 @@ def round_cone_polar_volume_bound(d: int, volume: float) -> float:
 
 def round_cone_restricted_volume_mc(d: int, axis_cos: float, samples: int, seed: int) -> McEstimate:
     """MC restricted volume of the round cone {x : x_1 >= axis_cos * |x|}."""
-    p, std_error = _hit_fraction(lambda u: u[:, 0] >= axis_cos * _row_norms(u), d, samples, seed)
+    p, std_error = _hit_fraction(
+        lambda u: u[:, 0] >= axis_cos * np.linalg.norm(u, axis=1), d, samples, seed
+    )
     beta = unit_ball_volume(d)
     return McEstimate(beta * p, beta * std_error, samples, seed)
 

@@ -376,16 +376,13 @@ class WeightedPointMeasure:
         )
         return cls(dim, normalized)
 
-    @property
-    def common_denominator(self) -> int:
-        return lcm(*(w.denominator for pts in self.colors for _, w in pts))
-
 
 def discretize_measure(dim: int, weighted_colors, spread, seed: int = 0) -> LabeledPointSet:
     """Replace weighted points by unit-weight nearby copies, per color.
 
-    Each color is a list of (point, weight) with positive rational weights
-    summing to one.  With s the least common denominator over all weights, a
+    Each color is a list of (point, weight) pairs, the form that
+    ``WeightedPointMeasure.create`` checks: positive rational weights summing
+    to one.  With s the least common denominator over all weights, a
     point of weight r/s becomes r distinct points within ``spread`` of it;
     every color then contributes exactly s points and the union is in
     general position (verified, retried).
@@ -393,13 +390,8 @@ def discretize_measure(dim: int, weighted_colors, spread, seed: int = 0) -> Labe
     spread = to_fraction(spread)
     if spread <= 0:
         raise PreconditionError("spread must be positive")
-    if isinstance(weighted_colors, WeightedPointMeasure):
-        measure = weighted_colors
-        if measure.dim != dim:
-            raise InputValidationError("measure dimension mismatch")
-    else:
-        measure = WeightedPointMeasure.create(dim, weighted_colors)
-    s = measure.common_denominator
+    measure = WeightedPointMeasure.create(dim, weighted_colors)
+    s = lcm(*(w.denominator for pts in measure.colors for _, w in pts))
     rng = random.Random(seed)
     spread_sq = spread * spread
 
@@ -408,8 +400,7 @@ def discretize_measure(dim: int, weighted_colors, spread, seed: int = 0) -> Labe
         for pts in measure.colors:
             out = []
             for point, weight in pts:
-                point = point_to_fractions(point)
-                for _ in range(int(to_fraction(weight) * s)):
+                for _ in range(int(weight * s)):
                     while True:
                         delta = tuple(random_fraction(rng, -spread, spread) for _ in range(dim))
                         if squared_norm(delta) < spread_sq:

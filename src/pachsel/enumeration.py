@@ -18,13 +18,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import comb, prod
+from math import prod
 
 import numpy as np
 
 from . import lp
 from .errors import PreconditionError
-from .geometry import BLOCK_CELLS, cofactor_signs, homogeneous_rows
+from .geometry import BLOCK_CELLS, cofactor_signs, combination_rank, homogeneous_rows
 from .rational import point_to_fractions
 
 
@@ -63,16 +63,12 @@ class RainbowEnumerator:
         self.total = prod(self.sizes)
         self.fallbacks = 0  # filtered signs recomputed exactly
         table, self.den, _, floats = point_set.spanned_table
-        n = sum(self.sizes)
-        # union indices c_0 < ... < c_{d-1} are row C(N,d) - 1 - sum_j C(N-1-c_j, d-j);
-        # no entry read exceeds C(N,d), so clipping the others keeps int64
-        binom = np.array([[min(comb(m, k), len(table)) for k in range(d + 1)] for m in range(n)])
         starts = np.cumsum((0,) + self.sizes).tolist()
         index = [np.arange(a, b)[:, None] for a, b in zip(starts, starts[1:])]
         self._tables = []  # per omitted color: its faces' rows, exact and as floats
         for i in range(d + 1):
             faces = tuple_grid(index[:i] + index[i + 1 :]).reshape(-1, d)
-            rows = len(table) - 1 - binom[n - 1 - faces, np.arange(d, 0, -1)].sum(axis=1)
+            rows = combination_rank(faces, starts[-1])
             self._tables.append((table.take(rows, axis=0), floats.take(rows, axis=1)))
         self.full_signs = self._face_signs(0, homogeneous_rows(self.colors[0], self.den))
         self._degenerate = [tuple(int(x) for x in idx) for idx in np.argwhere(self.full_signs == 0)]

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import factorial, lcm
+from math import comb, factorial, lcm
 
 import numpy as np
 
@@ -188,6 +188,17 @@ def combination_rows(n, r):
             (np.repeat(np.arange(n), counts), combos[np.arange(counts.sum()) + shift])
         )
     return combos
+
+
+def combination_rank(faces, n):
+    """Row of each increasing index tuple of ``faces`` (shape (..., r)) in
+    ``combination_rows(n, r)``: c_0 < ... < c_{r-1} is row
+    C(n,r) - 1 - sum_j C(n-1-c_j, r-j).  No binomial read exceeds C(n,r), so
+    clipping the others keeps int64."""
+    r = faces.shape[-1]
+    total = comb(n, r)
+    binom = np.array([[min(comb(m, k), total) for k in range(r + 1)] for m in range(n)])
+    return total - 1 - binom[n - 1 - faces, np.arange(r, 0, -1)].sum(axis=-1)
 
 
 def orientation(points) -> int:
@@ -399,14 +410,6 @@ class ConditionGResult:
     status: str
     witness: tuple | None = None
     checked: int = 0
-
-    @property
-    def is_true(self) -> bool:
-        return self.status == "true"
-
-    @property
-    def is_false(self) -> bool:
-        return self.status == "false"
 
 
 # Two float keys of one rational t/w differ by at most about 6 * 2^-53 of

@@ -10,7 +10,7 @@ Two entry points back the geometric operations:
 
 The solver is a dense two-phase tableau simplex that stays in the integers
 (Edmonds 1967; Bareiss 1968).  Each initial row, the objective row included,
-is multiplied by the lcm of its denominators; an integer tableau T and one
+is scaled to integers (``scale_points_to_ints``); an integer tableau T and one
 common denominator D (1 at the start, then the last pivot) stand for the
 rational tableau.  A pivot on (r, c) replaces each row i != r by
 (T[i]*T[r][c] - T[i][c]*T[r]) / D, exact since every entry stays a minor of
@@ -28,16 +28,9 @@ termination; ratio-test ties go to the lowest basic variable.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .errors import InternalInvariantError
-from .rational import to_fraction
-
-
-def _integer_row(row):
-    """A row of Fractions times the lcm of its denominators, and that lcm."""
-    scale = lcm(*(x.denominator for x in row))
-    return [x.numerator * (scale // x.denominator) for x in row], scale
+from .rational import scale_points_to_ints, to_fraction
 
 
 def _pivot(tableau, basis, row, col, den) -> int:
@@ -107,8 +100,8 @@ def convex_combination(point, points):
     obj = [-sum(col) for col in zip(*rows)]
     tableau = []
     for i, r in enumerate(rows + [obj]):  # each row, then its artificial's column
-        ints, scale = _integer_row(r)
-        tableau.append(ints[:-1] + [scale * (j == i) for j in range(m)] + ints[-1:])
+        (ints,), scale = scale_points_to_ints([r])
+        tableau.append([*ints[:-1], *(scale * (j == i) for j in range(m)), ints[-1]])
     basis = [n + i for i in range(m)]
     den = _run_simplex(tableau, basis)
     if tableau[m][-1] != 0:  # the phase-I optimum is positive
@@ -138,7 +131,7 @@ def max_margin_separation(point, points):
     rows = []  # (coefficients, rhs, row scale), each row then its slack's column
     # -(a.s) + b + t <= 0 for each s, then a.p - b + t <= 0
     for s, sign in [(s, -1) for s in pts] + [(p, 1)]:
-        ints, scale = _integer_row(s)
+        (ints,), scale = scale_points_to_ints([s])
         row = [sign * x for x in ints] + [-sign * x for x in ints]
         rows.append((row + [-sign * scale, sign * scale, scale], 0, scale))
     for j in range(d):  # u_j + v_j <= 1 caps the max-norm of the normal

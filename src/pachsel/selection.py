@@ -31,6 +31,7 @@ from .geometry import (
     OrientedHyperplane,
     _cofactor_signs,
     cofactor_signs,
+    combination_rank,
     combination_rows,
     face_cofactors,
     find_general_position_violation,
@@ -55,6 +56,7 @@ _WITNESS_FIRST_ROWS, _WITNESS_MAX_ROWS, _WITNESS_BLOCK_CELLS = 64, 1 << 12, 1 <<
 _MAX_RESTRICT_LOOPS = 64
 # random rational moves tried, at halving steps, before a perturbation gives up
 _PERTURB_RETRIES = 50
+_DEEP_BUDGET = 5_000_000  # rainbow simplices a deep-point search may score
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +114,6 @@ def deep_rainbow_point(
     point_set: LabeledPointSet,
     random_candidates: int = 200,
     seed: int = 0,
-    budget: int = 5_000_000,
 ) -> DeepPointResult:
     """Best candidate point by exact closed rainbow-containment count.
 
@@ -131,8 +132,8 @@ def deep_rainbow_point(
     if random_candidates < 0:
         raise PreconditionError("random_candidates must be >= 0")
     sizes = point_set.sizes()
-    if prod(sizes) > budget:
-        raise BudgetExceededError(f"{prod(sizes)} rainbow simplices exceed budget {budget}")
+    if prod(sizes) > _DEEP_BUDGET:
+        raise BudgetExceededError(f"{prod(sizes)} rainbow simplices exceed budget {_DEEP_BUDGET}")
     point_set.require_general_position()
     # candidates are means of k union points scaled to integers by den, each
     # as its reduced homogeneous row (k, sum)/gcd: equal rows are equal points
@@ -519,10 +520,6 @@ class FewSeparationsResult:
     arrangement: HyperplaneArrangement
     branch: str  # "all-contain" | "none-contain"
 
-    @property
-    def all_contain(self) -> bool:
-        return self.branch == _BRANCH_ALL
-
 
 def _arrangement_in_general_position(planes, point, colors, seed):
     """The arrangement of d+1 separating hyperplanes, in general position.
@@ -530,11 +527,13 @@ def _arrangement_in_general_position(planes, point, colors, seed):
     Plane i strictly separates ``point`` from every color but i.  The planes
     are used as they are when they already form an arrangement; otherwise
     each is jittered by a rational amount below its slack, which keeps the
-    strict side of ``point`` and of every color but i against plane i.
+    strict side of ``point`` and of every color but i against plane i.  Only
+    ``build_arrangement``'s PreconditionError is retried: planes that pass its
+    checks have affinely independent vertices, so InternalInvariantError is a fault.
     """
     try:
         return build_arrangement(planes)
-    except (PreconditionError, InternalInvariantError):
+    except PreconditionError:
         pass
     d = planes[0].dim
     protected = [
@@ -550,17 +549,12 @@ def _arrangement_in_general_position(planes, point, colors, seed):
         )
         slacks.append(slack / (2 * reach))
     eta = min(slacks)
-    for attempt in range(_PERTURB_RETRIES):
+    for _ in range(_PERTURB_RETRIES):
         jittered = []
         for h in planes:
-            dn = _random_rational_vector(rng, d)
-            doff = Fraction(rng.randint(-(1 << 20), 1 << 20), 1 << 20)
-            jittered.append(
-                OrientedHyperplane(
-                    tuple(c + eta * u for c, u in zip(h.normal, dn)),
-                    h.offset + eta * doff,
-                )
-            )
+            *dn, doff = _random_rational_vector(rng, d + 1)
+            normal = tuple(c + eta * u for c, u in zip(h.normal, dn))
+            jittered.append(OrientedHyperplane(normal, h.offset + eta * doff))
         sides_ok = all(
             np.array_equal(*plane_signs(pts, [h, hj]).T)
             for h, hj, pts in zip(planes, jittered, protected)
@@ -570,7 +564,7 @@ def _arrangement_in_general_position(planes, point, colors, seed):
             continue
         try:
             return build_arrangement(jittered)
-        except (PreconditionError, InternalInvariantError):
+        except PreconditionError:
             eta /= 2
     raise BudgetExceededError("could not perturb hyperplanes into general position")
 
@@ -584,8 +578,8 @@ def few_separations(
 
     Precondition: the set is in general position (its recorded verdict) and
     the anchor lies on no hyperplane spanned by the selected union: the rows
-    of the set's spanned table with faces in the union, an O(N^d) check whose
-    witness ends with the anchor's index, the union's size.
+    of the set's spanned table with faces in the union, found by rank, a
+    check whose witness ends with the anchor's index, the union's size.
     """
     d = point_set.dim
     anchor = point_to_fractions(anchor)
@@ -596,7 +590,8 @@ def few_separations(
     point_set.require_general_position()
     starts = np.cumsum((0,) + point_set.sizes()).tolist()
     chosen = [starts[ci] + i for ci, idxs in enumerate(index_sets) for i in idxs]
-    inside = np.isin(point_set.spanned_table[2], chosen).all(axis=1)  # faces in the union
+    union = np.array(sorted(chosen), dtype=np.int64)
+    inside = combination_rank(union[combination_rows(len(chosen), d)], starts[-1])  # union's faces
     face = spanned_witness(point_set.spanned_table, inside, anchor)
     if face is not None:
         witness = (*map(chosen.index, face), len(chosen))
@@ -737,20 +732,6 @@ def shrink_to_generic(
     moved = _nudge_off_hyperplanes(anchor, kept.union_points(), kept.spanned_table, seed)
     _check_generic(kept, moved)
     return GenericPachConfiguration(point_set, new_index_sets, moved)
-
-
-def certificate_configuration(
-    point_set: LabeledPointSet, cert: "PachCertificate"
-) -> GenericPachConfiguration:
-    """Interpret a pipeline certificate as a generic configuration.
-
-    The pipeline perturbs its anchor into general position with the whole
-    input before selecting, so the certified point is interior to every
-    selected rainbow simplex; this validates that and wraps the result.
-    """
-    cfg = GenericPachConfiguration(point_set, cert.index_sets, cert.point)
-    cfg.validate()
-    return cfg
 
 
 def separating_arrangement(cfg: GenericPachConfiguration, seed: int = 0) -> HyperplaneArrangement:

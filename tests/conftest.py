@@ -15,6 +15,7 @@ from pachsel.geometry import (
 from pachsel.arrangements import build_arrangement
 from pachsel.cones import _BLOCK, _chunk_rngs
 from pachsel.rational import det_int, scale_points_to_ints, vec_sub
+from pachsel.selection import GenericPachConfiguration
 
 
 def random_rational_point(rng, d, den=1 << 16, box=2):
@@ -221,6 +222,13 @@ def naive_closed_containment_fraction(point_set, index_sets, point):
             swapped = (scaled[:i] + (p,) + scaled[i + 1 :] for i in range(len(scaled)))
             hits += all(full * sign(s) >= 0 for s in swapped)
     return Fraction(hits, total) if total else Fraction(1)
+
+
+def certified_configuration(point_set, cert):
+    """A certificate's point and subsets as a validated ``GenericPachConfiguration``."""
+    cfg = GenericPachConfiguration(point_set, cert.index_sets, cert.point)
+    cfg.validate()
+    return cfg
 
 
 @pytest.fixture

@@ -179,7 +179,7 @@ def test_criterion_03_few_separations_law():
         min_kept = min(min_kept, min(len(y) for y in res.index_sets))
         assert all(len(y) >= size // 4 for y in res.index_sets)
         fraction = naive_closed_containment_fraction(ps, res.index_sets, p)
-        expected = Fraction(1) if res.all_contain else Fraction(0)
+        expected = Fraction(1) if res.branch == "all-contain" else Fraction(0)
         assert fraction == expected
         branches[res.branch] += 1
     ok = min_kept >= 10 and min(branches.values()) > 0

@@ -31,11 +31,10 @@ from pachsel.rational import squared_norm, to_fraction
 from pachsel.selection import (
     GenericPachConfiguration,
     PipelineParams,
-    certificate_configuration,
     run_pipeline,
 )
 
-from conftest import _FLAT_PEAK_MIB, random_arrangement
+from conftest import _FLAT_PEAK_MIB, certified_configuration, random_arrangement
 
 
 def _cube_index(point, eps):
@@ -66,7 +65,7 @@ def test_grid_ball_plane_sandwich_and_condition_g():
         assert len({_cube_index(p, eps) for p in color}) == n
         for p in color:
             assert squared_norm(p) < 1
-    assert satisfies_condition_G(ps.union_points()).is_true
+    assert satisfies_condition_G(ps.union_points()).status == "true"
 
 
 def test_grid_ball_huge_cubes_still_tile():
@@ -81,7 +80,7 @@ def test_uniform_and_gaussian_sets_admissible():
     ps = uniform_ball_set(2, 6, seed=3)
     assert ps.sizes() == (6, 6, 6)
     assert all(squared_norm(p) < 1 for p in ps.union_points())
-    assert satisfies_condition_G(ps.union_points()).is_true
+    assert satisfies_condition_G(ps.union_points()).status == "true"
     g = gaussian_set(2, 5, seed=4)
     assert g.sizes() == (5, 5, 5)
     assert in_general_position(g.union_points())
@@ -270,7 +269,7 @@ def test_ball_blocks_are_uniform_in_the_ball(d):
 def test_corner_volume_audit_interval_vacuous_but_true():
     ps = uniform_ball_set(1, 6, seed=6)
     cert = run_pipeline(ps, PipelineParams(seed=3))
-    cfg = certificate_configuration(ps, cert)
+    cfg = certified_configuration(ps, cert)
     report = corner_volume_audit(cfg, 100_000, seed=9)
     # d=1: msa is exactly 1/2, so the bound is 2 * (1/2) * beta_1 = 2
     assert report.bound == pytest.approx(2.0, abs=0.05)
@@ -281,7 +280,7 @@ def test_corner_volume_audit_interval_vacuous_but_true():
 def test_corner_volume_audit_plane_pipeline():
     ps = uniform_ball_set(2, 8, seed=7)
     cert = run_pipeline(ps, PipelineParams(seed=5))
-    report = corner_volume_audit(certificate_configuration(ps, cert), 200_000, seed=11)
+    report = corner_volume_audit(certified_configuration(ps, cert), 200_000, seed=11)
     assert isinstance(report, CornerVolumeReport)
     assert report.passed
     assert len(report.volumes) == 3
@@ -307,7 +306,7 @@ def test_corner_volume_audit_near_boundary_configuration():
     cert = run_pipeline(ps, PipelineParams(seed=6))
     norms = [
         math.sqrt(float(squared_norm(p)))
-        for color in certificate_configuration(ps, cert).selected_colors()
+        for color in certified_configuration(ps, cert).selected_colors()
         for p in color
     ]
     scale = Fraction(99, 100) / Fraction(round(max(norms) * 4096), 4096)
@@ -319,7 +318,7 @@ def test_corner_volume_audit_near_boundary_configuration():
         )
         cert2 = run_pipeline(stretched, PipelineParams(seed=6))
         report = corner_volume_audit(
-            certificate_configuration(stretched, cert2), 150_000, seed=13
+            certified_configuration(stretched, cert2), 150_000, seed=13
         )
         assert report.passed
 

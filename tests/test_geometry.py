@@ -488,13 +488,13 @@ def _integer_rank(rows):
 def test_condition_g_concurrent_lines_is_false():
     pts = [(-1, 0), (1, 0), (0, -1), (0, 1), (-1, -1), (1, 1)]
     res = satisfies_condition_G(pts)
-    assert res.is_false
+    assert res.status == "false"
     assert res.witness is not None
     assert not _naive_condition_g(pts, 2)
 
 
 def test_condition_g_d1_distinct_points():
-    assert satisfies_condition_G([(0,), (1,), (Fraction(7, 2),)]).is_true
+    assert satisfies_condition_G([(0,), (1,), (Fraction(7, 2),)]).status == "true"
 
 
 def test_condition_g_perturbed_grid_matches_naive():
@@ -509,7 +509,7 @@ def test_condition_g_perturbed_grid_matches_naive():
                 )
             )
     res = satisfies_condition_G(grid)
-    assert res.is_true
+    assert res.status == "true"
     assert _naive_condition_g(grid, 2)
 
 
@@ -519,7 +519,7 @@ def test_condition_g_agrees_with_naive_on_coarse_random_instances():
         pts = random_points(rng, 6, 2, den=4, box=1)
         if not in_general_position(pts):
             continue
-        assert satisfies_condition_G(pts).is_true == _naive_condition_g(pts, 2)
+        assert (satisfies_condition_G(pts).status == "true") == _naive_condition_g(pts, 2)
 
 
 def test_condition_g_above_the_plane_is_refused():
@@ -532,7 +532,7 @@ def test_condition_g_implies_general_position(rng):
     for d in (1, 2):
         for _ in range(10):
             pts = random_points(rng, d + 5, d)
-            if satisfies_condition_G(pts).is_true:
+            if satisfies_condition_G(pts).status == "true":
                 assert in_general_position(pts)
 
 
@@ -584,14 +584,14 @@ def planar_sets(draw):
 def test_planar_condition_g_matches_naive(pts):
     assume(in_general_position(pts))
     res = satisfies_condition_G(pts)
-    assert res.is_true == _naive_condition_g(pts, 2)
-    if res.is_false:
+    assert (res.status == "true") == _naive_condition_g(pts, 2)
+    if res.status == "false":
         _assert_planar_witness(pts, res)
 
 
 def _condition_g_true_prefix(n, seed):
     pts = general_position_points(random.Random(seed), n, 2)
-    assert satisfies_condition_G(pts).is_true
+    assert satisfies_condition_G(pts).status == "true"
     return pts
 
 
@@ -602,7 +602,7 @@ def test_planar_condition_g_late_violation():
     pts = prefix + planted
     assert in_general_position(pts)
     res = satisfies_condition_G(pts)
-    assert res.is_false
+    assert res.status == "false"
     assert res.witness == ((40, 41), (42, 43), (44, 45))
     _assert_planar_witness(pts, res)
     # Every line before (40, 41) was intersected with all later disjoint lines.
@@ -628,7 +628,7 @@ def test_planar_condition_g_large_coordinates_keep_verdict_and_witness():
             small.witness,
             small.checked,
         )
-    assert small.is_false
+    assert small.status == "false"
     _assert_planar_witness(scaled, large)
     with pytest.raises(OverflowError):
         int_scaled[0][0] / 1
@@ -645,7 +645,7 @@ def test_planar_condition_g_near_concurrency_within_float_bound_is_true():
     assert float(x1) != float(x2)
     assert abs(float(x1) - float(x2)) <= 2.0**-45 * float(x1)
     assert in_general_position(pts)
-    assert satisfies_condition_G(pts).is_true
+    assert satisfies_condition_G(pts).status == "true"
     assert _naive_condition_g(pts, 2)
 
 
@@ -677,7 +677,7 @@ def test_planar_condition_g_vertical_line_and_zero_key():
     _assert_planar_witness(pts, res)
     moved = pts[:5] + [(4, -2)]
     assert in_general_position(moved)
-    assert satisfies_condition_G(moved).is_true
+    assert satisfies_condition_G(moved).status == "true"
     assert _naive_condition_g(moved, 2)
 
 
@@ -689,7 +689,7 @@ def test_planar_condition_g_fewer_than_four_points(pts, status):
     """No two disjoint lines exist, so only general position can fail."""
     res = satisfies_condition_G(pts)
     assert (res.status, res.checked) == (status, 0)
-    assert res.is_true == _naive_condition_g(pts, 2)
+    assert (res.status == "true") == _naive_condition_g(pts, 2)
 
 
 def test_planar_condition_g_memory_is_quadratic():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 from math import comb, prod
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from pachsel.arrangements import HyperplaneArrangement, build_arrangement
 from pachsel.constructions import uniform_ball_set
 from pachsel import enumeration
 from pachsel.enumeration import RainbowEnumerator, tuple_grid
@@ -26,6 +28,7 @@ from pachsel.geometry import (
     in_general_position,
     int_array,
     orientation,
+    plane_signs,
     point_in_simplex,
     satisfies_condition_G,
     spanned_cofactors,
@@ -39,7 +42,6 @@ from pachsel.selection import (
     PipelineParams,
     RainbowHypergraph,
     RegularityParams,
-    certificate_configuration,
     deep_rainbow_point,
     default_epsilon,
     few_separations,
@@ -54,6 +56,7 @@ from pachsel.selection import (
 )
 
 from conftest import (
+    certified_configuration,
     general_position_points,
     naive_closed_containment_fraction,
     random_labeled_set,
@@ -406,10 +409,11 @@ def test_deep_point_requires_general_position():
         deep_rainbow_point(ps)
 
 
-def test_deep_point_budget():
+def test_deep_point_budget(monkeypatch):
     ps = random_labeled_set(1, 4, seed=3)
+    monkeypatch.setattr(selection, "_DEEP_BUDGET", 3)
     with pytest.raises(BudgetExceededError):
-        deep_rainbow_point(ps, budget=3)
+        deep_rainbow_point(ps)
 
 
 def test_deep_point_recount_by_shuffled_enumeration():
@@ -824,7 +828,7 @@ def test_few_separations_space_branch_oracle():
     res = few_separations(ps, tuple(tuple(range(6)) for _ in range(4)), p, seed=2)
     assert all(len(y) >= 1 for y in res.index_sets)  # 6 / 2^3, rounded up
     fraction = naive_closed_containment_fraction(ps, res.index_sets, p)
-    assert fraction == (1 if res.all_contain else 0)
+    assert fraction == (1 if res.branch == "all-contain" else 0)
 
 
 def _reference_bisecting_cut(sets):
@@ -959,7 +963,7 @@ def test_few_separations_interval_instance():
     res = few_separations(ps, idx, p, seed=4)
     assert all(len(y) >= 4 for y in res.index_sets)
     fraction = naive_closed_containment_fraction(ps, res.index_sets, p)
-    if res.all_contain:
+    if res.branch == "all-contain":
         assert fraction == 1
     else:
         assert fraction == 0
@@ -1003,7 +1007,7 @@ def test_few_separations_size_law_and_branch_oracle_d2():
         for ci, y in enumerate(res.index_sets):
             assert set(y) <= set(idx[ci])
         fraction = naive_closed_containment_fraction(ps, res.index_sets, p)
-        assert fraction == (1 if res.all_contain else 0)
+        assert fraction == (1 if res.branch == "all-contain" else 0)
         hits[res.branch] += 1
     assert hits["all-contain"] > 0 and hits["none-contain"] > 0
 
@@ -1319,7 +1323,7 @@ def sector_sets(draw):
 def test_shrink_lemma_under_condition_g(colors, seed):
     """Condition (G) on the union keeps the boundary family within d, so the
     shrink drops the same number, at most d, of points from every color."""
-    assume(satisfies_condition_G([p for c in colors for p in c]).is_true)
+    assume(satisfies_condition_G([p for c in colors for p in c]).status == "true")
     ps = LabeledPointSet.create(2, colors)
     cfg = shrink_to_generic(ps, ((0, 1, 2),) * 3, (0, 0), seed=seed)
     removed = {3 - len(idxs) for idxs in cfg.index_sets}
@@ -1381,7 +1385,7 @@ def test_separating_arrangement_invalid_configuration():
 def test_certificate_configuration_roundtrip():
     ps = random_labeled_set(2, 6, seed=51)
     cert = run_pipeline(ps, PipelineParams(seed=8))
-    cfg = certificate_configuration(ps, cert)
+    cfg = certified_configuration(ps, cert)
     arr = separating_arrangement(cfg, seed=9)
     assert arr.central_simplex_contains(cfg.point)
 
@@ -1423,6 +1427,60 @@ def test_verify_certificate_bad_indices():
     broken = PachCertificate.from_json_dict(jd)
     with pytest.raises(InputValidationError):
         verify_certificate(ps, broken)
+
+
+def test_verify_arrangement_rejects_a_moved_plane_or_point():
+    # the dichotomy's precondition fails: plane 0 moved far, or the point moved onto plane 0
+    ps = random_labeled_set(2, 6, seed=55)
+    cert = run_pipeline(ps, PipelineParams(seed=4))
+    assert verify_certificate(ps, cert, "arrangement").ok
+    jd = cert.to_json_dict()
+    plane = jd["arrangement"]["hyperplanes"][0]
+    plane["offset"] = str(Fraction(plane["offset"]) + 100)
+    report = verify_certificate(ps, PachCertificate.from_json_dict(jd), "arrangement")
+    assert (report.ok, report.fraction) == (False, 0)
+    assert "does not strictly separate" in report.detail
+    h = cert.arrangement.hyperplanes[0]
+    on_plane = tuple(c * h.offset / sum(x * x for x in h.normal) for c in h.normal)
+    report = verify_certificate(ps, replace(cert, point=on_plane), "arrangement")
+    assert (report.ok, report.fraction, report.detail) == (False, 0, "point lies on hyperplane 0")
+
+
+def test_verify_arrangement_rejects_a_point_outside_the_central_simplex():
+    # x = 3/2 and x = 1/2 separate 0 from the other color, but the central simplex is [1/2, 3/2]
+    ps = LabeledPointSet.create(1, [[(1,)], [(2,)]])
+    arr = build_arrangement([OrientedHyperplane((1,), Fraction(3, 2)), OrientedHyperplane((1,), Fraction(1, 2))])
+    cert = PachCertificate("", (Fraction(0),), ((0,), (0,)), arr, (1, 1), "arrangement", 0, ())
+    report = verify_certificate(ps, cert, "arrangement")
+    assert (report.ok, report.fraction) == (False, 0)
+    assert report.detail == "point is outside the central simplex"
+
+
+def _assert_jittered_arrangement(planes, point, colors):
+    """The fallback of ``_arrangement_in_general_position``: the planes are refused
+    as they are, and the jittered arrangement keeps each plane's strict sides of
+    the point and of every color but its own, the same for the same seed."""
+    with pytest.raises(PreconditionError):
+        build_arrangement(planes)
+    arr = selection._arrangement_in_general_position(planes, point, colors, seed=5)
+    assert isinstance(arr, HyperplaneArrangement)
+    for i, (h, hj) in enumerate(zip(planes, arr.hyperplanes)):
+        pts = [point] + [q for j, c in enumerate(colors) if j != i for q in c]
+        before, after = plane_signs(pts, [h, hj]).T
+        assert before.all() and (before[1:] == -before[0]).all()
+        assert np.array_equal(after, before) or np.array_equal(after, -before)
+    assert selection._arrangement_in_general_position(planes, point, colors, seed=5) == arr
+
+
+def test_arrangement_jitter_separates_two_equal_planes():
+    x_is_1 = OrientedHyperplane((1,), 1)
+    _assert_jittered_arrangement([x_is_1, x_is_1], (Fraction(0),), [[(2,)], [(3,)]])
+
+
+def test_arrangement_jitter_separates_two_parallel_planes():
+    # planes 0 and 1 are x = 1 and x = 2: the normals other than plane 2's are dependent
+    planes = [OrientedHyperplane(n, c) for n, c in [((1, 0), 1), ((1, 0), 2), ((0, 1), 1)]]
+    _assert_jittered_arrangement(planes, (Fraction(0), Fraction(0)), [[(3, 3)], [(4, 2)], [(5, -1)]])
 
 
 def test_grow_selection_reaches_a_maximal_complete_box():
