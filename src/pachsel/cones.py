@@ -190,8 +190,8 @@ class Simplex:
     def create(cls, vertices) -> "Simplex":
         arr = np.array([[float(c) for c in v] for v in vertices], dtype=float)
         arr.setflags(write=False)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] + 1:
-            raise PreconditionError("a d-simplex needs d+1 vertices in R^d")
+        if arr.ndim != 2 or arr.shape[1] < 1 or arr.shape[0] != arr.shape[1] + 1:
+            raise PreconditionError("a d-simplex needs d+1 vertices in R^d, d >= 1")
         if not np.isfinite(arr).all():
             raise PreconditionError("simplex coordinates must be finite")
         return cls(arr)

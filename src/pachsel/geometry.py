@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from math import comb, factorial, lcm
 
@@ -194,11 +194,14 @@ def combination_rank(faces, n):
     """Row of each increasing index tuple of ``faces`` (shape (..., r)) in
     ``combination_rows(n, r)``: c_0 < ... < c_{r-1} is row
     C(n,r) - 1 - sum_j C(n-1-c_j, r-j).  No binomial read exceeds C(n,r), so
-    clipping the others keeps int64."""
+    clipping the others keeps int64; the table is built once per (n, r)."""
     r = faces.shape[-1]
-    total = comb(n, r)
-    binom = np.array([[min(comb(m, k), total) for k in range(r + 1)] for m in range(n)])
-    return total - 1 - binom[n - 1 - faces, np.arange(r, 0, -1)].sum(axis=-1)
+    return comb(n, r) - 1 - _binomials(n, r)[n - 1 - faces, np.arange(r, 0, -1)].sum(axis=-1)
+
+
+@lru_cache(maxsize=32)
+def _binomials(n, r):  # C(m, k) for m < n and k <= r, clipped at C(n, r)
+    return np.array([[min(comb(m, k), comb(n, r)) for k in range(r + 1)] for m in range(n)])
 
 
 def orientation(points) -> int:

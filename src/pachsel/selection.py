@@ -33,17 +33,15 @@ from .geometry import (
     cofactor_signs,
     combination_rank,
     combination_rows,
-    face_cofactors,
     find_general_position_violation,
-    float_table,
     homogeneous_rows,
-    int_array,
     plane_signs,
     plane_values,
+    spanned_cofactors,
     spanned_witness,
     strict_separation,
 )
-from .rational import format_scalar, point_to_fractions, scale_points_to_ints, to_fraction
+from .rational import common_denominator, format_scalar, point_to_fractions, to_fraction
 
 _BRANCH_ALL = "all-contain"
 _BRANCH_NONE = "none-contain"
@@ -135,9 +133,10 @@ def deep_rainbow_point(
     if prod(sizes) > _DEEP_BUDGET:
         raise BudgetExceededError(f"{prod(sizes)} rainbow simplices exceed budget {_DEEP_BUDGET}")
     point_set.require_general_position()
-    # candidates are means of k union points scaled to integers by den, each
-    # as its reduced homogeneous row (k, sum)/gcd: equal rows are equal points
-    union, den = scale_points_to_ints(point_set.union_points())
+    enum = point_set.rainbow_enumerator
+    # candidates are means of k union points scaled to integers by the table's
+    # den, each as its reduced homogeneous row (k, sum)/gcd: equal rows are equal points
+    union = [x for _, *x in homogeneous_rows(point_set.union_points(), enum.den)]
     m = len(union)
     lower, upper = zip(*[(c[(m - 1) // 2], c[m // 2]) for c in map(sorted, zip(*union))])
     labels = {_mean_row(m, union): "centroid"}  # distinct candidates in order, first labels
@@ -149,12 +148,11 @@ def deep_rainbow_point(
         verts = [union[starts[ci] + rng.randrange(sizes[ci])] for ci in range(k)]
         labels.setdefault(_mean_row(k, verts), f"simplex-centroid-{t}")
     rows = list(labels)
-    enum = point_set.rainbow_enumerator  # its den is spanned_table's: the scaling above
     closed, open_ = enum.depths(rows)
     # the first strict maximum in candidate order among those with an open margin
     best = int(np.argmax(np.where(open_ > 0, closed, -1)))
     w, *x = row = rows[best]
-    p = tuple(Fraction(c, w * den) for c in x)
+    p = tuple(Fraction(c, w * enum.den) for c in x)
     return DeepPointResult(p, int(closed[best]), int(open_[best]), enum.total, labels[row], len(rows))
 
 
@@ -471,42 +469,48 @@ def ham_sandwich_bisect(sets) -> OrientedHyperplane:
     contain at least floor((|S_i| - on_i)/2) points of every set, where on_i
     counts the set's points on the hyperplane.  In general position some such
     spanned cut always exists; the union is scanned for general position
-    (O(N^{d+1})) before the search.
+    (O(N^{d+1})) before the search, which scores the union's own spanned table.
     """
-    violation = find_general_position_violation([p for s in sets for p in s])
+    union = [p for s in sets for p in s]
+    violation = find_general_position_violation(union)
     if violation is not None:
         raise GeneralPositionError("sets are not in general position", violation)
-    return _spanned_bisecting_cut(sets)
+    ends = np.cumsum([len(s) for s in sets])
+    return _spanned_bisecting_cut(None, union, [np.arange(e - len(s), e) for s, e in zip(sets, ends)])
 
 
-def _spanned_bisecting_cut(sets) -> OrientedHyperplane:
+def _spanned_bisecting_cut(spanned, points, sets) -> OrientedHyperplane:
     """``ham_sandwich_bisect`` for a caller that vouches for general position:
-    one cofactor table of all spans (``itertools.product`` order), scored in
-    blocks of about BLOCK_CELLS span x point cells; row c is -c[1:].x = c[0]/den."""
+    ``sets`` are d int arrays of indices into ``points``, set i's below set
+    i+1's, and ``spanned`` is the points' ``spanned_cofactors`` (None builds it).
+    A span, one point per set in ``itertools.product`` order, is the table row
+    of its ``combination_rank``, scored in blocks of about BLOCK_CELLS cells.
+    With den = k den', den' the sets' own denominator, row c is k^(d-1) (k c'[0],
+    c'[1:]) for the row c' at den': the cut -c'[1:].x = c'[0]/den' is the same."""
     d = len(sets)
     if d > 3:
         raise PreconditionError("enumerative ham-sandwich supports d <= 3")
     if any(len(s) == 0 for s in sets):
         raise PreconditionError("empty set cannot be bisected")
-    int_points, den = scale_points_to_ints([p for s in sets for p in s])
+    table, den, _, floats = spanned or spanned_cofactors(points, d)
+    order = np.concatenate(sets)  # the scored points, set by set
+    ordered = [points[u] for u in order]
+    faces = tuple_grid([s[:, None] for s in sets]).reshape(-1, d)
+    spans = combination_rank(faces, len(points))
     starts = np.cumsum([0] + [len(s) for s in sets[:-1]])
-    # General position makes every span affinely independent.
-    table = face_cofactors(tuple_grid(np.split(int_array(int_points), starts[1:])))
-    table = table.reshape(-1, d + 1)
-    # a span's own points, one per set, lie on it: exact zeros, never recomputed
-    own = tuple_grid(np.split(np.arange(len(int_points))[:, None], starts[1:])).reshape(-1, d)
-    floats, rows = float_table(table), [(1, *p) for p in int_points]
-    step = max(1, BLOCK_CELLS // len(int_points))
-    for start in range(0, len(table), step):
-        block = slice(start, start + step)
-        zeros = (own[None, block] == np.arange(len(rows))[:, None, None]).any(axis=2)
+    rows, scale = homogeneous_rows(ordered, den), (den // common_denominator(ordered)) ** (d - 1)
+    step = max(1, BLOCK_CELLS // len(rows))
+    for start in range(0, len(spans), step):
+        block = spans[start : start + step]
+        # a span's own points, one per set, lie on it: exact zeros, never recomputed
+        zeros = (faces[None, start : start + step] == order[:, None, None]).any(axis=2)
         signs, _ = _cofactor_signs(rows, table[block], floats[:, block], zeros)
         # a set is bisected iff its positive and negative counts differ by at most 1
         balance = np.add.reduceat(signs.astype(np.int64), starts, axis=0)
         hits = np.flatnonzero((np.abs(balance) <= 1).all(axis=0))
         if hits.size:
-            c = table[start + hits[0]].tolist()
-            return OrientedHyperplane(tuple(Fraction(-x) for x in c[1:]), Fraction(c[0], den))
+            c0, *c = table[block[hits[0]]].tolist()
+            return OrientedHyperplane(tuple(Fraction(-x // scale) for x in c), Fraction(c0, den * scale))
     raise GeneralPositionError("no spanned bisecting cut found; inputs degenerate")
 
 
@@ -574,22 +578,22 @@ def few_separations(
 ) -> FewSeparationsResult:
     """d+1 rounds of ham-sandwich halving, then one arrangement classifying
     the anchor: it lies in all rainbow simplices of the kept subsets or in
-    none of them; each kept subset retains at least a 1/2^d fraction.
+    none of them; each kept subset retains at least a 1/2^d fraction.  The
+    subsets are arrays of union indices, and the cuts and the check below
+    read rows of the set's one ``spanned_table``, found by rank.
 
     Precondition: the set is in general position (its recorded verdict) and
     the anchor lies on no hyperplane spanned by the selected union: the rows
-    of the set's spanned table with faces in the union, found by rank, a
-    check whose witness ends with the anchor's index, the union's size.
+    with faces in the union, a check whose witness ends with the anchor's
+    index, the union's size.
     """
     d = point_set.dim
     anchor = point_to_fractions(anchor)
-    current = [
-        [(i, point_to_fractions(point_set.point(ci, i))) for i in idxs]
-        for ci, idxs in enumerate(index_sets)
-    ]
+    points = [point_to_fractions(p) for p in point_set.union_points()]
     point_set.require_general_position()
     starts = np.cumsum((0,) + point_set.sizes()).tolist()
-    chosen = [starts[ci] + i for ci, idxs in enumerate(index_sets) for i in idxs]
+    current = [starts[ci] + np.array(idxs, dtype=np.int64) for ci, idxs in enumerate(index_sets)]
+    chosen = np.concatenate(current).tolist()
     union = np.array(sorted(chosen), dtype=np.int64)
     inside = combination_rank(union[combination_rows(len(chosen), d)], starts[-1])  # union's faces
     face = spanned_witness(point_set.spanned_table, inside, anchor)
@@ -600,8 +604,8 @@ def few_separations(
     for j in range(d + 1):
         others = [i for i in range(d + 1) if i != j]
         # Subsets of a set in general position: no rescan.
-        cut = _spanned_bisecting_cut([[p for _, p in current[i]] for i in others])
-        vp, *values = plane_values([anchor] + [p for i in others for _, p in current[i]], cut)
+        cut = _spanned_bisecting_cut(point_set.spanned_table, points, [current[i] for i in others])
+        vp, *values = plane_values([anchor] + [points[u] for i in others for u in current[i]], cut)
         if vp == 0:
             # Impossible once the union with the anchor is in general position:
             # the cut is spanned by d input points.
@@ -613,13 +617,13 @@ def few_separations(
         margin = min([abs(vp)] + [abs(v) for v in values if v != 0])
         rest = iter(values)  # zip draws from current[i] first, so none is skipped
         for i in others:
-            kept = [(idx, p) for (idx, p), v in zip(current[i], rest) if sigma * v <= 0]
+            kept = current[i][np.array([sigma * v <= 0 for _, v in zip(current[i], rest)], bool)]
             if 2 * len(kept) < len(current[i]):
                 raise InternalInvariantError("halving round kept fewer than half")
             current[i] = kept
         separators.append(OrientedHyperplane(cut.normal, cut.offset + sigma * margin / 2))
-    index_result = tuple(tuple(sorted(idx for idx, _ in part)) for part in current)
-    subsets = [[p for _, p in part] for part in current]
+    index_result = tuple(tuple(sorted((part - s).tolist())) for part, s in zip(current, starts))
+    subsets = [[points[u] for u in part] for part in current]
     arrangement = _arrangement_in_general_position(separators, anchor, subsets, seed)
     outcome = separation_dichotomy(anchor, arrangement, subsets)
     branch = _BRANCH_ALL if outcome.inside else _BRANCH_NONE
@@ -762,28 +766,21 @@ def grow_selection(h: RainbowHypergraph, index_sets):
     rainbow simplex they span.
 
     A vertex can join color i exactly when all edges through it and the
-    current other colors are present; the result is a maximal complete box
-    of the containment hypergraph, reached deterministically by scanning
-    colors and vertices in index order.
+    current other colors are present, which does not depend on color i's own
+    members: each color takes all such vertices from one slice of the edges,
+    colors in index order until none grows.  The result is a maximal complete
+    box of the containment hypergraph.
     """
     current = [sorted(idxs) for idxs in index_sets]
     if not h.edges[np.ix_(*current)].all():
         raise PreconditionError("anchor is not in every rainbow simplex of the given subsets")
-    changed = True
-    while changed:
-        changed = False
+    before = None
+    while current != before:  # colors only grow, so a pass that changes none is the last
+        before = list(current)
         for ci in range(len(current)):
-            members = set(current[ci])
-            probe = list(current)
-            for v in range(h.sizes[ci]):
-                if v in members:
-                    continue
-                probe[ci] = [v]
-                if bool(h.edges[np.ix_(*probe)].all()):
-                    members.add(v)
-                    changed = True
-            current[ci] = sorted(members)
-            probe[ci] = current[ci]
+            box = h.edges[np.ix_(*current[:ci], range(h.sizes[ci]), *current[ci + 1 :])]
+            others = tuple(j for j in range(len(current)) if j != ci)
+            current[ci] = np.flatnonzero(box.all(axis=others)).tolist()
     return tuple(tuple(c) for c in current)
 
 

@@ -558,6 +558,10 @@ def test_exit_codes(workdir):
     assert run(["gen", "--dim", 2, "--shape", "uniform-ball", "--n", 0, "--out", workdir / "g.json"]) == 3
     # precondition: a grid ball of dimension below 1
     assert run(["gen", "--dim", -1, "--shape", "grid-ball", "--eps", "1/2", "--out", workdir / "g.json"]) == 3
+    # precondition: a 0-simplex, one vertex with no coordinates
+    point_simplex = workdir / "s.json"
+    pio.dump_json({"vertices": [[]]}, point_simplex)
+    assert run(["angle", "--simplex", point_simplex]) == 3
     # precondition: eps above 1/2^d, which few-separations cannot keep
     ball = workdir / "ball.json"
     assert run(["gen", "--dim", 2, "--shape", "uniform-ball", "--n", 12, "--seed", 3, "--out", ball]) == 0

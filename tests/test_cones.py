@@ -747,3 +747,10 @@ def test_simplex_refuses_non_finite_coordinates(bad):
         vertices[vertex][1] = bad
         with pytest.raises(PreconditionError, match="finite"):
             Simplex.create(vertices)
+
+
+def test_simplex_refuses_dimension_zero():
+    """One vertex in R^0 used to pass the shape check, and the solid angle
+    then failed on an empty reduce; a simplex needs d >= 1."""
+    with pytest.raises(PreconditionError, match="d >= 1"):
+        Simplex.create([[]])

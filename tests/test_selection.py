@@ -831,6 +831,49 @@ def test_few_separations_space_branch_oracle():
     assert fraction == (1 if res.branch == "all-contain" else 0)
 
 
+def _mixed_denominator_set(d, n, seed, den):
+    """Color 0 with coordinates over ``den``, the other colors integer, in
+    general position."""
+    rng = random.Random(seed)
+    while True:
+        colors = [[tuple(Fraction(rng.randint(-60 * den, 60 * den), den) for _ in range(d))
+                   for _ in range(n)]]
+        colors += [[tuple(rng.randint(-60, 60) for _ in range(d)) for _ in range(n)] for _ in range(d)]
+        if in_general_position([p for c in colors for p in c]):
+            return LabeledPointSet.create(d, colors)
+
+
+@pytest.mark.parametrize(
+    "d, n, den, digest",
+    [
+        (2, 8, 3, "6a8f5067514b186f320c85e3f88cafdc931850351dbb6346545528c37d7a41b0"),
+        (2, 8, 7, "13e7441f181a11e54f00c3365898784e4825fe2f14a3d641b9b69b751f377ba4"),
+        (3, 5, 3, "3d069d912dde94fb2489d49913a9f2c10d6f45ef90b66f0b05f0c3bbec4c3b4e"),
+        (3, 5, 7, "1d2b117c4f14be9a3c3101b1a7625f7e8c46f9457872b349230b8f070ab7be91"),
+    ],
+    ids=["d2-over-3", "d2-over-7", "d3-over-3", "d3-over-7"],
+)
+def test_few_separations_cuts_are_read_in_the_subsets_frame(monkeypatch, d, n, den, digest):
+    """With color 0 over ``den``, the cut that omits it scores integer sets
+    against a spanned table scaled by ``den``: its rows are den^(d-1) times
+    the sets' own, which the cut divides out.  Each few-separations cut
+    equals ``ham_sandwich_bisect`` of the same d subsets, and the
+    certificate keeps its bytes."""
+    cut, calls = selection._spanned_bisecting_cut, []
+
+    def recorded(spanned, points, sets):
+        calls.append(([[points[u] for u in s] for s in sets], cut(spanned, points, sets)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(selection, "_spanned_bisecting_cut", recorded)
+    cert = run_pipeline(_mixed_denominator_set(d, n, 1, den), PipelineParams(seed=1, grow=False))
+    monkeypatch.undo()
+    assert sha256_hex(canonical_json_bytes(cert.to_json_dict())) == digest
+    assert any(all(c.denominator == 1 for s in sets for p in s for c in p) for sets, _ in calls)
+    for sets, plane in calls:
+        assert ham_sandwich_bisect(sets) == plane
+
+
 def _reference_bisecting_cut(sets):
     """Spans in product order, each plane from ``null_vector`` and its side
     counts from ``OrientedHyperplane.side``; the first bisecting one."""
@@ -869,14 +912,17 @@ def bisection_instances(draw):
 @settings(max_examples=120, deadline=None)
 @given(bisection_instances())
 def test_spanned_bisecting_cut_matches_per_span_reference(sets):
-    assert selection._spanned_bisecting_cut(sets) == _reference_bisecting_cut(sets)
+    """``ham_sandwich_bisect`` scores its spans as rows of the union's
+    spanned table, the core that few separations feeds from a whole set's."""
+    assert ham_sandwich_bisect(sets) == _reference_bisecting_cut(sets)
 
 
 def test_spanned_bisecting_cut_recomputes_no_own_point(monkeypatch):
     """A span's own d points lie on it, exact zeros known from the span's
     indices, so the cut hands none of them to the exact recomputation; on
     small integer coordinates floats decide every other cell, so it
-    recomputes nothing."""
+    recomputes nothing.  Only the cut's filter calls are counted: the
+    general-position scan of ``ham_sandwich_bisect`` calls geometry's."""
     fallbacks = []
     scored = selection._cofactor_signs
 
@@ -890,7 +936,7 @@ def test_spanned_bisecting_cut_recomputes_no_own_point(monkeypatch):
     for d, n in [(1, 5), (2, 6), (3, 4)]:
         pts = general_position_points(rng, d * n, d, den=1, box=60)
         sets = [pts[k * n : (k + 1) * n] for k in range(d)]
-        assert selection._spanned_bisecting_cut(sets) == _reference_bisecting_cut(sets)
+        assert ham_sandwich_bisect(sets) == _reference_bisecting_cut(sets)
     assert fallbacks and sum(fallbacks) == 0
 
 
@@ -1198,6 +1244,29 @@ def test_certificates_are_pinned(d, n, seed, digest):
     assert sha256_hex(canonical_json_bytes(cert.to_json_dict())) == digest
 
 
+@pytest.mark.parametrize("d, n, seed", [(1, 10, 4), (2, 10, 1), (2, 25, 3), (3, 6, 2), (3, 8, 1)])
+@pytest.mark.parametrize(
+    "scale, shift",
+    [(2**62, 0), (Fraction(2**62, 3), 0), (1, Fraction(-7, 3)), (Fraction(1, 3), Fraction(1, 2**70))],
+    ids=["times-2^62", "times-2^62/3", "minus-7/3", "thirds-plus-2^-70"],
+)
+def test_pipeline_commutes_with_affine_maps(d, n, seed, scale, shift):
+    """Mapping every coordinate by x -> scale x + shift, scale > 0, keeps
+    every orientation sign the pipeline reads: the same index sets, the point
+    mapped exactly, and a mapped certificate that both verify modes accept.
+    The 2^62 scales run the pipeline on the object-dtype paths."""
+    ps = uniform_ball_set(d, n, seed=seed)
+    mapped = LabeledPointSet.create(
+        d, [[tuple(scale * c + shift for c in p) for p in color] for color in ps.colors]
+    )
+    base = run_pipeline(ps, PipelineParams(seed=seed))
+    cert = run_pipeline(mapped, PipelineParams(seed=seed))
+    assert cert.index_sets == base.index_sets
+    assert cert.point == tuple(scale * c + shift for c in base.point)
+    for mode in ("exhaustive", "arrangement"):
+        assert verify_certificate(mapped, cert, mode).ok
+
+
 @st.composite
 def unequal_sets(draw):
     """A random set in general position whose colors have unequal sizes."""
@@ -1502,6 +1571,46 @@ def test_grow_selection_reaches_a_maximal_complete_box():
             probe = list(grown)
             probe[ci] = [v]
             assert not bool(h.edges[np.ix_(*probe)].all())
+
+
+def _grow_by_vertex(h, index_sets):
+    """Reference growth: each vertex of color i probed alone against the
+    current other colors, colors in index order until none grows."""
+    current = [sorted(idxs) for idxs in index_sets]
+    changed = True
+    while changed:
+        changed = False
+        for ci in range(len(current)):
+            members = set(current[ci])
+            probe = list(current)
+            for v in range(h.sizes[ci]):
+                if v in members:
+                    continue
+                probe[ci] = [v]
+                if bool(h.edges[np.ix_(*probe)].all()):
+                    members.add(v)
+                    changed = True
+            current[ci] = sorted(members)
+    return tuple(tuple(c) for c in current)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(1, 5), min_size=2, max_size=4),
+    st.sampled_from([0.5, 0.8, 0.95]),
+    st.integers(0, 10**6),
+)
+def test_grow_selection_matches_the_per_vertex_probe(sizes, density, seed):
+    """Random boolean tensors made complete on a random starting box: one
+    slice per color grows the same box as probing each vertex alone."""
+    from pachsel.selection import grow_selection
+
+    rng = np.random.default_rng(seed)
+    edges = rng.random(sizes) < density
+    start = [np.flatnonzero(rng.random(n) < 0.5).tolist() or [int(rng.integers(n))] for n in sizes]
+    edges[np.ix_(*start)] = True
+    h = RainbowHypergraph(edges)
+    assert grow_selection(h, start) == _grow_by_vertex(h, start)
 
 
 def test_pipeline_growth_improves_fractions_and_stays_sound():
