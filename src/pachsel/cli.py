@@ -16,6 +16,7 @@ import argparse
 import csv
 import io as _stdio
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -267,8 +268,6 @@ class ExperimentRecord:
 
 
 def cmd_bench(args) -> int:
-    import os
-
     dims = _parse_dims(args.dims)
     if args.instances < 0:
         raise PreconditionError("--instances must be >= 0")

@@ -201,11 +201,17 @@ class Simplex:
         return self.vertices.shape[1]
 
     def is_degenerate(self) -> bool:
-        m = self.vertices[1:] - self.vertices[0]  # the edges from vertex 0
-        scale = np.prod(np.linalg.norm(m, axis=1))
-        if scale == 0:
+        """|det| of the unit edge directions from vertex 0 is at most the
+        tolerance.  The edges are taken between halved vertices, so none
+        overflows, and each is divided by its largest |coordinate| before its
+        norm is taken, so no norm over- or underflows at any scale."""
+        m = self.vertices[1:] / 2 - self.vertices[0] / 2
+        big = np.abs(m).max(axis=1, keepdims=True)
+        if not big.all():
             return True
-        return abs(np.linalg.det(m)) <= _DEGENERACY_TOL * scale
+        m /= big
+        m /= np.linalg.norm(m, axis=1, keepdims=True)
+        return abs(np.linalg.det(m)) <= _DEGENERACY_TOL
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from math import ceil, lcm, sqrt
 
 import numpy as np
 
-from .cones import Simplex, corner_volumes_mc, msa_mc, unit_ball_volume
+from .cones import Simplex, bound_table, corner_volumes_mc, msa_mc, unit_ball_volume
 from .errors import (
     BudgetExceededError,
     InputValidationError,
@@ -304,8 +304,6 @@ def upper_bound_witness(
     of the vanishing-slack term, so the report demonstrates the mechanism
     rather than proving the limit statement.
     """
-    from .cones import bound_table
-
     cfg_gen = GridBallConfig(dim=dim, eps=to_fraction(eps), seed=seed)
     point_set = generate_grid_ball(cfg_gen)
     n = point_set.sizes()[0]

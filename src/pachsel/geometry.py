@@ -340,6 +340,13 @@ def find_general_position_violation(obj):
     lexicographically first (q, face).
     """
     d, pts = _point_list(obj)
+    spanned = obj.spanned_table if isinstance(obj, LabeledPointSet) else None
+    return _first_dependent_tuple(pts, d, spanned)
+
+
+def _first_dependent_tuple(pts, d, spanned):
+    """``find_general_position_violation`` of the points in R^d, scanning their
+    ``spanned_cofactors`` table ``spanned`` (None builds it when it is read)."""
     n = len(pts)
     if n <= d + 1:
         int_pts, _ = scale_points_to_ints(pts)
@@ -347,9 +354,7 @@ def find_general_position_violation(obj):
         if rows and matrix_rank_fraction(rows) < n - 1:
             return tuple(range(n))
         return None
-    table, den, faces, floats = (
-        obj.spanned_table if isinstance(obj, LabeledPointSet) else spanned_cofactors(pts, d)
-    )
+    table, den, faces, floats = spanned or spanned_cofactors(pts, d)
     rows = homogeneous_rows(pts[: n - d], den)
     starts = np.searchsorted(faces[:, 0], np.arange(1, n - d + 1)).tolist()
     q0 = 0

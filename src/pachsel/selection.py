@@ -30,16 +30,23 @@ from .geometry import (
     LabeledPointSet,
     OrientedHyperplane,
     _cofactor_signs,
+    _first_dependent_tuple,
     cofactor_signs,
     combination_rank,
     combination_rows,
-    find_general_position_violation,
     homogeneous_rows,
     plane_signs,
     plane_values,
     spanned_cofactors,
     spanned_witness,
     strict_separation,
+)
+from .io import (
+    arrangement_from_json_dict,
+    arrangement_to_json_dict,
+    int_from_json,
+    list_from_json,
+    scalar_from_json,
 )
 from .rational import common_denominator, format_scalar, point_to_fractions, to_fraction
 
@@ -468,31 +475,37 @@ def ham_sandwich_bisect(sets) -> OrientedHyperplane:
     lexicographic order) and returns the first whose two open sides each
     contain at least floor((|S_i| - on_i)/2) points of every set, where on_i
     counts the set's points on the hyperplane.  In general position some such
-    spanned cut always exists; the union is scanned for general position
-    (O(N^{d+1})) before the search, which scores the union's own spanned table.
+    spanned cut always exists; the union's one spanned table is scanned for
+    general position (O(N^{d+1})) and then scored by the search.
     """
-    union = [p for s in sets for p in s]
-    violation = find_general_position_violation(union)
+    _require_bisectable(sets)
+    d, union = len(sets), [p for s in sets for p in s]
+    spanned = spanned_cofactors(union, d)
+    violation = _first_dependent_tuple(union, d, spanned)
     if violation is not None:
         raise GeneralPositionError("sets are not in general position", violation)
     ends = np.cumsum([len(s) for s in sets])
-    return _spanned_bisecting_cut(None, union, [np.arange(e - len(s), e) for s, e in zip(sets, ends)])
+    return _spanned_bisecting_cut(spanned, union, [np.arange(e - len(s), e) for s, e in zip(sets, ends)])
+
+
+def _require_bisectable(sets):
+    if len(sets) > 3:
+        raise PreconditionError("enumerative ham-sandwich supports d <= 3")
+    if not sets or any(len(s) == 0 for s in sets):
+        raise PreconditionError("empty set cannot be bisected")
 
 
 def _spanned_bisecting_cut(spanned, points, sets) -> OrientedHyperplane:
     """``ham_sandwich_bisect`` for a caller that vouches for general position:
     ``sets`` are d int arrays of indices into ``points``, set i's below set
-    i+1's, and ``spanned`` is the points' ``spanned_cofactors`` (None builds it).
+    i+1's, and ``spanned`` is the points' ``spanned_cofactors``.
     A span, one point per set in ``itertools.product`` order, is the table row
     of its ``combination_rank``, scored in blocks of about BLOCK_CELLS cells.
     With den = k den', den' the sets' own denominator, row c is k^(d-1) (k c'[0],
     c'[1:]) for the row c' at den': the cut -c'[1:].x = c'[0]/den' is the same."""
+    _require_bisectable(sets)
     d = len(sets)
-    if d > 3:
-        raise PreconditionError("enumerative ham-sandwich supports d <= 3")
-    if any(len(s) == 0 for s in sets):
-        raise PreconditionError("empty set cannot be bisected")
-    table, den, _, floats = spanned or spanned_cofactors(points, d)
+    table, den, _, floats = spanned
     order = np.concatenate(sets)  # the scored points, set by set
     ordered = [points[u] for u in order]
     faces = tuple_grid([s[:, None] for s in sets]).reshape(-1, d)
@@ -800,8 +813,6 @@ class PachCertificate:
     stages: tuple
 
     def to_json_dict(self) -> dict:
-        from .io import arrangement_to_json_dict
-
         return {
             "input_sha256": self.input_sha256,
             "p": [format_scalar(c) for c in self.point],
@@ -815,8 +826,6 @@ class PachCertificate:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PachCertificate":
-        from .io import arrangement_from_json_dict, int_from_json, list_from_json, scalar_from_json
-
         if data["verified"] not in ("exhaustive", "arrangement"):
             raise ParseError(f"verified {data['verified']!r} is not 'exhaustive' or 'arrangement'")
         return cls(

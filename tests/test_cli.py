@@ -628,6 +628,18 @@ def test_angle_command(workdir, capsys):
         assert run(["angle", "--simplex", simplex, "--vertex", vertex, "--samples", 1000]) == 3
 
 
+def test_angle_of_a_triangle_scaled_past_the_float_range(workdir, capsys):
+    """A triangle whose edge-norm product overflows is not degenerate: it
+    exits 0 and prints the unscaled triangle's estimate."""
+    outs = []
+    for scale in ("1", "1e200"):
+        simplex = workdir / f"s{scale}.json"
+        simplex.write_text(f'{{"vertices": [[0, 0], [{scale}, 0], [0, {scale}]]}}')
+        assert run(["angle", "--simplex", simplex, "--samples", 20_000]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 def test_angle_refuses_a_negative_seed(workdir, capsys):
     simplex = workdir / "s.json"
     pio.dump_json({"vertices": [[0, 0], [1, 0], [0, 1]]}, simplex)

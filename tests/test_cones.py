@@ -76,9 +76,26 @@ def test_solid_angle_regular_tetrahedron_matches_oracle():
 
 
 def test_solid_angle_rejects_degenerate():
-    bad = Simplex.create([(0, 0), (1, 1), (2, 2)])
-    with pytest.raises(PreconditionError):
-        solid_angle_mc(bad, 0, 10, seed=0)
+    # the second triangle's edge (2e308, 0) overflows
+    for vertices in ([(0, 0), (1, 1), (2, 2)], [(-1e308, 0), (1e308, 0), (0, 0)]):
+        bad = Simplex.create(vertices)
+        with pytest.raises(PreconditionError):
+            solid_angle_mc(bad, 0, 10, seed=0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e150, 1e-150, 1e200, 1e-200, 1e300, 1e-300])
+@pytest.mark.parametrize("d", [2, 3])
+def test_scaled_simplex_estimates_as_unscaled(d, scale):
+    """Degeneracy is decided on unit edge directions, so a corner simplex whose
+    edge-norm product over- or underflows is not degenerate, raises no float
+    warning, and its estimates are those of the unscaled simplex."""
+    vertices = np.vstack([np.zeros(d), np.eye(d)])
+    base, scaled = Simplex.create(vertices), Simplex.create(vertices * scale)
+    assert not scaled.is_degenerate()
+    assert solid_angle_mc(scaled, 0, 4000, seed=1) == solid_angle_mc(base, 0, 4000, seed=1)
+    assert msa_mc(scaled, 4000, seed=2) == msa_mc(base, 4000, seed=2)
+    assert normal_fan_cover_check(scaled, 4000, seed=3) == normal_fan_cover_check(base, 4000, seed=3)
 
 
 def test_triangle_angles_sum_to_half():

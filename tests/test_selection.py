@@ -947,6 +947,15 @@ def test_ham_sandwich_rejects_degenerate_input():
         ham_sandwich_bisect([[], [(0, 1)]])
 
 
+def test_ham_sandwich_builds_one_table(spanned_sizes):
+    """The union's general-position scan and its cut read one spanned table."""
+    pts = general_position_points(random.Random(11), 120, 2, den=1, box=1000)
+    spanned_sizes.clear()
+    cut = ham_sandwich_bisect([pts[:60], pts[60:]])
+    assert spanned_sizes == [120]
+    assert cut == _reference_bisecting_cut([pts[:60], pts[60:]])
+
+
 # ---------------------------------------------------------------------------
 # few separations
 
@@ -1070,18 +1079,19 @@ def test_few_separations_requires_general_position():
 
 @pytest.fixture
 def scan_sizes(monkeypatch):
-    """Point counts of every find_general_position_violation call."""
+    """Point counts of every general-position scan: the core under
+    find_general_position_violation and ham_sandwich_bisect."""
     from pachsel import geometry, selection
 
     sizes = []
-    scan = geometry.find_general_position_violation
+    scan = geometry._first_dependent_tuple
 
-    def counted(obj):
-        sizes.append(len(obj.union_points() if isinstance(obj, LabeledPointSet) else obj))
-        return scan(obj)
+    def counted(pts, d, spanned):
+        sizes.append(len(pts))
+        return scan(pts, d, spanned)
 
     for module in (geometry, selection):
-        monkeypatch.setattr(module, "find_general_position_violation", counted)
+        monkeypatch.setattr(module, "_first_dependent_tuple", counted)
     return sizes
 
 
@@ -1170,7 +1180,7 @@ def test_perturb_anchor_reuses_the_deep_point_verdict(scan_sizes):
 @pytest.fixture
 def spanned_sizes(monkeypatch):
     """Point counts of every spanned cofactor table built."""
-    from pachsel import geometry
+    from pachsel import geometry, selection
 
     sizes = []
     spanned_cofactors = geometry.spanned_cofactors
@@ -1179,7 +1189,8 @@ def spanned_sizes(monkeypatch):
         sizes.append(len(points))
         return spanned_cofactors(points, dim)
 
-    monkeypatch.setattr(geometry, "spanned_cofactors", recorded)
+    for module in (geometry, selection):
+        monkeypatch.setattr(module, "spanned_cofactors", recorded)
     return sizes
 
 
